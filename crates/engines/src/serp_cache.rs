@@ -9,10 +9,13 @@
 //! The key normalizes the query through [`shift_textkit::analyze`] —
 //! the exact pipeline [`shift_search::SearchEngine`] feeds the kernel —
 //! so two raw queries share an entry precisely when the kernel would
-//! see identical term lists. The one byte of a [`Serp`] that depends on
-//! the *raw* text (its `query` echo field) is patched back on every
-//! hit, which makes the cache perfectly transparent: a hit returns the
-//! same bytes a kernel run would have.
+//! see identical term lists. Entries are shared [`Arc<Serp>`]s, so a
+//! miss hands the kernel's result list to the cache without copying
+//! it. The one field of a [`Serp`] that depends on the *raw* text (its
+//! `query` echo) is the entry's first query; a caller that hands out an
+//! owned SERP patches in its own, and the answer path never reads it,
+//! which keeps the cache perfectly transparent: a hit yields the same
+//! bytes a kernel run would have.
 //!
 //! Each shard is an independent `parking_lot::Mutex` around a
 //! slab-backed intrusive LRU list (the same shape as `shift-serve`'s
@@ -22,6 +25,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shift_search::Serp;
@@ -130,7 +134,7 @@ const NIL: usize = usize::MAX;
 
 struct Entry {
     key: SerpCacheKey,
-    serp: Serp,
+    serp: Arc<Serp>,
     prev: usize,
     next: usize,
 }
@@ -234,10 +238,9 @@ impl SerpCache {
     }
 
     /// Looks up a key, refreshing its recency on hit. The returned SERP
-    /// echoes `raw_query` verbatim (the only field of a [`Serp`] that
-    /// depends on the un-normalized text), so a hit is byte-identical
-    /// to what the kernel would have produced for this exact call.
-    pub fn get(&self, key: &SerpCacheKey, raw_query: &str) -> Option<Serp> {
+    /// is the shared entry: its `query` echo is the raw query that
+    /// populated it, not necessarily this caller's.
+    pub fn get(&self, key: &SerpCacheKey) -> Option<Arc<Serp>> {
         if self.is_disabled() {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -250,15 +253,12 @@ impl SerpCache {
         shard.unlink(slot);
         shard.push_front(slot);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        let mut serp = shard.slab[slot].serp.clone();
-        serp.query.clear();
-        serp.query.push_str(raw_query);
-        Some(serp)
+        Some(Arc::clone(&shard.slab[slot].serp))
     }
 
     /// Inserts (or overwrites) a SERP, evicting the least-recently-used
     /// entry of the target shard if it is full.
-    pub fn insert(&self, key: SerpCacheKey, serp: Serp) {
+    pub fn insert(&self, key: SerpCacheKey, serp: Arc<Serp>) {
         if self.is_disabled() {
             return;
         }
@@ -316,11 +316,11 @@ impl SerpCache {
 mod tests {
     use super::*;
 
-    fn serp(query: &str) -> Serp {
-        Serp {
+    fn serp(query: &str) -> Arc<Serp> {
+        Arc::new(Serp {
             query: query.to_string(),
             results: Vec::new(),
-        }
+        })
     }
 
     fn single_shard(capacity: usize) -> SerpCache {
@@ -341,14 +341,18 @@ mod tests {
     }
 
     #[test]
-    fn hit_echoes_the_raw_query() {
+    fn hit_shares_the_entry() {
         let cache = single_shard(4);
         let key = SerpCacheKey::new("Best Laptops", 9, 10);
-        cache.insert(key.clone(), serp("Best Laptops"));
-        // A differently-cased raw query normalizing to the same key
-        // hits, but the echoed query field is this call's raw text.
-        let hit = cache.get(&key, "best LAPTOPS").expect("hit");
-        assert_eq!(hit.query, "best LAPTOPS");
+        let entry = serp("Best Laptops");
+        cache.insert(key.clone(), Arc::clone(&entry));
+        // A differently-cased raw query normalizing to the same key hits
+        // the same allocation, echo included.
+        let hit = cache
+            .get(&SerpCacheKey::new("best LAPTOPS", 9, 10))
+            .expect("hit");
+        assert!(Arc::ptr_eq(&hit, &entry));
+        assert_eq!(hit.query, "Best Laptops");
         assert_eq!(cache.stats().hits, 1);
     }
 
@@ -360,11 +364,11 @@ mod tests {
         let k3 = SerpCacheKey::new("gamma", 0, 10);
         cache.insert(k1.clone(), serp("alpha"));
         cache.insert(k2.clone(), serp("beta"));
-        assert!(cache.get(&k1, "alpha").is_some()); // k2 becomes LRU
+        assert!(cache.get(&k1).is_some()); // k2 becomes LRU
         cache.insert(k3.clone(), serp("gamma"));
-        assert!(cache.get(&k1, "alpha").is_some());
-        assert!(cache.get(&k2, "beta").is_none(), "k2 must be evicted");
-        assert!(cache.get(&k3, "gamma").is_some());
+        assert!(cache.get(&k1).is_some());
+        assert!(cache.get(&k2).is_none(), "k2 must be evicted");
+        assert!(cache.get(&k3).is_some());
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
     }
@@ -374,7 +378,7 @@ mod tests {
         let cache = SerpCache::new(&SerpCacheConfig::disabled());
         let k = SerpCacheKey::new("anything", 0, 10);
         cache.insert(k.clone(), serp("anything"));
-        assert!(cache.get(&k, "anything").is_none());
+        assert!(cache.get(&k).is_none());
         assert!(cache.is_empty());
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 1);
@@ -387,7 +391,7 @@ mod tests {
         cache.insert(k.clone(), serp("same query"));
         cache.insert(k.clone(), serp("same query"));
         assert_eq!(cache.len(), 1);
-        assert!(cache.get(&k, "same query").is_some());
+        assert!(cache.get(&k).is_some());
         assert_eq!(cache.stats().inserts, 2);
         assert_eq!(cache.stats().evictions, 0);
     }

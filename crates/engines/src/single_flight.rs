@@ -8,11 +8,11 @@
 //! sits under the cache: the first worker to register a key becomes
 //! the **leader** and computes; every other worker arriving while the
 //! flight is open becomes a **waiter**, blocks on the flight's
-//! condvar, and receives a clone of the leader's result — byte-
-//! identical to what its own kernel run would have produced (same
-//! normalized key ⇒ same terms, params fingerprint and k ⇒ identical
-//! result list; the raw-query echo is patched per caller exactly as a
-//! [`crate::SerpCache::get`] hit patches it).
+//! condvar, and receives the leader's shared result — byte-identical
+//! to what its own kernel run would have produced (same normalized key
+//! ⇒ same terms, params fingerprint and k ⇒ identical result list; the
+//! raw-query echo is the leader's, exactly as on a
+//! [`crate::SerpCache::get`] hit).
 //!
 //! Built on `std::sync::{Mutex, Condvar}` only — the flight table is
 //! `Send + Sync` by construction, which the `AnswerEngines`
@@ -30,7 +30,7 @@ use crate::serp_cache::SerpCacheKey;
 /// One in-progress computation: the published result slot and the
 /// condvar waiters sleep on until the leader publishes.
 struct Flight {
-    result: Mutex<Option<Serp>>,
+    result: Mutex<Option<Arc<Serp>>>,
     cv: Condvar,
 }
 
@@ -84,13 +84,12 @@ impl SingleFlight {
     /// to register the key computes (and is expected to populate the
     /// SERP cache inside `compute`, so latecomers hit the cache before
     /// ever reaching this table); concurrent callers with the same key
-    /// block until the leader publishes and receive a clone with their
-    /// own `raw_query` echoed back.
+    /// block until the leader publishes and share its result.
     ///
     /// `compute` must not re-enter [`SingleFlight::run`] with the same
     /// key, and must not panic (a panicking leader would strand its
     /// waiters; kernel runs in this workspace do not panic).
-    pub fn run(&self, key: &SerpCacheKey, raw_query: &str, compute: impl FnOnce() -> Serp) -> Serp {
+    pub fn run(&self, key: &SerpCacheKey, compute: impl FnOnce() -> Arc<Serp>) -> Arc<Serp> {
         enum Role {
             Leader(Arc<Flight>),
             Waiter(Arc<Flight>),
@@ -119,7 +118,7 @@ impl SingleFlight {
         match role {
             Role::Leader(flight) => {
                 let serp = compute();
-                *lock(&flight.result) = Some(serp.clone());
+                *lock(&flight.result) = Some(Arc::clone(&serp));
                 flight.cv.notify_all();
                 // Deregister: only the leader removes its key, and a
                 // new leader can register only after this removal, so
@@ -135,12 +134,7 @@ impl SingleFlight {
                         .wait(slot)
                         .unwrap_or_else(|poisoned| poisoned.into_inner());
                 }
-                let mut serp = slot.clone().expect("leader published before notify");
-                // The one byte of a Serp that depends on the raw text:
-                // patch this caller's echo, exactly like a cache hit.
-                serp.query.clear();
-                serp.query.push_str(raw_query);
-                serp
+                slot.clone().expect("leader published before notify")
             }
         }
     }
@@ -165,8 +159,8 @@ mod tests {
     use super::*;
     use std::sync::Barrier;
 
-    fn serp(query: &str, url: &str) -> Serp {
-        Serp {
+    fn serp(query: &str, url: &str) -> Arc<Serp> {
+        Arc::new(Serp {
             query: query.to_string(),
             results: vec![shift_search::SerpResult {
                 page: shift_corpus::PageId(1),
@@ -178,7 +172,7 @@ mod tests {
                 source_type: shift_corpus::SourceType::Earned,
                 age_days: 3.0,
             }],
-        }
+        })
     }
 
     #[test]
@@ -199,7 +193,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let raw = format!("Best LAPTOPS #{i}");
                 barrier.wait();
-                sf.run(&key, &raw, || {
+                sf.run(&key, || {
                     // The leader parks until every other thread has
                     // registered as a waiter — which makes the
                     // leader/waiter split deterministic, not a race.
@@ -207,36 +201,30 @@ mod tests {
                         std::thread::yield_now();
                     }
                     computed.fetch_add(1, Ordering::Relaxed);
-                    serp("Best LAPTOPS", "https://example.com/a")
+                    serp(&raw, "https://example.com/a")
                 })
             }));
         }
-        let results: Vec<Serp> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let results: Vec<Arc<Serp>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(computed.load(Ordering::Relaxed), 1, "kernel ran once");
         let stats = sf.stats();
         assert_eq!(stats.leaders, 1);
         assert_eq!(stats.waiters, N as u64 - 1);
         assert!((stats.collapse_rate() - (N as f64 - 1.0) / N as f64).abs() < 1e-12);
-        for (i, r) in results.iter().enumerate() {
-            // Every caller gets identical bytes, modulo its own echo.
-            assert_eq!(r.results.len(), 1);
-            assert_eq!(r.results[0].url, "https://example.com/a");
-            assert_eq!(r.results[0].score.to_bits(), 1.25f64.to_bits());
-            let leader_echo = r.query == "Best LAPTOPS";
-            let own_echo = r.query == format!("Best LAPTOPS #{i}");
-            assert!(leader_echo || own_echo, "unexpected echo {:?}", r.query);
+        // Every caller shares the leader's one result, echo included.
+        for r in &results {
+            assert!(Arc::ptr_eq(r, &results[0]));
         }
-        // Exactly one result carries the leader's echo.
-        let leader_echos = results.iter().filter(|r| r.query == "Best LAPTOPS").count();
-        assert_eq!(leader_echos, 1);
+        assert_eq!(results[0].results[0].url, "https://example.com/a");
+        assert_eq!(results[0].results[0].score.to_bits(), 1.25f64.to_bits());
     }
 
     #[test]
     fn sequential_runs_start_fresh_flights() {
         let sf = SingleFlight::new();
         let key = SerpCacheKey::new("alpha", 0, 10);
-        let a = sf.run(&key, "alpha", || serp("alpha", "https://a.example/1"));
-        let b = sf.run(&key, "alpha", || serp("alpha", "https://a.example/2"));
+        let a = sf.run(&key, || serp("alpha", "https://a.example/1"));
+        let b = sf.run(&key, || serp("alpha", "https://a.example/2"));
         // No flight open between the calls: both computed.
         assert_eq!(sf.stats().leaders, 2);
         assert_eq!(sf.stats().waiters, 0);
@@ -249,8 +237,8 @@ mod tests {
         let sf = SingleFlight::new();
         let a = SerpCacheKey::new("alpha", 0, 10);
         let b = SerpCacheKey::new("beta", 0, 10);
-        let _ = sf.run(&a, "alpha", || serp("alpha", "https://a.example/1"));
-        let _ = sf.run(&b, "beta", || serp("beta", "https://b.example/1"));
+        let _ = sf.run(&a, || serp("alpha", "https://a.example/1"));
+        let _ = sf.run(&b, || serp("beta", "https://b.example/1"));
         assert_eq!(sf.stats().leaders, 2);
         assert_eq!(sf.stats().waiters, 0);
     }

@@ -5,10 +5,14 @@ use std::sync::Arc;
 
 use shift_classify::classify_intent;
 use shift_classify::intent::QueryIntentLabel;
-use shift_corpus::World;
+use shift_corpus::{PageId, World};
 use shift_llm::{GroundingMode, Llm, LlmConfig, Snippet};
 use shift_metrics::bootstrap::SplitMix64;
-use shift_search::{with_thread_scratch, QueryScratch, RankingParams, SearchEngine, Serp};
+use shift_search::serp::contains_lowercase;
+use shift_search::{
+    with_thread_scratch, QueryScratch, RankingParams, SearchEngine, Serp, SerpResult,
+};
+use shift_urlkit::{registrable_domain, Url};
 
 use crate::answer::{Citation, EngineAnswer};
 use crate::persona::{EngineKind, Persona};
@@ -24,6 +28,13 @@ pub struct AnswerEngines {
     retrievers: HashMap<EngineKind, SearchEngine>,
     personas: HashMap<EngineKind, Persona>,
     llm: Llm,
+    // Per-result text work done once at build. Entity names lowercased
+    // for snippet attribution, by `EntityId`.
+    entity_names: Vec<String>,
+    // Each page's citation domain, by `PageId`: `None` where its URL has
+    // no registrable domain. Result URLs are their pages' URLs, since
+    // every index is built from the world.
+    page_domains: Vec<Option<CitedDomain>>,
     // SERP-level retrieval cache shared by every persona: entries are
     // keyed on (analyzed query, params fingerprint, k), so Gemini's
     // grounding through Google's ranking and repeated serving traffic
@@ -33,6 +44,14 @@ pub struct AnswerEngines {
     // runs the kernel for a key, others with the same key wait for its
     // result instead of re-running the same retrieval.
     single_flight: SingleFlight,
+}
+
+/// A page's registrable domain and its FNV-1a hash, which seeds the
+/// personas' per-domain citation preference.
+#[derive(Clone)]
+struct CitedDomain {
+    name: String,
+    hash: u64,
 }
 
 // The serving layer (`shift-serve`) and the parallel study runner share
@@ -97,12 +116,20 @@ impl AnswerEngines {
             personas.insert(kind, persona);
         }
         let llm = Llm::pretrain(&world, llm_config);
+        let entity_names = world
+            .entities()
+            .iter()
+            .map(|e| e.name.to_lowercase())
+            .collect();
+        let page_domains = page_domains(&world);
         AnswerEngines {
             world,
             google,
             retrievers,
             personas,
             llm,
+            entity_names,
+            page_domains,
             serp_cache: SerpCache::new(&SerpCacheConfig::default()),
             single_flight: SingleFlight::new(),
         }
@@ -123,26 +150,26 @@ impl AnswerEngines {
         self.single_flight.stats()
     }
 
-    /// Retrieval through the SERP cache: a hit returns the cached
-    /// result list with this call's raw query echoed back (making hits
-    /// byte-identical to kernel runs); a miss runs the kernel under
-    /// single-flight — concurrent misses on the same key collapse into
-    /// one kernel run whose result every waiter receives — and
-    /// populates the cache.
+    /// Retrieval through the SERP cache: a hit returns the shared
+    /// cached result list; a miss runs the kernel under single-flight —
+    /// concurrent misses on the same key collapse into one kernel run
+    /// whose result every waiter shares — and populates the cache. The
+    /// returned SERP's `query` echo may be another raw query with the
+    /// same key, so the answer path reads the caller's query instead.
     fn cached_serp(
         &self,
         engine: &SearchEngine,
         scratch: &mut QueryScratch,
         query: &str,
         k: usize,
-    ) -> Serp {
+    ) -> Arc<Serp> {
         let key = SerpCacheKey::new(query, engine.params().fingerprint(), k);
-        if let Some(hit) = self.serp_cache.get(&key, query) {
+        if let Some(hit) = self.serp_cache.get(&key) {
             return hit;
         }
-        self.single_flight.run(&key, query, || {
-            let serp = engine.search_with(scratch, query, k);
-            self.serp_cache.insert(key.clone(), serp.clone());
+        self.single_flight.run(&key, || {
+            let serp = Arc::new(engine.search_with(scratch, query, k));
+            self.serp_cache.insert(key.clone(), Arc::clone(&serp));
             serp
         })
     }
@@ -168,8 +195,20 @@ impl AnswerEngines {
     }
 
     /// Google's organic SERP using an explicitly managed query scratch.
+    /// It echoes `query`, byte-identical to a kernel run for this call.
     pub fn google_serp_with(&self, scratch: &mut QueryScratch, query: &str, k: usize) -> Serp {
-        self.cached_serp(&self.google, scratch, query, k)
+        let mut serp = Arc::unwrap_or_clone(self.cached_serp(&self.google, scratch, query, k));
+        serp.query.clear();
+        serp.query.push_str(query);
+        serp
+    }
+
+    /// The registrable domain a citation of `page` carries, computed
+    /// once at build; `None` where the page's URL has none.
+    pub fn citation_domain(&self, page: PageId) -> Option<&str> {
+        self.page_domains[page.index()]
+            .as_ref()
+            .map(|d| d.name.as_str())
     }
 
     /// The persona of a generative engine.
@@ -187,19 +226,26 @@ impl AnswerEngines {
     /// names nobody, the page's primary mention stands in (the page is
     /// still "about" its subject).
     pub fn snippets_from_serp(&self, serp: &Serp) -> Vec<Snippet> {
+        let mut names: Vec<&str> = Vec::new();
+        let mut shown: Vec<bool> = Vec::new();
         serp.results
             .iter()
             .map(|r| {
                 let page = self.world.page(r.page);
-                let text_lower = r.snippet.to_lowercase();
+                names.clear();
+                names.extend(
+                    page.mentions
+                        .iter()
+                        .map(|m| self.entity_names[m.entity.index()].as_str()),
+                );
+                shown.resize(names.len(), false);
+                contains_lowercase(&r.snippet, &names, &mut shown);
                 let mut entities: Vec<(shift_corpus::EntityId, f64)> = page
                     .mentions
                     .iter()
-                    .filter(|m| {
-                        let name = &self.world.entity(m.entity).name;
-                        text_lower.contains(&name.to_lowercase())
-                    })
-                    .map(|m| (m.entity, m.score))
+                    .zip(&shown)
+                    .filter(|(_, &shown)| shown)
+                    .map(|(m, _)| (m.entity, m.score))
                     .collect();
                 if entities.is_empty() {
                     if let Some(primary) = page.primary_mention() {
@@ -245,11 +291,14 @@ impl AnswerEngines {
     }
 
     fn google_answer(&self, scratch: &mut QueryScratch, query: &str, k: usize) -> EngineAnswer {
-        let serp = self.google_serp_with(scratch, query, k);
+        let serp = self.cached_serp(&self.google, scratch, query, k);
         let citations = serp
             .results
             .iter()
-            .filter_map(|r| Citation::from_url(&r.url, r.page, r.source_type, r.age_days))
+            .filter_map(|r| {
+                let domain = self.page_domains[r.page.index()].as_ref()?;
+                Some(citation(r, domain))
+            })
             .collect();
         let snippets = self.snippets_from_serp(&serp);
         EngineAnswer {
@@ -275,7 +324,7 @@ impl AnswerEngines {
         // Retrieval: Gemini grounds through Google's own ranking; the
         // others run their persona retrieval parameters.
         let pool = match kind {
-            EngineKind::Gemini => self.google_serp_with(scratch, query, persona.pool_size),
+            EngineKind::Gemini => self.cached_serp(&self.google, scratch, query, persona.pool_size),
             _ => self.cached_serp(&self.retrievers[&kind], scratch, query, persona.pool_size),
         };
         let snippets = self.snippets_from_serp(&pool);
@@ -290,7 +339,14 @@ impl AnswerEngines {
         };
 
         let citations = if cites {
-            self.select_citations(persona, intent, &pool, k.min(persona.citations_k), seed)
+            self.select_citations(
+                persona,
+                intent,
+                query,
+                &pool,
+                k.min(persona.citations_k),
+                seed,
+            )
         } else {
             Vec::new()
         };
@@ -314,45 +370,45 @@ impl AnswerEngines {
         &self,
         persona: &Persona,
         intent: QueryIntentLabel,
+        query: &str,
         pool: &Serp,
         k: usize,
         seed: u64,
     ) -> Vec<Citation> {
         let affinity = persona.affinity(intent);
-        let query_hash = hash_str(&pool.query);
-        let mut scored: Vec<(f64, Citation)> = pool
+        let query_hash = hash_str(query);
+        let mut scored: Vec<(f64, &SerpResult, &CitedDomain)> = pool
             .results
             .iter()
             .enumerate()
             .filter_map(|(pos, r)| {
-                let citation = Citation::from_url(&r.url, r.page, r.source_type, r.age_days)?;
+                let cited = self.page_domains[r.page.index()].as_ref()?;
                 let domain = self.world.domain(self.world.page(r.page).domain);
                 let rank_w = 1.0 / (1.0 + 0.05 * pos as f64);
                 let aff = affinity[r.source_type.index()];
                 let fresh = (-r.age_days / 90.0).exp();
                 // Idiosyncratic fingerprint: mostly a stable per-domain
                 // preference, partly query-specific.
-                let u_dom = unit_noise(persona.seed_salt ^ hash_str(&citation.domain));
-                let u_query =
-                    unit_noise(persona.seed_salt ^ hash_str(&citation.domain) ^ query_hash ^ seed);
+                let u_dom = unit_noise(persona.seed_salt ^ cited.hash);
+                let u_query = unit_noise(persona.seed_salt ^ cited.hash ^ query_hash ^ seed);
                 let jitter = 1.0 + persona.domain_jitter * (0.7 * u_dom + 0.3 * u_query);
                 let score = rank_w
                     * aff
                     * (1.0 + persona.freshness_pref * fresh)
                     * (1.0 + persona.authority_pref * domain.authority)
                     * jitter.max(0.05);
-                Some((score, citation))
+                Some((score, r, cited))
             })
             .collect();
         scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.url.cmp(&b.1.url)));
 
         let mut out: Vec<Citation> = Vec::with_capacity(k);
-        let mut per_domain: HashMap<String, usize> = HashMap::new();
-        for (_, c) in scored {
-            let n = per_domain.entry(c.domain.clone()).or_insert(0);
+        let mut per_domain: HashMap<&str, usize> = HashMap::new();
+        for (_, r, cited) in scored {
+            let n = per_domain.entry(&cited.name).or_insert(0);
             if *n < persona.max_per_domain {
                 *n += 1;
-                out.push(c);
+                out.push(citation(r, cited));
                 if out.len() == k {
                     break;
                 }
@@ -410,6 +466,41 @@ impl AnswerEngines {
             kind.name(),
             names.join(", ")
         )
+    }
+}
+
+/// Each page's citation domain, derived from its URL as
+/// [`Citation::from_url`] derives it, with the registrable domain looked
+/// up once per host.
+fn page_domains(world: &World) -> Vec<Option<CitedDomain>> {
+    let mut by_host: HashMap<String, Option<CitedDomain>> = HashMap::new();
+    world
+        .pages()
+        .iter()
+        .map(|page| {
+            let url = Url::parse(&page.url).ok()?;
+            if let Some(cited) = by_host.get(url.host()) {
+                return cited.clone();
+            }
+            let cited = registrable_domain(url.host()).map(|name| CitedDomain {
+                hash: hash_str(&name),
+                name,
+            });
+            by_host.insert(url.host().to_string(), cited.clone());
+            cited
+        })
+        .collect()
+}
+
+/// The citation of a result whose page cites as `domain`: what
+/// [`Citation::from_url`] builds from the result's URL.
+fn citation(r: &SerpResult, domain: &CitedDomain) -> Citation {
+    Citation {
+        url: r.url.clone(),
+        domain: domain.name.clone(),
+        page: r.page,
+        source_type: r.source_type,
+        age_days: r.age_days,
     }
 }
 
@@ -638,6 +729,25 @@ mod tests {
             assert_eq!(cold.snippets.len(), warm.snippets.len());
         }
         assert!(stack.serp_cache_stats().hits > 0);
+    }
+
+    #[test]
+    fn hits_on_another_raw_querys_entry_answer_like_a_fresh_stack() {
+        let w = world();
+        let warmed = AnswerEngines::build(w.clone());
+        let fresh = AnswerEngines::build(w.clone());
+        // Same cache key, different raw text: the warmed stack answers
+        // from entries whose echo is the first query's.
+        for kind in EngineKind::ALL {
+            warmed.answer(kind, "best laptops FOR students?", 10, 1);
+        }
+        let hits = warmed.serp_cache_stats().hits;
+        for kind in EngineKind::ALL {
+            let q = "Best Laptops for Students";
+            let (a, b) = (warmed.answer(kind, q, 10, 1), fresh.answer(kind, q, 10, 1));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{kind:?}");
+        }
+        assert!(warmed.serp_cache_stats().hits >= hits + 5);
     }
 
     #[test]

@@ -411,7 +411,7 @@ pub mod reference {
 
     use crate::bm25::{proximity_bonus, term_score};
     use crate::postings::DocNum;
-    use crate::serp::{extract_snippet, Serp, SerpResult};
+    use crate::serp::{Serp, SerpResult};
 
     use super::SearchEngine;
 
@@ -529,6 +529,50 @@ pub mod reference {
             })
             .collect();
         serp
+    }
+
+    /// A frozen copy of the snippet extraction, kept apart from
+    /// [`crate::serp::extract_snippet`] so the differential suites check
+    /// the kernel's in-place locator against these semantics instead of
+    /// against itself: lowercase the body, take the first hit of any term
+    /// in it, and map that offset back to the char of the body it starts
+    /// in.
+    fn extract_snippet(body: &str, query_terms: &[String], width: usize) -> String {
+        let lower = body.to_lowercase();
+        let hit = query_terms
+            .iter()
+            .filter_map(|t| lower.find(t.as_str()))
+            .min();
+        let center = match hit {
+            Some(hit) => {
+                let mut lower_end = 0;
+                body.char_indices()
+                    .find(|&(_, c)| {
+                        lower_end += c.to_lowercase().map(char::len_utf8).sum::<usize>();
+                        lower_end > hit
+                    })
+                    .map_or(body.len(), |(at, _)| at)
+            }
+            None => 0,
+        };
+        let half = width / 2;
+        let mut start = center.saturating_sub(half);
+        let mut end = (center + half).min(body.len());
+        while start > 0 && !body.is_char_boundary(start) {
+            start -= 1;
+        }
+        while end < body.len() && !body.is_char_boundary(end) {
+            end += 1;
+        }
+        let mut snippet = String::new();
+        if start > 0 {
+            snippet.push('…');
+        }
+        snippet.push_str(body[start..end].trim());
+        if end < body.len() {
+            snippet.push('…');
+        }
+        snippet
     }
 }
 

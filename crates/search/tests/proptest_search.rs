@@ -5,6 +5,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use shift_corpus::{World, WorldConfig};
+use shift_search::serp::{contains_lowercase, find_lowercase};
 use shift_search::{RankingParams, SearchEngine};
 
 fn engines() -> &'static (SearchEngine, SearchEngine) {
@@ -42,6 +43,71 @@ fn query() -> impl Strategy<Value = String> {
         // Arbitrary junk (must not panic, may return empty).
         "\\PC{0,48}",
     ]
+}
+
+/// Pieces of adversarial text for the snippet locator: mixed-case ASCII,
+/// the corpus's em dash, and chars whose lowercase differs from them in
+/// length (`İ`, `ẞ`), in bytes only (`É`), by context (`Σ`, wherever the
+/// sequence puts it) or into ASCII (the Kelvin sign).
+const TEXT_PIECES: &[&str] = &[
+    "a", "B", "bat", "BaT", "tery", "TERY", " ", ".", "x", "i", "ey", "K", "ss", "—", "İ", "ẞ",
+    "Σ", "σ", "ς", "\u{212A}", "é", "É", "ß", "\u{307}",
+];
+
+/// Needles: empty, absent, multi-byte, ones the pieces above only match
+/// once lowercased, and one longer than any generated text.
+const NEEDLE_PIECES: &[&str] = &[
+    "",
+    "a",
+    "b",
+    "bat",
+    "battery",
+    "tery",
+    "key",
+    "k",
+    "i",
+    "i\u{307}",
+    "σ",
+    "ς",
+    "ss",
+    "ß",
+    "é",
+    "—",
+    "x",
+    "a—b",
+    "σa",
+    "tery tery tery tery tery tery tery tery tery tery tery tery tery",
+];
+
+/// A text, and needles over it: pieces from the list above, plus windows
+/// of its lowercase and of the text itself, which make needles that
+/// reach into or across the chars the in-place pass cannot fold. A
+/// window may end on the last byte, so some hits do.
+fn locator_case() -> impl Strategy<Value = (String, Vec<String>)> {
+    (
+        prop::collection::vec(0..TEXT_PIECES.len(), 0..24),
+        prop::collection::vec(0..NEEDLE_PIECES.len(), 0..4),
+        prop::collection::vec((0usize..64, 1usize..6, 0usize..3), 0..4),
+    )
+        .prop_map(|(text, pieces, windows)| {
+            let text: String = text.iter().map(|&i| TEXT_PIECES[i]).collect();
+            let lower = text.to_lowercase();
+            let mut needles: Vec<String> = pieces
+                .iter()
+                .map(|&i| NEEDLE_PIECES[i].to_string())
+                .collect();
+            for (start, len, source) in windows {
+                // Two in three windows come from the lowercase.
+                let from = if source == 0 { &text } else { &lower };
+                let chars: Vec<char> = from.chars().collect();
+                if !chars.is_empty() {
+                    let start = start % chars.len();
+                    let end = (start + len).min(chars.len());
+                    needles.push(chars[start..end].iter().collect());
+                }
+            }
+            (text, needles)
+        })
 }
 
 proptest! {
@@ -125,5 +191,36 @@ proptest! {
             mean_age(&a),
             mean_age(&g)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The in-place locator finds exactly the first hit of any needle in
+    /// `text.to_lowercase()`, reported as the text char it starts in.
+    #[test]
+    fn locator_matches_lowercase_find((text, needles) in locator_case()) {
+        let lower = text.to_lowercase();
+        let expected = needles.iter().filter_map(|n| lower.find(n.as_str())).min().map(|at| {
+            // The last char whose lowercased prefix does not pass `at`.
+            text.char_indices()
+                .map(|(i, _)| i)
+                .rfind(|&i| text[..i].to_lowercase().len() <= at)
+                .unwrap_or(text.len())
+        });
+        prop_assert_eq!(find_lowercase(&text, &needles), expected, "{:?} in {:?}", needles, text);
+    }
+
+    /// The folded `contains` agrees with `to_lowercase().contains` for
+    /// every needle.
+    #[test]
+    fn folded_contains_matches_lowercase_contains((text, needles) in locator_case()) {
+        let lower = text.to_lowercase();
+        let mut found = vec![true; needles.len()];
+        contains_lowercase(&text, &needles, &mut found);
+        for (n, f) in needles.iter().zip(&found) {
+            prop_assert_eq!(*f, lower.contains(n.as_str()), "{:?} in {:?}", n, text);
+        }
     }
 }

@@ -37,6 +37,8 @@ cargo test -q -p shift-search --lib
 
 echo "== retrieval kernel: differential suite (kernel == reference, sharded == unsharded) =="
 cargo test -q -p shift-search --test differential_search
+
+echo "== retrieval kernel: SERP invariants + in-place snippet locator == lowercase-and-find =="
 cargo test -q -p shift-search --test proptest_search
 
 echo "== live index: differential suite (snapshots == batch-built oracle at every cut) =="
@@ -63,6 +65,10 @@ cargo test -q -p shift-engines stack
 
 echo "== engine stack: single-flight dedup (N concurrent misses compute once) =="
 cargo test -q -p shift-engines single_flight
+
+echo "== engine stack: answer invariants + build-time text tables == per-result derivation (paper scale) =="
+cargo test -q -p shift-engines --test proptest_engines
+cargo test -q -p shift-engines --test precomputed_text
 
 echo "== lint: clippy on the serving-path and foundation crates =="
 cargo clippy -q -p shift-search -p shift-serve -p shift-engines -p shift-core -p shift-corpus -- -D warnings
