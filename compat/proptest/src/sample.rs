@@ -32,10 +32,10 @@ impl<T: Clone> Strategy for Subsequence<T> {
         let mut picked = vec![false; n];
         let mut remaining = self.count;
         let mut free = n;
-        for i in 0..n {
+        for slot in picked.iter_mut() {
             // Probability remaining/free keeps the choice uniform.
             if remaining > 0 && rng.index(free) < remaining {
-                picked[i] = true;
+                *slot = true;
                 remaining -= 1;
             }
             free -= 1;

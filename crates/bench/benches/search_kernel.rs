@@ -1,5 +1,5 @@
-//! Retrieval-kernel benchmark: the max-score/block-max *pruned* DAAT
-//! kernel vs the exhaustive DAAT merge vs the frozen term-at-a-time
+//! Retrieval-kernel benchmark: the *pruned* dense kernel (exact pool
+//! cut) vs its exhaustive pass vs the frozen term-at-a-time
 //! reference scorer, swept over three corpus scales (the paper's
 //! ≈2,700-document world, 10×, and 100× via [`WorldConfig::scaled`]) and,
 //! at every scale, over shard counts 1/2/4/8 of the document-partitioned
@@ -193,7 +193,7 @@ struct ScaleRow {
     queries: usize,
     /// Pruned-kernel throughput (the production path, unsharded).
     qps: f64,
-    /// Exhaustive-merge throughput (the PR-2 kernel, pruning disabled).
+    /// Exhaustive-pass throughput (the same kernel with no pool cut).
     exhaustive_qps: f64,
     /// Pruned vs exhaustive on the same index — the pruning win itself.
     speedup: f64,
@@ -320,7 +320,7 @@ fn run_scale(
     }
 
     // Pruning-effectiveness counters: one untimed pass per mode. The
-    // exhaustive merge scores every matching document exactly once, so
+    // exhaustive pass scores every matching document exactly once, so
     // its counter is the total matching-set size and the difference is
     // the exact number of documents pruning never touched.
     let mut scratch = QueryScratch::new();
@@ -631,17 +631,16 @@ fn run_scale(
     drop(compressed_engine);
 
     // Captured after the timed passes so the lazily-built per-params
-    // caches (bound tables, impact tables) are populated and counted.
+    // caches (static and impact tables) are populated and counted.
     let index_stats = engine.index().stats();
     let index_bytes_json = format!(
         "{{\"postings_bytes\":{},\"positions_bytes\":{},\"block_bytes\":{},\
-         \"dict_bytes\":{},\"bound_table_bytes\":{},\"score_table_bytes\":{},\
+         \"dict_bytes\":{},\"score_table_bytes\":{},\
          \"doc_meta_bytes\":{},\"estimated_heap_bytes\":{}}}",
         index_stats.postings_bytes,
         index_stats.positions_bytes,
         index_stats.block_bytes,
         index_stats.dict_bytes,
-        index_stats.bound_table_bytes,
         index_stats.score_table_bytes,
         index_stats.doc_meta_bytes,
         index_stats.estimated_heap_bytes,

@@ -13,7 +13,7 @@
 //! What is amortized across a batch — and why none of it can change
 //! output bytes:
 //!
-//! * **Table resolution.** The engine's static/bound/impact tables are
+//! * **Table resolution.** The engine's static/impact tables are
 //!   resolved once per batch (they are `OnceLock`-cached per
 //!   [`RankingParams`] anyway, so this merely hoists the probe out of
 //!   the per-query path). Same tables, same floats.
@@ -30,7 +30,7 @@
 //!   identical analyzed term lists, with groups ordered
 //!   lexicographically by their terms and rotated by the executor's
 //!   seed (deterministic for a given seed). Queries sharing terms run
-//!   back-to-back, so posting blocks and block-max summaries stay hot
+//!   back-to-back, so posting lists and their block tables stay hot
 //!   in cache. Queries are independent, so execution order is
 //!   unobservable in the output — results are re-emitted in submission
 //!   order regardless.
@@ -50,8 +50,7 @@
 //! through the exact sharded-merge tail. No cross-shard threshold is
 //! broadcast (workers sit at different queries at different times),
 //! which can only reduce pruning — the merged overfetch pool, and so
-//! the SERP bytes, are unchanged (the `SharedTheta` admissibility
-//! argument, DESIGN.md §3).
+//! the SERP bytes, are unchanged (DESIGN.md §3 "Sharded retrieval").
 //!
 //! Byte-identity against per-query execution — for every batch size,
 //! submission order, parameterization, eval mode and live cut — is
@@ -323,7 +322,6 @@ impl BatchExecutor {
         // Resolve the per-params tables once for the whole batch.
         let params = engine.params();
         let statics = engine.statics();
-        let bounds = engine.bounds();
         let impacts = engine.impacts();
         // Tiered layouts and tier bounds likewise resolve once per
         // batch (they are cache probes with an RwLock each — hoisting
@@ -338,7 +336,6 @@ impl BatchExecutor {
                     index,
                     params,
                     statics,
-                    bounds,
                     impacts,
                     scratch,
                     &g.terms,
@@ -368,7 +365,6 @@ impl BatchExecutor {
         let shards = sharded.shards();
         let params = engine.params();
         let statics = engine.statics();
-        let shard_bounds = engine.shard_bounds();
         let impacts = engine.impacts();
         let overfetch = (k * 4).max(k + 8);
         // One tiered resolution for the whole batch; every shard worker
@@ -407,7 +403,6 @@ impl BatchExecutor {
                         &shards[si],
                         params,
                         statics,
-                        &shard_bounds[si],
                         impacts,
                         &mut scratch,
                         &g.terms,

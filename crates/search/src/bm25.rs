@@ -48,8 +48,8 @@ pub fn term_score(
 
 /// BM25 contribution of one term with a precomputed IDF.
 ///
-/// The DAAT kernel computes each query term's IDF once per query instead
-/// of once per posting; the math is identical to [`term_score`] (IDF is a
+/// Impact tables compute each term's IDF once per list instead of once
+/// per posting; the math is identical to [`term_score`] (IDF is a
 /// pure function of the collection statistics), so both paths produce
 /// bit-equal scores.
 #[inline]
@@ -86,38 +86,6 @@ pub fn term_score_tf(
     let tf = title_tf as f64 * params.title_weight + body_tf as f64;
     let norm = if avg_len > 0.0 {
         1.0 - params.b + params.b * doc_len / avg_len
-    } else {
-        1.0
-    };
-    idf * tf * (params.k1 + 1.0) / (tf + params.k1 * norm)
-}
-
-/// Admissible upper bound on [`term_score_idf`] over every posting with
-/// `title_tf ≤ max_title_tf`, `body_tf ≤ max_body_tf` and document
-/// length ≥ `min_doc_len` — the block-max bound behind dynamic pruning.
-///
-/// Admissibility: for `title_weight ≥ 0` the weighted term frequency of
-/// any covered posting is at most `max_title_tf · title_weight +
-/// max_body_tf`, and BM25 is monotone increasing in the weighted tf
-/// (`∂/∂tf [tf(k1+1)/(tf+k1·norm)] > 0`) and monotone decreasing in the
-/// length normalizer (for `b ∈ [0, 1]` the normalizer is nondecreasing
-/// in document length). Evaluating the same expression as
-/// [`term_score_idf`] at the componentwise-dominating point therefore
-/// bounds every posting's real score from above.
-pub fn term_score_bound(
-    params: &Bm25Params,
-    idf: f64,
-    max_title_tf: u32,
-    max_body_tf: u32,
-    min_doc_len: u32,
-    avg_len: f64,
-) -> f64 {
-    let tf = f64::from(max_title_tf) * params.title_weight + f64::from(max_body_tf);
-    if tf <= 0.0 {
-        return 0.0;
-    }
-    let norm = if avg_len > 0.0 {
-        1.0 - params.b + params.b * f64::from(min_doc_len) / avg_len
     } else {
         1.0
     };
@@ -172,7 +140,7 @@ pub fn proximity_bonus(term_positions: &[&[u32]], max_bonus: f64) -> f64 {
 
 /// Converts a minimal cover span into the proximity bonus. A window of
 /// exactly `k-1` (adjacent terms) earns the full bonus, decaying
-/// hyperbolically with slack. Shared by [`proximity_bonus`] and the DAAT
+/// hyperbolically with slack. Shared by [`proximity_bonus`] and the
 /// kernel so both paths evaluate the identical expression.
 #[inline]
 pub(crate) fn window_bonus(best_span: u32, k: usize, max_bonus: f64) -> f64 {
@@ -245,39 +213,6 @@ mod tests {
         let short = term_score(&p, &posting(0, 2), 10, 1000, 50.0, 100.0);
         let long = term_score(&p, &posting(0, 2), 10, 1000, 400.0, 100.0);
         assert!((short - long).abs() < 1e-12);
-    }
-
-    #[test]
-    fn term_score_bound_dominates_every_covered_posting() {
-        let params = Bm25Params::default();
-        let the_idf = idf(5000, 37);
-        let avg = 120.0;
-        // Bound evaluated at the block's componentwise extremes.
-        let bound = term_score_bound(&params, the_idf, 3, 9, 40, avg);
-        for title_tf in 0..=3u32 {
-            for body_tf in 0..=9u32 {
-                if title_tf == 0 && body_tf == 0 {
-                    continue;
-                }
-                for doc_len in [40.0, 80.0, 400.0] {
-                    let p = posting(title_tf, body_tf);
-                    let s = term_score_idf(&params, &p, the_idf, doc_len, avg);
-                    assert!(
-                        s <= bound,
-                        "posting ({title_tf},{body_tf},{doc_len}) scores {s} > bound {bound}"
-                    );
-                }
-            }
-        }
-        // The bound is achieved by the extreme posting, not just approached.
-        let extreme = term_score_idf(&params, &posting(3, 9), the_idf, 40.0, avg);
-        assert_eq!(extreme.to_bits(), bound.to_bits());
-    }
-
-    #[test]
-    fn term_score_bound_zero_when_block_is_empty_of_tf() {
-        let params = Bm25Params::default();
-        assert_eq!(term_score_bound(&params, 1.0, 0, 0, 10, 100.0), 0.0);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Block codecs for the compressed postings read path.
 //!
 //! The immutable index stores each term's postings in blocks of
-//! [`crate::BLOCK_LEN`] entries, aligned with the block-max summary
-//! table so the pruning kernel can skip and decode at block
-//! granularity. One encoded block is a single byte stream:
+//! [`crate::BLOCK_LEN`] entries, aligned with the block table so the
+//! kernel can skip and decode at block granularity. One encoded block is a single byte stream:
 //!
 //! ```text
 //! [varint first_doc] [u8 width] [bit-packed (count-1) × (delta-1)]

@@ -6,12 +6,14 @@
 //! wrapping the same `Arc<SearchIndex>`:
 //!
 //! * a [`StaticTable`] of per-document static score factors (plus their
-//!   maximum product, the pruning bound's static fold-in) per distinct
+//!   maximum product, the tiered bound's static fold-in) per distinct
 //!   `(authority_weight, freshness_weight, freshness_half_life)`
-//!   parameterization, and
-//! * a [`BoundTable`] of per-term and per-block BM25 score upper bounds
-//!   per distinct BM25 parameterization — the tables the max-score /
-//!   block-max pruning kernel consults to skip documents and blocks.
+//!   parameterization,
+//! * a [`ScoreTable`] of per-posting BM25 impacts per distinct BM25
+//!   parameterization — what the kernel sums instead of re-evaluating
+//!   BM25 — and
+//! * impact-tiered layouts with their [`TierBoundTable`]s for
+//!   [`crate::EvalMode::Tiered`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -21,7 +23,7 @@ use parking_lot::RwLock;
 use shift_corpus::{PageId, SourceType, World};
 use shift_textkit::analyze;
 
-use crate::bm25::{idf, term_score_bound, term_score_tf, Bm25Params};
+use crate::bm25::{idf, term_score_tf, Bm25Params};
 use crate::docstore::{raw_doc_meta_bytes, CompactDocs, DocFields};
 use crate::postings::{DocNum, PostingsStore, TermId, TieredPostings};
 use crate::sizing::{postings_size, SizePair};
@@ -69,8 +71,8 @@ pub type StaticScores = Vec<(f64, f64)>;
 
 /// One cached static-score parameterization: the per-document factor
 /// pairs plus the maximum factor *product* over all documents — the
-/// admissible static multiplier the pruning kernel folds into every
-/// score upper bound (a document's true score is its text score times
+/// admissible static multiplier the tiered merge folds into its
+/// proximity headroom (a document's true score is its text score times
 /// its own `auth·fresh`, which is at most `max_factor`).
 #[derive(Debug)]
 pub struct StaticTable {
@@ -80,43 +82,8 @@ pub struct StaticTable {
     pub max_factor: f64,
 }
 
-/// Per-term score upper bounds for one BM25 parameterization.
-///
-/// `list_ub[t]` bounds the BM25 contribution of term `t` in *any*
-/// document; `block_ub[t][b]` bounds it over block `b` of `t`'s posting
-/// list (64 postings per block, see [`crate::postings::BLOCK_LEN`]).
-/// Bounds cover relevance only — static factors and the proximity bonus
-/// are folded in at query time by the kernel.
-#[derive(Debug)]
-pub struct BoundTable {
-    pub(crate) list_ub: Vec<f64>,
-    pub(crate) block_ub: Vec<Vec<f64>>,
-}
-
-impl BoundTable {
-    /// Upper bound on the term's BM25 contribution in any document.
-    #[inline]
-    pub fn list_ub(&self, term: TermId) -> f64 {
-        self.list_ub[term as usize]
-    }
-
-    /// Per-block upper bounds of one term's posting list.
-    #[inline]
-    pub fn block_ubs(&self, term: TermId) -> &[f64] {
-        &self.block_ub[term as usize]
-    }
-
-    /// Estimated heap bytes held by the table.
-    pub fn heap_bytes(&self) -> u64 {
-        let blocks: u64 = self.block_ub.iter().map(|b| b.len() as u64).sum();
-        (self.list_ub.len() as u64 + blocks) * std::mem::size_of::<f64>() as u64
-            + self.block_ub.len() as u64 * std::mem::size_of::<Vec<f64>>() as u64
-    }
-}
-
-/// Per-tier score upper bounds over a [`TieredPostings`] layout, the
-/// tiered analogue of [`BoundTable`] for one *ranking*
-/// parameterization (BM25 plus the static-factor triple).
+/// Per-tier score upper bounds over a [`TieredPostings`] layout for one
+/// *ranking* parameterization (BM25 plus the static-factor triple).
 ///
 /// `tier_ub[term * T + tier]` bounds the term's *static-scaled* score
 /// contribution — BM25 term score times the document's own
@@ -125,11 +92,10 @@ impl BoundTable {
 /// the layout's emission order (index through
 /// [`TieredPostings::block_base`]), which is what lets the kernel
 /// derive *shard-local* tier bounds at query time by maxing only the
-/// blocks overlapping a shard's document range — the same trick the
-/// flat block-max table plays for shard-local list bounds.
+/// blocks overlapping a shard's document range.
 ///
-/// Folding the per-block static maximum in (instead of the flat
-/// table's whole-index `max_factor`) is what gives the tiered kernel
+/// Folding the per-block static maximum in (instead of the
+/// whole-index `max_factor`) is what gives the tiered kernel
 /// its teeth: the tier key already orders postings by static-scaled
 /// impact, so tail tiers group documents whose *product* of relevance
 /// and statics is small, and their bounds collapse accordingly. Only
@@ -149,7 +115,7 @@ pub(crate) type TermImpacts<'a> = dyn Fn(TermId, &mut dyn FnMut(DocNum, f64)) + 
 
 /// Cache key of one tier-bound parameterization: tier count, BM25
 /// params and the static-factor triple.
-type TierBoundKey = (u32, BoundKey, StaticKey);
+type TierBoundKey = (u32, Bm25Key, StaticKey);
 
 impl TierBoundTable {
     /// Builds the table for `tiered` from the caller's *exact*
@@ -339,17 +305,37 @@ impl ScoreTable {
         }
     }
 
-    /// Impact scores of one term's posting list, in list order. Only
-    /// available when the term's impacts are stored raw (always true on
-    /// uncompressed indexes); the compressed path reads through
-    /// [`ScoreTable::at`].
-    #[inline]
-    pub fn impacts(&self, term: TermId) -> &[f64] {
+    /// Writes the impacts of postings `start..start + out.len()` of
+    /// `term` into `out` — [`ScoreTable::at`] over a range, with the
+    /// layout dispatch hoisted out of the loop.
+    pub(crate) fn impacts_into(&self, term: TermId, start: usize, out: &mut [f64]) {
         match &self.terms[term as usize] {
-            TermScores::Raw(v) => v,
-            TermScores::Packed { .. } => {
-                panic!("impacts() requires raw impact storage; use ScoreTable::at")
+            TermScores::Raw(v) => out.copy_from_slice(&v[start..start + out.len()]),
+            TermScores::Packed {
+                values,
+                width,
+                bits,
+            } => {
+                let width = *width as usize;
+                let mask = (1u64 << width) - 1;
+                for (i, slot) in out.iter_mut().enumerate() {
+                    let bitpos = (start + i) * width;
+                    let byte = bitpos >> 3;
+                    let window =
+                        u64::from_le_bytes(bits[byte..byte + 8].try_into().expect("8 bytes"));
+                    *slot = values[((window >> (bitpos & 7)) & mask) as usize];
+                }
             }
+        }
+    }
+
+    /// Impact scores of one term's posting list when stored raw, `None`
+    /// when dictionary-packed.
+    #[inline]
+    pub(crate) fn raw_list(&self, term: TermId) -> Option<&[f64]> {
+        match &self.terms[term as usize] {
+            TermScores::Raw(v) => Some(v),
+            TermScores::Packed { .. } => None,
         }
     }
 
@@ -397,18 +383,19 @@ impl StaticKey {
     }
 }
 
-/// Cache key for [`BoundTable`]s: the exact bits of the BM25 parameters
-/// the bounds depend on (collection statistics are fixed per index).
+/// Cache key for per-BM25-parameterization tables: the exact bits of
+/// the BM25 parameters they depend on (collection statistics are fixed
+/// per index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BoundKey {
+struct Bm25Key {
     k1: u64,
     b: u64,
     title_weight: u64,
 }
 
-impl BoundKey {
-    pub(crate) fn new(params: &Bm25Params) -> BoundKey {
-        BoundKey {
+impl Bm25Key {
+    fn new(params: &Bm25Params) -> Bm25Key {
+        Bm25Key {
             k1: params.k1.to_bits(),
             b: params.b.to_bits(),
             title_weight: params.title_weight.to_bits(),
@@ -451,10 +438,8 @@ pub struct SearchIndex {
     // triple. A handful of personas share an index, so a linear scan
     // over the entries is cheaper than any map.
     static_cache: RwLock<Vec<(StaticKey, Arc<StaticTable>)>>,
-    // Lazily built pruning bound tables, one per distinct BM25 triple.
-    bound_cache: RwLock<Vec<(BoundKey, Arc<BoundTable>)>>,
     // Lazily built per-posting impact-score tables, one per BM25 triple.
-    score_cache: RwLock<Vec<(BoundKey, Arc<ScoreTable>)>>,
+    score_cache: RwLock<Vec<(Bm25Key, Arc<ScoreTable>)>>,
     // Lazily built impact-tiered posting layouts, one per tier count.
     tier_cache: RwLock<Vec<(u32, Arc<TieredPostings>)>>,
     // Lazily built per-tier bound tables, one per (tier count, BM25
@@ -525,7 +510,6 @@ impl SearchIndex {
             docs,
             host_count,
             static_cache: RwLock::new(Vec::new()),
-            bound_cache: RwLock::new(Vec::new()),
             score_cache: RwLock::new(Vec::new()),
             tier_cache: RwLock::new(Vec::new()),
             tier_bound_cache: RwLock::new(Vec::new()),
@@ -648,55 +632,6 @@ impl SearchIndex {
         table
     }
 
-    /// The per-term/per-block score upper bounds for one BM25
-    /// parameterization, computing and caching them on first request.
-    ///
-    /// The build is one pass over the block-max tables (64× fewer
-    /// entries than postings): each block bound evaluates BM25 at the
-    /// block's componentwise extremes, and each list bound is the max
-    /// over its blocks.
-    pub fn bound_table(&self, params: &Bm25Params) -> Arc<BoundTable> {
-        let key = BoundKey::new(params);
-        {
-            let cache = self.bound_cache.read();
-            if let Some((_, table)) = cache.iter().find(|(k, _)| *k == key) {
-                return Arc::clone(table);
-            }
-        }
-        let store = &self.postings;
-        let doc_count = store.doc_count();
-        let avg_len = store.avg_doc_len();
-        let vocab = store.vocabulary_size();
-        let mut list_ub = Vec::with_capacity(vocab);
-        let mut block_ub = Vec::with_capacity(vocab);
-        for term in 0..vocab as TermId {
-            let term_idf = idf(doc_count, store.doc_freq_by_id(term));
-            let ubs: Vec<f64> = store
-                .blocks_by_id(term)
-                .iter()
-                .map(|b| {
-                    term_score_bound(
-                        params,
-                        term_idf,
-                        b.max_title_tf,
-                        b.max_body_tf,
-                        b.min_doc_len,
-                        avg_len,
-                    )
-                })
-                .collect();
-            list_ub.push(ubs.iter().fold(0.0_f64, |m, &u| m.max(u)));
-            block_ub.push(ubs);
-        }
-        let table = Arc::new(BoundTable { list_ub, block_ub });
-        let mut cache = self.bound_cache.write();
-        if let Some((_, existing)) = cache.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(existing);
-        }
-        cache.push((key, Arc::clone(&table)));
-        table
-    }
-
     /// The per-posting impact scores for one BM25 parameterization,
     /// computing and caching them on first request.
     ///
@@ -704,7 +639,7 @@ impl SearchIndex {
     /// the kernel's scoring path used to pass per scored document, so
     /// reading the table is bit-identical to recomputing the score.
     pub fn score_table(&self, params: &Bm25Params) -> Arc<ScoreTable> {
-        let key = BoundKey::new(params);
+        let key = Bm25Key::new(params);
         {
             let cache = self.score_cache.read();
             if let Some((_, table)) = cache.iter().find(|(k, _)| *k == key) {
@@ -726,8 +661,8 @@ impl SearchIndex {
                     params, title_tf, body_tf, term_idf, doc_len, avg_len,
                 ));
             });
-            // Raw indexes keep plain arrays (the `impacts()` slice
-            // accessor stays available); compressed indexes
+            // Raw indexes keep plain arrays (the kernel's dense pass
+            // reads them as slices); compressed indexes
             // dictionary-pack lists with few distinct values.
             terms.push(if compressed {
                 pack_scores(raw)
@@ -792,7 +727,7 @@ impl SearchIndex {
     ) -> Arc<TierBoundTable> {
         let key = (
             tier_count,
-            BoundKey::new(&params.bm25),
+            Bm25Key::new(&params.bm25),
             StaticKey::new(
                 params.authority_weight,
                 params.freshness_weight,
@@ -847,18 +782,13 @@ impl SearchIndex {
         self.static_cache.read().len()
     }
 
-    /// Number of cached pruning-bound parameterizations (for tests).
-    pub fn bound_cache_len(&self) -> usize {
-        self.bound_cache.read().len()
-    }
-
     /// Number of cached impact-score parameterizations (for tests).
     pub fn score_cache_len(&self) -> usize {
         self.score_cache.read().len()
     }
 
     /// Size and estimated-heap-footprint report over the whole index:
-    /// postings, positions, block-max tables, cached bound tables and
+    /// postings, positions, block tables, cached score tables and
     /// document metadata, each as held in memory, plus the raw-layout
     /// extrapolation ([`IndexStats::raw_bytes`]) a compressed index is
     /// measured against. Printed by the kernel bench; the compression
@@ -872,12 +802,6 @@ impl SearchIndex {
                 compressed_bytes: c.heap_bytes(),
             },
         };
-        let bound_table_bytes: u64 = self
-            .bound_cache
-            .read()
-            .iter()
-            .map(|(_, t)| t.heap_bytes())
-            .sum();
         let score_cache = self.score_cache.read();
         let score_table_bytes: u64 = score_cache.iter().map(|(_, t)| t.heap_bytes()).sum();
         // Raw extrapolation of the impact tables: each cached table
@@ -907,9 +831,7 @@ impl SearchIndex {
                 .map(|(_, t)| t.heap_bytes())
                 .sum::<u64>();
         // Structures whose layout is identical in both modes.
-        let shared = SizePair::raw(
-            p.block_bytes + p.dict_bytes + bound_table_bytes + static_table_bytes + tier_bytes,
-        );
+        let shared = SizePair::raw(p.block_bytes + p.dict_bytes + static_table_bytes + tier_bytes);
         let total = postings_size(&p)
             + SizePair {
                 raw_bytes: score_table_raw,
@@ -928,7 +850,6 @@ impl SearchIndex {
             block_entries: p.block_entries,
             block_bytes: p.block_bytes,
             dict_bytes: p.dict_bytes,
-            bound_table_bytes,
             tier_bytes,
             score_table_bytes,
             doc_meta_bytes: doc_meta.compressed_bytes,
@@ -966,14 +887,12 @@ pub struct IndexStats {
     pub postings_bytes: u64,
     /// Estimated heap bytes of position arrays.
     pub positions_bytes: u64,
-    /// Block-max table entries across all lists.
+    /// Block-table (skip pointer) entries across all lists.
     pub block_entries: u64,
-    /// Estimated heap bytes of the block-max tables.
+    /// Estimated heap bytes of the block tables.
     pub block_bytes: u64,
     /// Estimated heap bytes of the term dictionary (strings + entries).
     pub dict_bytes: u64,
-    /// Estimated heap bytes of cached pruning bound tables.
-    pub bound_table_bytes: u64,
     /// Estimated heap bytes of cached tiered posting layouts and their
     /// per-tier bound tables.
     pub tier_bytes: u64,
@@ -1028,10 +947,9 @@ impl fmt::Display for IndexStats {
         )?;
         writeln!(
             f,
-            "  block-max {:>12} entries  {:>9.2} MiB (+{:.2} MiB cached bounds)",
+            "  blocks    {:>12} entries  {:>9.2} MiB",
             self.block_entries,
-            mib(self.block_bytes),
-            mib(self.bound_table_bytes)
+            mib(self.block_bytes)
         )?;
         writeln!(
             f,
@@ -1143,56 +1061,14 @@ mod tests {
     }
 
     #[test]
-    fn bound_tables_are_cached_and_shared() {
-        let idx = index();
-        assert_eq!(idx.bound_cache_len(), 0);
-        let p = crate::bm25::Bm25Params::default();
-        let a = idx.bound_table(&p);
-        let b = idx.bound_table(&p);
-        assert!(Arc::ptr_eq(&a, &b), "same params must share one table");
-        assert_eq!(idx.bound_cache_len(), 1);
-        let q = crate::bm25::Bm25Params {
-            k1: 0.9,
-            ..crate::bm25::Bm25Params::default()
-        };
-        let c = idx.bound_table(&q);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(idx.bound_cache_len(), 2);
-    }
-
-    #[test]
-    fn bound_table_dominates_real_term_scores() {
-        use crate::bm25::{idf, term_score_idf};
-        use crate::postings::BLOCK_LEN;
-
-        let idx = index();
-        let params = crate::bm25::Bm25Params::default();
-        let bounds = idx.bound_table(&params);
-        let store = idx.postings();
-        let avg_len = store.avg_doc_len();
-        for term in ["laptop", "battery", "review", "best"] {
-            let id = store.term_id(term).expect("term indexed");
-            let term_idf = idf(store.doc_count(), store.doc_freq_by_id(id));
-            let blocks = bounds.block_ubs(id);
-            for (i, p) in store.postings_by_id(id).iter().enumerate() {
-                let doc_len = f64::from(idx.doc(p.doc).token_len);
-                let s = term_score_idf(&params, p, term_idf, doc_len, avg_len);
-                let block_bound = blocks[i / BLOCK_LEN];
-                assert!(s <= block_bound, "{term} posting {i}: {s} > {block_bound}");
-                assert!(block_bound <= bounds.list_ub(id));
-            }
-        }
-    }
-
-    #[test]
     fn stats_report_is_consistent() {
         let idx = index();
-        let _ = idx.bound_table(&crate::bm25::Bm25Params::default());
+        let _ = idx.score_table(&crate::bm25::Bm25Params::default());
         let s = idx.stats();
         assert_eq!(s.docs, idx.len());
         assert_eq!(s.vocabulary, idx.postings().vocabulary_size());
         assert!(s.postings > 0 && s.positions >= s.postings);
-        assert!(s.block_entries > 0 && s.bound_table_bytes > 0);
+        assert!(s.block_entries > 0 && s.score_table_bytes > 0);
         assert!(s.dict_bytes > 0, "dictionary footprint must be reported");
         assert!(
             s.estimated_heap_bytes

@@ -6,17 +6,17 @@
 //! Architecture (classic IR, nothing exotic):
 //!
 //! * [`postings`] — term dictionary (terms interned to dense [`postings::TermId`]s)
-//!   and positional posting lists with per-64-posting block-max
-//!   summaries, built once from a [`shift_corpus::World`].
+//!   and positional posting lists with per-64-posting skip pointers,
+//!   built once from a [`shift_corpus::World`].
 //! * [`index`] — the immutable [`SearchIndex`]: postings + per-document
 //!   metadata (length, host, authority, age), interned host ids, and the
-//!   lazily built per-params static-score and pruning-bound caches.
-//! * [`bm25`] — Okapi BM25 with field weighting (title terms count extra),
-//!   a proximity bonus from positional data, and the admissible
-//!   block-level score upper bound behind dynamic pruning.
-//! * [`kernel`] — the document-at-a-time scoring kernel (exhaustive and
-//!   max-score/block-max pruned [`EvalMode`]s, byte-identical outputs)
-//!   and its reusable zero-allocation [`QueryScratch`].
+//!   lazily built per-params static-score and impact-score caches.
+//! * [`bm25`] — Okapi BM25 with field weighting (title terms count extra)
+//!   and a proximity bonus from positional data.
+//! * [`kernel`] — the scoring kernel (dense accumulation with an exact
+//!   pool cut, its exhaustive twin, and the tiered merge — all
+//!   [`EvalMode`]s byte-identical) and its reusable zero-allocation
+//!   [`QueryScratch`].
 //! * [`serp`] — result assembly: score blending (relevance × authority ×
 //!   freshness), host-crowding limits, snippet extraction.
 //! * [`query`] — the user-facing [`SearchEngine`] handle, plus the frozen
@@ -67,8 +67,7 @@ pub use batch::BatchExecutor;
 pub use bm25::Bm25Params;
 pub use docstore::{CompactDocs, DocFields};
 pub use index::{
-    BoundTable, IndexStats, ScoreTable, SearchIndex, StaticTable, TierBoundTable,
-    DEFAULT_TIER_COUNT,
+    IndexStats, ScoreTable, SearchIndex, StaticTable, TierBoundTable, DEFAULT_TIER_COUNT,
 };
 pub use kernel::{scratch_fallbacks, with_thread_scratch, EvalMode, KernelStats, QueryScratch};
 pub use live::{

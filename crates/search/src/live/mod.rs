@@ -15,7 +15,7 @@
 //! Reads go through [`LiveSnapshot`] / [`LiveSearcher`]: a snapshot
 //! resolves newest-first shadowing across runs, computes
 //! snapshot-global collection statistics, and serves queries with the
-//! same pruned DAAT kernel and exact multi-run merge the sharded batch
+//! same kernel and exact multi-run merge the sharded batch
 //! path uses — so a snapshot's SERPs are byte-identical to a batch
 //! index built over the same live page set (enforced by
 //! `tests/differential_live.rs`).

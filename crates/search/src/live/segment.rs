@@ -2,7 +2,7 @@
 //!
 //! A segment is a mini batch index over one flush (or merge) worth of
 //! document versions, stored in ascending page-id order, plus the
-//! tombstones that were buffered alongside them. Postings, block-max
+//! tombstones that were buffered alongside them. Postings, block
 //! tables and document metadata are built by exactly the same code
 //! paths as [`crate::SearchIndex::build`] — a segment keeps the raw
 //! [`LiveDoc`]s too, so merges can rebuild without re-analyzing text.
@@ -171,7 +171,7 @@ pub struct SegmentStats {
     pub postings_bytes: u64,
     /// Estimated heap bytes of position arrays.
     pub positions_bytes: u64,
-    /// Estimated heap bytes of the block-max tables.
+    /// Estimated heap bytes of the block tables.
     pub block_bytes: u64,
     /// Estimated heap bytes of the term dictionary.
     pub dict_bytes: u64,

@@ -21,8 +21,8 @@ use std::sync::{Arc, OnceLock};
 
 use shift_textkit::analyze;
 
-use crate::bm25::{idf, term_score_bound, term_score_tf};
-use crate::index::{BoundTable, DocMeta, ScoreTable, StaticTable, TierBoundTable};
+use crate::bm25::{idf, term_score_tf};
+use crate::index::{DocMeta, ScoreTable, StaticTable, TierBoundTable};
 use crate::kernel::{self, EvalMode, QueryScratch, SegmentRun};
 use crate::postings::{DocNum, TermId};
 use crate::query::RankingParams;
@@ -196,19 +196,18 @@ impl LiveSnapshot {
 }
 
 /// A ranking-parameterized reader over one snapshot: per-segment
-/// impact, bound and static tables built against the snapshot-global
+/// impact and static tables built against the snapshot-global
 /// statistics, plus the query entry points mirroring
 /// [`crate::SearchEngine`].
 pub struct LiveSearcher {
     snapshot: Arc<LiveSnapshot>,
     params: RankingParams,
     statics: Vec<StaticTable>,
-    bounds: Vec<BoundTable>,
     impacts: Vec<ScoreTable>,
     /// Per-segment tier bound tables, built lazily on the first
     /// [`EvalMode::Tiered`] query so non-tiered readers pay nothing.
-    /// Bounds use the same snapshot-global statistics as `bounds`, so
-    /// they dominate every cached impact for visible documents.
+    /// Bounds are maxima over the cached `impacts` (snapshot-global
+    /// statistics), so they dominate every visible document's impact.
     tier_bounds: OnceLock<Vec<TierBoundTable>>,
 }
 
@@ -216,7 +215,7 @@ impl LiveSearcher {
     /// Builds the per-segment tables for `params`.
     ///
     /// Each table entry calls exactly the function the batch build
-    /// calls ([`term_score_idf`], [`term_score_bound`], the static
+    /// calls ([`term_score_idf`], the static
     /// factor formulas) with the *snapshot-global* doc count, average
     /// length and union df — so a visible document's cached impact is
     /// bit-identical to its impact in a batch index over the same live
@@ -229,7 +228,6 @@ impl LiveSearcher {
             snapshot.total_tokens as f64 / doc_count as f64
         };
         let mut statics = Vec::with_capacity(snapshot.segments.len());
-        let mut bounds = Vec::with_capacity(snapshot.segments.len());
         let mut impacts = Vec::with_capacity(snapshot.segments.len());
         for (si, seg) in snapshot.segments.iter().enumerate() {
             let store = seg.store();
@@ -253,27 +251,9 @@ impl LiveSearcher {
             });
 
             let vocab = store.vocabulary_size();
-            let mut list_ub = Vec::with_capacity(vocab);
-            let mut block_ub = Vec::with_capacity(vocab);
             let mut scores = Vec::with_capacity(vocab);
             for term in 0..vocab as TermId {
                 let term_idf = idf(doc_count, df[term as usize]);
-                let ubs: Vec<f64> = store
-                    .blocks_by_id(term)
-                    .iter()
-                    .map(|b| {
-                        term_score_bound(
-                            &params.bm25,
-                            term_idf,
-                            b.max_title_tf,
-                            b.max_body_tf,
-                            b.min_doc_len,
-                            avg_len,
-                        )
-                    })
-                    .collect();
-                list_ub.push(ubs.iter().fold(0.0_f64, |m, &u| m.max(u)));
-                block_ub.push(ubs);
                 let mut list = Vec::with_capacity(store.doc_freq_by_id(term) as usize);
                 store.for_each_posting(term, |_, doc, title_tf, body_tf| {
                     let doc_len = f64::from(metas[doc as usize].token_len);
@@ -288,7 +268,6 @@ impl LiveSearcher {
                 });
                 scores.push(list);
             }
-            bounds.push(BoundTable { list_ub, block_ub });
             // Impacts stay raw even though segments store compressed
             // postings: this table is an ephemeral per-snapshot query
             // cache (rebuilt on every searcher, never part of segment
@@ -300,7 +279,6 @@ impl LiveSearcher {
             snapshot,
             params,
             statics,
-            bounds,
             impacts,
             tier_bounds: OnceLock::new(),
         }
@@ -387,7 +365,6 @@ impl LiveSearcher {
             .map(|(si, seg)| SegmentRun {
                 store: seg.store(),
                 statics: &self.statics[si],
-                bounds: &self.bounds[si],
                 impacts: &self.impacts[si],
                 alive: Some(&snapshot.alive[si]),
                 global_of: &snapshot.global_of[si],
@@ -457,7 +434,6 @@ impl LiveSearcher {
             .map(|(si, seg)| SegmentRun {
                 store: seg.store(),
                 statics: &self.statics[si],
-                bounds: &self.bounds[si],
                 impacts: &self.impacts[si],
                 alive: Some(&snapshot.alive[si]),
                 global_of: &snapshot.global_of[si],
@@ -512,7 +488,7 @@ pub struct LiveIndexStats {
     pub postings_bytes: u64,
     /// Estimated heap bytes of position arrays, all runs.
     pub positions_bytes: u64,
-    /// Estimated heap bytes of block-max tables, all runs.
+    /// Estimated heap bytes of block tables, all runs.
     pub block_bytes: u64,
     /// Estimated heap bytes of term dictionaries, all runs.
     pub dict_bytes: u64,

@@ -7,13 +7,10 @@
 //! and from then on works purely with integer ids — the scoring hot
 //! path never hashes a string.
 //!
-//! Alongside each posting list the store keeps a *block-max table*:
-//! one [`BlockSummary`] per [`BLOCK_LEN`] consecutive postings, holding
-//! the block's last document plus the parameter-independent inputs a
-//! BM25 upper bound needs (max title/body term frequency, min document
-//! length). The dynamic-pruning kernel uses these both to skip forward
-//! in a list without touching postings and to bound what any document
-//! inside a block could possibly score.
+//! Alongside each posting list the store keeps a *block table*: one
+//! [`BlockSummary`] per [`BLOCK_LEN`] consecutive postings, holding the
+//! block's last document — the skip pointer seeks use to jump forward
+//! in a list without touching postings.
 //!
 //! The store has two physical layouts behind one logical interface:
 //!
@@ -23,7 +20,7 @@
 //! * **Compressed** ([`PostingsStore::new_compressed`]): per-term byte
 //!   streams of [`BLOCK_LEN`]-posting blocks (delta + bit-packed doc
 //!   ids and term frequencies, see [`crate::codec`]) and varint
-//!   position streams. Blocks align exactly with the block-max table,
+//!   position streams. Blocks align exactly with the block table,
 //!   so a seek decodes at most one block past its target. Documents
 //!   stream straight into encoded blocks at build time — the raw
 //!   representation is never materialized.
@@ -42,23 +39,10 @@ use crate::codec;
 pub const BLOCK_LEN: usize = 64;
 
 /// Per-block summary of [`BLOCK_LEN`] consecutive postings of one list.
-///
-/// The fields are chosen so an *admissible* BM25 upper bound for every
-/// posting in the block can be derived for any `Bm25Params` after the
-/// build: BM25 is monotone increasing in the (title-weighted) term
-/// frequency and decreasing in document length, so evaluating it at
-/// `(max_title_tf, max_body_tf, min_doc_len)` dominates every real
-/// posting in the block (see `bm25::term_score_bound`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockSummary {
     /// Last (largest) document number in the block — the skip pointer.
     pub last_doc: DocNum,
-    /// Maximum title term frequency over the block's postings.
-    pub max_title_tf: u32,
-    /// Maximum body term frequency over the block's postings.
-    pub max_body_tf: u32,
-    /// Minimum document length (in tokens) over the block's postings.
-    pub min_doc_len: u32,
 }
 
 /// Internal dense document number (index into the document-meta table).
@@ -116,7 +100,7 @@ pub struct PostingsStore {
     lists: Vec<Vec<Posting>>,
     // Dense doc-number mirror of each list (`doc_ids[t][i] ==
     // lists[t][i].doc`). A `Posting` is 40 bytes with its inline
-    // position vector, so DAAT navigation striding full postings wastes
+    // position vector, so navigation striding full postings wastes
     // ~90% of every cache line it pulls; seeks and merges walk this
     // 4-byte-per-entry mirror instead.
     doc_ids: Vec<Vec<DocNum>>,
@@ -195,9 +179,9 @@ impl PostingsStore {
         for (term, posting) in local {
             let id = self.intern(term);
             if self.compressed {
-                self.push_posting_packed(id, &posting, doc_len);
+                self.push_posting_packed(id, &posting);
             } else {
-                self.push_posting(id, posting, doc_len);
+                self.push_posting(id, posting);
             }
         }
     }
@@ -222,17 +206,10 @@ impl PostingsStore {
         }
     }
 
-    /// Appends one posting to a raw list, maintaining the block-max table.
-    fn push_posting(&mut self, id: TermId, posting: Posting, doc_len: u32) {
+    /// Appends one posting to a raw list, maintaining the block table.
+    fn push_posting(&mut self, id: TermId, posting: Posting) {
         let list = &mut self.lists[id as usize];
-        Self::push_block_entry(
-            &mut self.blocks[id as usize],
-            list.len(),
-            posting.doc,
-            posting.title_tf,
-            posting.body_tf,
-            doc_len,
-        );
+        Self::push_block_entry(&mut self.blocks[id as usize], list.len(), posting.doc);
         self.total_postings += 1;
         self.total_positions += posting.positions.len() as u64;
         self.doc_ids[id as usize].push(posting.doc);
@@ -244,17 +221,14 @@ impl PostingsStore {
 
     /// Appends one posting to a compressed list: positions varint-stream
     /// immediately, doc/tf into the pending tail, block encoded when the
-    /// tail reaches [`BLOCK_LEN`]. The block-max table is maintained
+    /// tail reaches [`BLOCK_LEN`]. The block table is maintained
     /// identically to the raw path.
-    fn push_posting_packed(&mut self, id: TermId, posting: &Posting, doc_len: u32) {
+    fn push_posting_packed(&mut self, id: TermId, posting: &Posting) {
         let pl = &mut self.packed[id as usize];
         Self::push_block_entry(
             &mut self.blocks[id as usize],
             pl.count as usize,
             posting.doc,
-            posting.title_tf,
-            posting.body_tf,
-            doc_len,
         );
         self.total_postings += 1;
         self.total_positions += posting.positions.len() as u64;
@@ -274,28 +248,15 @@ impl PostingsStore {
         }
     }
 
-    /// Folds one posting into the block-max table shared by both layouts.
-    fn push_block_entry(
-        blocks: &mut Vec<BlockSummary>,
-        list_len: usize,
-        doc: DocNum,
-        title_tf: u32,
-        body_tf: u32,
-        doc_len: u32,
-    ) {
+    /// Folds one posting into the block table shared by both layouts.
+    fn push_block_entry(blocks: &mut Vec<BlockSummary>, list_len: usize, doc: DocNum) {
         if list_len.is_multiple_of(BLOCK_LEN) {
-            blocks.push(BlockSummary {
-                last_doc: doc,
-                max_title_tf: title_tf,
-                max_body_tf: body_tf,
-                min_doc_len: doc_len,
-            });
+            blocks.push(BlockSummary { last_doc: doc });
         } else {
-            let b = blocks.last_mut().expect("non-empty list has a block");
-            b.last_doc = doc;
-            b.max_title_tf = b.max_title_tf.max(title_tf);
-            b.max_body_tf = b.max_body_tf.max(body_tf);
-            b.min_doc_len = b.min_doc_len.min(doc_len);
+            blocks
+                .last_mut()
+                .expect("non-empty list has a block")
+                .last_doc = doc;
         }
     }
 
@@ -343,7 +304,7 @@ impl PostingsStore {
 
     /// Dense doc-number mirror of a list by interned id
     /// (`doc_ids_by_id(t)[i] == postings_by_id(t)[i].doc`), the
-    /// cache-friendly navigation array for DAAT seeks and merges.
+    /// cache-friendly navigation array for seeks and scans.
     /// Raw layout only.
     #[inline]
     pub fn doc_ids_by_id(&self, id: TermId) -> &[DocNum] {
@@ -363,7 +324,7 @@ impl PostingsStore {
         &self.pos_flat[id as usize][off[at] as usize..off[at + 1] as usize]
     }
 
-    /// Block-max table of a list by interned id: one [`BlockSummary`]
+    /// Block table of a list by interned id: one [`BlockSummary`]
     /// per [`BLOCK_LEN`] postings, in list order. Available in both
     /// layouts — compressed blocks align with these summaries exactly.
     #[inline]
@@ -384,7 +345,7 @@ impl PostingsStore {
     /// Index of the first posting of `id` whose document is ≥ `doc`
     /// (the list length when no such posting exists) — the layout-
     /// agnostic equivalent of `partition_point` on the doc-id mirror.
-    /// On the compressed layout this walks the block-max table and
+    /// On the compressed layout this walks the block table and
     /// decodes at most one block.
     pub fn lower_bound(&self, id: TermId, doc: DocNum) -> u32 {
         if !self.compressed {
@@ -615,9 +576,9 @@ pub struct PostingsStats {
     /// What the raw position layout would cost for the same counts;
     /// equals `positions_bytes` on a raw store.
     pub raw_positions_bytes: u64,
-    /// Entries in the block-max tables across all lists.
+    /// Entries in the block tables across all lists.
     pub block_entries: u64,
-    /// Estimated heap bytes of the block-max tables.
+    /// Estimated heap bytes of the block tables.
     pub block_bytes: u64,
     /// Estimated heap bytes of the term dictionary (strings + entries).
     pub dict_bytes: u64,
@@ -650,8 +611,7 @@ struct TierSlot {
 /// a well-formed doc-ascending list: it is chunked into
 /// [`BLOCK_LEN`]-posting encoded blocks (ids only — scoring always goes
 /// through the full per-term lists of the backing store) with one
-/// [`BlockSummary`] per block, and the existing block-max bound
-/// machinery applies per tier unchanged.
+/// [`BlockSummary`] per block, which per-tier bound tables align with.
 ///
 /// The structure is a *pure function* of the backing store's content
 /// plus the per-document length/boost inputs — independent of insertion
@@ -668,8 +628,8 @@ pub struct TieredPostings {
     /// Byte offset of each block in `data` (`len == nblocks + 1`).
     block_offs: Vec<u32>,
     /// One summary per encoded block, in emission order (term-major,
-    /// tier-major) — the per-tier analogue of the store's block-max
-    /// table, and the alignment contract for per-tier bound tables.
+    /// tier-major) — the per-tier analogue of the store's block table,
+    /// and the alignment contract for per-tier bound tables.
     blocks: Vec<BlockSummary>,
 }
 
@@ -709,7 +669,7 @@ impl TieredPostings {
             block_offs: vec![0],
             blocks: Vec::new(),
         };
-        let mut entries: Vec<(f64, DocNum, u32, u32)> = Vec::new();
+        let mut entries: Vec<(f64, DocNum)> = Vec::new();
         let mut docs: Vec<DocNum> = Vec::new();
         for term in 0..vocab as TermId {
             entries.clear();
@@ -722,7 +682,7 @@ impl TieredPostings {
                     f64::from(doc_len(doc)),
                     avg_len,
                 ) * boost(doc);
-                entries.push((key, doc, tt, bt));
+                entries.push((key, doc));
             });
             entries.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
             let n = entries.len() as u64;
@@ -739,21 +699,10 @@ impl TieredPostings {
                 slice.sort_unstable_by_key(|e| e.1);
                 let first_block = out.blocks.len() as u32;
                 for chunk in slice.chunks(BLOCK_LEN) {
-                    let mut max_tt = 0u32;
-                    let mut max_bt = 0u32;
-                    let mut min_len = u32::MAX;
                     docs.clear();
-                    for &(_, d, tt, bt) in chunk {
-                        docs.push(d);
-                        max_tt = max_tt.max(tt);
-                        max_bt = max_bt.max(bt);
-                        min_len = min_len.min(doc_len(d));
-                    }
+                    docs.extend(chunk.iter().map(|e| e.1));
                     out.blocks.push(BlockSummary {
                         last_doc: *docs.last().unwrap(),
-                        max_title_tf: max_tt,
-                        max_body_tf: max_bt,
-                        min_doc_len: min_len,
                     });
                     codec::encode_doc_block(&mut out.data, &docs);
                     out.block_offs.push(out.data.len() as u32);
@@ -914,7 +863,7 @@ mod tests {
     #[test]
     fn block_table_summarizes_every_block() {
         let mut store = PostingsStore::new();
-        // 150 docs → 3 blocks (64 + 64 + 22); vary tf and doc length.
+        // 150 docs → 3 blocks (64 + 64 + 22).
         for d in 0..150u32 {
             let mut title = terms(&["common"]);
             let mut body = Vec::new();
@@ -938,26 +887,7 @@ mod tests {
             let hi = ((b + 1) * BLOCK_LEN).min(list.len());
             let chunk = &list[lo..hi];
             assert_eq!(summary.last_doc, chunk.last().unwrap().doc);
-            assert_eq!(
-                summary.max_title_tf,
-                chunk.iter().map(|p| p.title_tf).max().unwrap()
-            );
-            assert_eq!(
-                summary.max_body_tf,
-                chunk.iter().map(|p| p.body_tf).max().unwrap()
-            );
-            // Every posting's document is at least min_doc_len long.
-            for p in chunk {
-                let len = p.title_tf + p.body_tf; // lower bound on doc len
-                assert!(summary.min_doc_len >= 1 && summary.min_doc_len <= 150);
-                assert!(len >= 1);
-            }
         }
-        // min_doc_len is an actual document length: block 0 holds docs
-        // 0..64; doc 1 has title len 1 (+ body fillers) — the minimum in
-        // that range is doc 1's length 1 + (1 % 7) + (1 % 11) = 3? doc 2:
-        // 1 + 2 + 2 = 5; doc 1 = 1 + 1 + 1 = 3; doc 0: title 2, body 0 = 2.
-        assert_eq!(blocks[0].min_doc_len, 2);
     }
 
     #[test]

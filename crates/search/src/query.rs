@@ -1,6 +1,6 @@
 //! Query execution: the user-facing [`SearchEngine`].
 //!
-//! Queries run through the DAAT kernel in [`crate::kernel`] by default;
+//! Queries run through the dense kernel in [`crate::kernel`] by default;
 //! the original term-at-a-time HashMap scorer survives as
 //! [`reference`], kept solely to gate the kernel with differential
 //! tests (the two must return byte-identical SERPs).
@@ -11,7 +11,7 @@ use shift_corpus::World;
 use shift_textkit::analyze;
 
 use crate::bm25::Bm25Params;
-use crate::index::{BoundTable, ScoreTable, SearchIndex, StaticTable};
+use crate::index::{ScoreTable, SearchIndex, StaticTable};
 use crate::kernel::{self, EvalMode, QueryScratch};
 use crate::serp::Serp;
 use crate::shard::ShardedIndex;
@@ -131,12 +131,6 @@ pub struct SearchEngine {
     // cache, resolved on first search. Engines sharing an index and a
     // parameterization share the underlying table.
     statics: OnceLock<Arc<StaticTable>>,
-    // This engine's handle into the index's per-BM25-params pruning
-    // bound cache (per-term and per-block score upper bounds).
-    bounds: OnceLock<Arc<BoundTable>>,
-    // Per-shard bound tables (shard-local block bounds, global IDF),
-    // resolved on first sharded search.
-    shard_bounds: OnceLock<Arc<Vec<BoundTable>>>,
     // The precomputed per-posting BM25 impact table for this engine's
     // BM25 parameters, shared through the index's cache.
     impacts: OnceLock<Arc<ScoreTable>>,
@@ -150,8 +144,6 @@ impl SearchEngine {
             sharded: None,
             params,
             statics: OnceLock::new(),
-            bounds: OnceLock::new(),
-            shard_bounds: OnceLock::new(),
             impacts: OnceLock::new(),
         }
     }
@@ -184,8 +176,6 @@ impl SearchEngine {
             sharded: None,
             params,
             statics: OnceLock::new(),
-            bounds: OnceLock::new(),
-            shard_bounds: OnceLock::new(),
             impacts: OnceLock::new(),
         }
     }
@@ -207,8 +197,6 @@ impl SearchEngine {
             sharded: Some(sharded),
             params,
             statics: OnceLock::new(),
-            bounds: OnceLock::new(),
-            shard_bounds: OnceLock::new(),
             impacts: OnceLock::new(),
         }
     }
@@ -250,25 +238,6 @@ impl SearchEngine {
         })
     }
 
-    /// This engine's pruning bound tables (lazily built, then cached on
-    /// the shared index keyed by the BM25 parameter triple).
-    pub(crate) fn bounds(&self) -> &Arc<BoundTable> {
-        self.bounds
-            .get_or_init(|| self.index.bound_table(&self.params.bm25))
-    }
-
-    /// This engine's per-shard bound tables (lazily built, then cached
-    /// on the sharded view keyed by the BM25 parameter triple). Only
-    /// called on the sharded path.
-    pub(crate) fn shard_bounds(&self) -> &Arc<Vec<BoundTable>> {
-        self.shard_bounds.get_or_init(|| {
-            self.sharded
-                .as_ref()
-                .expect("shard_bounds on an unsharded engine")
-                .bound_tables(&self.params.bm25)
-        })
-    }
-
     /// This engine's precomputed per-posting impact table (lazily
     /// built, then cached on the shared index keyed by the BM25
     /// parameter triple).
@@ -289,8 +258,8 @@ impl SearchEngine {
     /// Executes a query with an explicitly managed scratch (the
     /// zero-allocation hot path for serving workers and batch runners).
     ///
-    /// Runs the dynamically pruned kernel ([`EvalMode::Pruned`]), which
-    /// returns byte-identical SERPs to the exhaustive merge — gated by
+    /// Runs the pruned dense kernel ([`EvalMode::Pruned`]), which
+    /// returns byte-identical SERPs to the exhaustive pass — gated by
     /// `tests/differential_search.rs`.
     pub fn search_with(&self, scratch: &mut QueryScratch, query: &str, k: usize) -> Serp {
         self.search_with_mode(scratch, query, k, EvalMode::Pruned)
@@ -298,7 +267,7 @@ impl SearchEngine {
 
     /// Executes a query with an explicit evaluation mode — the hook
     /// benches and differential tests use to compare the pruned kernel
-    /// against the exhaustive merge on identical inputs. On a sharded
+    /// against the exhaustive pass on identical inputs. On a sharded
     /// engine the shards run concurrently over scoped threads when the
     /// host has more than one hardware thread; on a single-CPU host
     /// the dispatcher uses the serial path instead (byte-identical
@@ -370,7 +339,6 @@ impl SearchEngine {
                 sharded,
                 &self.params,
                 self.statics(),
-                self.shard_bounds(),
                 self.impacts(),
                 scratch,
                 &terms,
@@ -382,7 +350,6 @@ impl SearchEngine {
                 &self.index,
                 &self.params,
                 self.statics(),
-                self.bounds(),
                 self.impacts(),
                 scratch,
                 &terms,
@@ -395,7 +362,7 @@ impl SearchEngine {
 }
 
 /// The original term-at-a-time scorer, kept as the differential-test
-/// oracle for the DAAT kernel.
+/// oracle for the kernel.
 ///
 /// Semantics are frozen: HashMap accumulators per document, a full sort
 /// over every matching document, then host crowding. The only changes

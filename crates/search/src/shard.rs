@@ -3,31 +3,21 @@
 //! A [`ShardedIndex`] splits an existing [`SearchIndex`] into `S`
 //! contiguous document-number ranges. Each shard owns, per term, the
 //! `(start, end)` subrange of the *global* posting list that falls into
-//! its document range, plus shard-local block-max summaries rebuilt
-//! over that subrange (so block skipping and block bounds stay tight
-//! inside the shard — a global block straddling a shard boundary would
-//! otherwise leak postings from a neighbor). Collection statistics
-//! (document count, document frequency, average length) remain
-//! *global*: a document's score must not depend on which shard scored
-//! it, and that is precisely what makes the merged SERP byte-identical
-//! to the single-shard kernel (see DESIGN.md §3 "Sharded retrieval").
-//!
-//! Per-shard pruning [`BoundTable`]s are derived lazily per BM25
-//! parameterization and cached, mirroring [`SearchIndex::bound_table`];
-//! shard-local bounds are at most the global ones, so per-shard pruning
-//! is at least as tight.
+//! its document range; the kernel walks that subrange and clips global
+//! block skips to it. Collection statistics (document count, document
+//! frequency, average length) remain *global*: a document's score must
+//! not depend on which shard scored it, and that is precisely what
+//! makes the merged SERP byte-identical to the single-shard kernel (see
+//! DESIGN.md §3 "Sharded retrieval").
 
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use crate::index::SearchIndex;
+use crate::postings::{DocNum, TermId};
 
-use crate::bm25::{idf, term_score_bound, Bm25Params};
-use crate::index::{BoundKey, BoundTable, SearchIndex};
-use crate::postings::{BlockSummary, DocNum, TermId, BLOCK_LEN};
-
-/// One shard's view of the index: a contiguous document range, per-term
-/// posting-list subranges, and shard-local block-max summaries.
+/// One shard's view of the index: a contiguous document range and
+/// per-term posting-list subranges.
 #[derive(Debug)]
 pub(crate) struct IndexShard {
     /// First document number owned by this shard (inclusive).
@@ -37,10 +27,6 @@ pub(crate) struct IndexShard {
     /// Per-term `(start, end)` posting-index subrange of the global
     /// list that falls inside `[doc_begin, doc_end)`.
     pub(crate) ranges: Vec<(u32, u32)>,
-    /// Per-term block-max summaries over the shard's subrange, one
-    /// [`BlockSummary`] per [`BLOCK_LEN`] postings (indices relative to
-    /// the subrange).
-    pub(crate) blocks: Vec<Vec<BlockSummary>>,
 }
 
 /// A [`SearchIndex`] partitioned into contiguous document-range shards
@@ -49,10 +35,6 @@ pub(crate) struct IndexShard {
 pub struct ShardedIndex {
     index: Arc<SearchIndex>,
     shards: Vec<IndexShard>,
-    // Lazily built per-shard pruning bound tables, one vector (indexed
-    // by shard) per distinct BM25 triple — same idiom as the underlying
-    // index's bound cache.
-    bound_cache: RwLock<Vec<(BoundKey, Arc<Vec<BoundTable>>)>>,
 }
 
 impl ShardedIndex {
@@ -69,54 +51,24 @@ impl ShardedIndex {
         for s in 0..shard_count {
             let doc_begin = (s * doc_count / shard_count) as DocNum;
             let doc_end = ((s + 1) * doc_count / shard_count) as DocNum;
-            let mut ranges = Vec::with_capacity(vocab);
-            let mut blocks = Vec::with_capacity(vocab);
-            for term in 0..vocab as TermId {
-                // Mode-agnostic subrange resolution: `lower_bound` runs
-                // on the raw array or decodes at most one block per
-                // probe on the compressed layout.
-                let start = store.lower_bound(term, doc_begin);
-                let end = store.lower_bound(term, doc_end);
-                ranges.push((start, end));
-                let sub_len = (end - start) as usize;
-                let mut summaries = Vec::with_capacity(sub_len.div_ceil(BLOCK_LEN));
-                let fresh = BlockSummary {
-                    last_doc: 0,
-                    max_title_tf: 0,
-                    max_body_tf: 0,
-                    min_doc_len: u32::MAX,
-                };
-                let mut summary = fresh;
-                let mut in_block = 0usize;
-                store.for_each_posting_range(term, start, end, &mut |_, doc, title_tf, body_tf| {
-                    summary.last_doc = doc;
-                    summary.max_title_tf = summary.max_title_tf.max(title_tf);
-                    summary.max_body_tf = summary.max_body_tf.max(body_tf);
-                    summary.min_doc_len = summary.min_doc_len.min(index.token_len(doc));
-                    in_block += 1;
-                    if in_block == BLOCK_LEN {
-                        summaries.push(summary);
-                        summary = fresh;
-                        in_block = 0;
-                    }
-                });
-                if in_block > 0 {
-                    summaries.push(summary);
-                }
-                blocks.push(summaries);
-            }
+            let ranges = (0..vocab as TermId)
+                .map(|term| {
+                    // Mode-agnostic subrange resolution: `lower_bound`
+                    // runs on the raw array or decodes at most one block
+                    // per probe on the compressed layout.
+                    (
+                        store.lower_bound(term, doc_begin),
+                        store.lower_bound(term, doc_end),
+                    )
+                })
+                .collect();
             shards.push(IndexShard {
                 doc_begin,
                 doc_end,
                 ranges,
-                blocks,
             });
         }
-        ShardedIndex {
-            index,
-            shards,
-            bound_cache: RwLock::new(Vec::new()),
-        }
+        ShardedIndex { index, shards }
     }
 
     /// The underlying (global) index.
@@ -148,60 +100,9 @@ impl ShardedIndex {
             .collect()
     }
 
-    /// Per-shard pruning bound tables for one BM25 parameterization,
-    /// computed over each shard's local block summaries (with *global*
-    /// collection statistics) and cached by the exact parameter bits.
-    pub fn bound_tables(&self, params: &Bm25Params) -> Arc<Vec<BoundTable>> {
-        let key = BoundKey::new(params);
-        {
-            let cache = self.bound_cache.read();
-            if let Some((_, tables)) = cache.iter().find(|(k, _)| *k == key) {
-                return Arc::clone(tables);
-            }
-        }
-        let store = self.index.postings();
-        let doc_count = store.doc_count();
-        let avg_len = store.avg_doc_len();
-        let vocab = store.vocabulary_size();
-        let tables: Vec<BoundTable> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let mut list_ub = Vec::with_capacity(vocab);
-                let mut block_ub = Vec::with_capacity(vocab);
-                for term in 0..vocab as TermId {
-                    let term_idf = idf(doc_count, store.doc_freq_by_id(term));
-                    let ubs: Vec<f64> = shard.blocks[term as usize]
-                        .iter()
-                        .map(|b| {
-                            term_score_bound(
-                                params,
-                                term_idf,
-                                b.max_title_tf,
-                                b.max_body_tf,
-                                b.min_doc_len,
-                                avg_len,
-                            )
-                        })
-                        .collect();
-                    list_ub.push(ubs.iter().fold(0.0_f64, |m, &u| m.max(u)));
-                    block_ub.push(ubs);
-                }
-                BoundTable { list_ub, block_ub }
-            })
-            .collect();
-        let tables = Arc::new(tables);
-        let mut cache = self.bound_cache.write();
-        if let Some((_, existing)) = cache.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(existing);
-        }
-        cache.push((key, Arc::clone(&tables)));
-        tables
-    }
-
-    /// Per-shard postings statistics (documents, postings, block-max
-    /// entries per shard) — the partition-balance report the bench
-    /// prints alongside the global [`crate::IndexStats`].
+    /// Per-shard postings statistics (documents and postings per shard)
+    /// — the partition-balance report the bench prints alongside the
+    /// global [`crate::IndexStats`].
     pub fn stats(&self) -> ShardedIndexStats {
         ShardedIndexStats {
             shards: self
@@ -211,7 +112,6 @@ impl ShardedIndex {
                     doc_begin: s.doc_begin,
                     doc_end: s.doc_end,
                     postings: s.ranges.iter().map(|&(a, b)| u64::from(b - a)).sum(),
-                    block_entries: s.blocks.iter().map(|b| b.len() as u64).sum(),
                 })
                 .collect(),
         }
@@ -227,8 +127,6 @@ pub struct ShardStats {
     pub doc_end: DocNum,
     /// Postings falling inside the shard's document range.
     pub postings: u64,
-    /// Shard-local block-max entries.
-    pub block_entries: u64,
 }
 
 impl ShardStats {
@@ -251,12 +149,11 @@ impl fmt::Display for ShardedIndexStats {
         for (i, s) in self.shards.iter().enumerate() {
             writeln!(
                 f,
-                "  shard {i}: docs [{}, {}) ({} docs)  {} postings  {} block entries",
+                "  shard {i}: docs [{}, {}) ({} docs)  {} postings",
                 s.doc_begin,
                 s.doc_end,
                 s.docs(),
-                s.postings,
-                s.block_entries
+                s.postings
             )?;
         }
         Ok(())
@@ -266,7 +163,6 @@ impl fmt::Display for ShardedIndexStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bm25::term_score_idf;
     use shift_corpus::{World, WorldConfig};
 
     fn sharded(shards: usize) -> ShardedIndex {
@@ -309,80 +205,6 @@ mod tests {
             }
             assert_eq!(covered, list.len(), "term {term} postings not covered");
         }
-    }
-
-    #[test]
-    fn shard_blocks_summarize_their_subranges() {
-        let s = sharded(3);
-        let store = s.index().postings();
-        for shard in s.shards() {
-            for term in 0..store.vocabulary_size() as TermId {
-                let (a, b) = shard.ranges[term as usize];
-                let sub = &store.postings_by_id(term)[a as usize..b as usize];
-                let blocks = &shard.blocks[term as usize];
-                assert_eq!(blocks.len(), sub.len().div_ceil(BLOCK_LEN));
-                for (i, blk) in blocks.iter().enumerate() {
-                    let chunk = &sub[i * BLOCK_LEN..((i + 1) * BLOCK_LEN).min(sub.len())];
-                    assert_eq!(blk.last_doc, chunk.last().unwrap().doc);
-                    assert_eq!(
-                        blk.max_title_tf,
-                        chunk.iter().map(|p| p.title_tf).max().unwrap()
-                    );
-                    assert_eq!(
-                        blk.max_body_tf,
-                        chunk.iter().map(|p| p.body_tf).max().unwrap()
-                    );
-                    let min_len = chunk
-                        .iter()
-                        .map(|p| s.index().doc(p.doc).token_len)
-                        .min()
-                        .unwrap();
-                    assert_eq!(blk.min_doc_len, min_len);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shard_block_bounds_dominate_their_postings() {
-        // Admissibility of the per-shard tables: every posting's true
-        // term score sits at or below its shard block's bound, and no
-        // block bound exceeds its list bound. (Shard bounds need *not*
-        // stay below the global ones — a shard block straddling two
-        // global blocks can pair a higher max-tf with a lower
-        // min-doc-len — and pruning never compares across tables.)
-        let s = sharded(4);
-        let params = Bm25Params::default();
-        let per_shard = s.bound_tables(&params);
-        assert_eq!(per_shard.len(), 4);
-        let store = s.index().postings();
-        let doc_count = store.doc_count();
-        let avg_len = store.avg_doc_len();
-        for (shard, table) in s.shards().iter().zip(per_shard.iter()) {
-            for term in 0..store.vocabulary_size() as TermId {
-                let term_idf = idf(doc_count, store.doc_freq_by_id(term));
-                let (a, b) = shard.ranges[term as usize];
-                let sub = &store.postings_by_id(term)[a as usize..b as usize];
-                for (i, p) in sub.iter().enumerate() {
-                    let score = term_score_idf(
-                        &params,
-                        p,
-                        term_idf,
-                        f64::from(s.index().doc(p.doc).token_len),
-                        avg_len,
-                    );
-                    let bound = table.block_ubs(term)[i / BLOCK_LEN];
-                    assert!(
-                        score <= bound * (1.0 + 1e-12),
-                        "term {term} posting {i}: score {score} > block bound {bound}"
-                    );
-                    assert!(bound <= table.list_ub(term) * (1.0 + 1e-12));
-                }
-            }
-        }
-        // Same params hit the cache.
-        let again = s.bound_tables(&params);
-        assert!(Arc::ptr_eq(&per_shard, &again));
     }
 
     #[test]

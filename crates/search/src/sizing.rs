@@ -2,7 +2,7 @@
 //!
 //! Every stats struct in the crate ([`crate::IndexStats`], the live
 //! index's segment and rollup reports) sizes the same structures:
-//! postings, positions, block-max tables, dictionaries, metadata. This
+//! postings, positions, block tables, dictionaries, metadata. This
 //! module centralizes the raw-vs-held bookkeeping so the batch and live
 //! paths report compression with one definition: `raw_bytes` is what
 //! the uncompressed layout would cost for the same logical content,

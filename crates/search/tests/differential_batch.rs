@@ -145,7 +145,37 @@ fn query() -> impl Strategy<Value = String> {
         )
             .prop_map(|(a, b, c)| format!("{a} {b}{c}")),
         "\\PC{0,32}",
+        edge_query(),
     ]
+}
+
+/// Edge inputs every path must handle: duplicate query terms, a
+/// 70-term query, a query with no indexed term, and a single term.
+fn edge_queries() -> Vec<String> {
+    let words = [
+        "best",
+        "laptops",
+        "battery",
+        "review",
+        "hotels",
+        "2025",
+        "students",
+        "camera",
+        "smartphones",
+        "reliable",
+    ];
+    let long: Vec<&str> = words.iter().copied().cycle().take(70).collect();
+    vec![
+        "best best laptops".to_string(),
+        long.join(" "),
+        "xylophonic quuxations".to_string(),
+        "laptops".to_string(),
+    ]
+}
+
+/// [`edge_queries`] as a strategy, mixed into [`query`].
+fn edge_query() -> impl Strategy<Value = String> {
+    (0..edge_queries().len()).prop_map(|i| edge_queries().swap_remove(i))
 }
 
 /// Deterministic Fisher–Yates driven by a proptest-chosen seed: the
@@ -390,6 +420,40 @@ fn tiered_batch_sizes_match_per_query() {
                 .map(|i| pool[i % pool.len()].to_string())
                 .collect();
             assert_batch_matches_per_query(engine, &queries, 10, EvalMode::Tiered(4));
+        }
+    }
+}
+
+/// One batch of every edge input plus realistic templates, on every
+/// engine (the tie-dense one included), sharded engine and live cut,
+/// in every mode, at shallow, default and the deepest persona pool
+/// depth (k = 60).
+#[test]
+fn edge_inputs_batch_like_per_query() {
+    let mut queries = edge_queries();
+    queries.extend(
+        [
+            "best laptops for students",
+            "top 10 hotels 2025",
+            "best smartphones camera battery",
+        ]
+        .map(String::from),
+    );
+    let modes = [EvalMode::Pruned, EvalMode::Exhaustive, EvalMode::Tiered(4)];
+    for k in [1usize, 10, 60] {
+        for mode in modes {
+            for engine in engines().iter().chain(sharded_engines()) {
+                assert_batch_matches_per_query(engine, &queries, k, mode);
+            }
+            for (_, searchers) in live_searchers() {
+                for searcher in searchers {
+                    let batched = searcher.search_batch(&queries, k, mode);
+                    for (q, b) in queries.iter().zip(&batched) {
+                        let per = searcher.search_with_mode(&mut QueryScratch::new(), q, k, mode);
+                        assert_serp_identical(b, &per);
+                    }
+                }
+            }
         }
     }
 }

@@ -149,11 +149,41 @@ fn query() -> impl Strategy<Value = String> {
         )
             .prop_map(|(a, b, c)| format!("{a} {b}{c}")),
         "\\PC{0,48}",
+        edge_query(),
     ]
 }
 
-/// Single-term queries: with one cursor every pruning decision is a
-/// block-bound test, the pure block-max + block-decode seek path.
+/// Edge inputs every path must handle: duplicate query terms, a
+/// 70-term query, a query with no indexed term, and a single term.
+fn edge_queries() -> Vec<String> {
+    let words = [
+        "best",
+        "laptops",
+        "battery",
+        "review",
+        "hotels",
+        "2025",
+        "students",
+        "camera",
+        "smartphones",
+        "reliable",
+    ];
+    let long: Vec<&str> = words.iter().copied().cycle().take(70).collect();
+    vec![
+        "best best laptops".to_string(),
+        long.join(" "),
+        "xylophonic quuxations".to_string(),
+        "laptops".to_string(),
+    ]
+}
+
+/// [`edge_queries`] as a strategy, mixed into [`query`].
+fn edge_query() -> impl Strategy<Value = String> {
+    (0..edge_queries().len()).prop_map(|i| edge_queries().swap_remove(i))
+}
+
+/// Single-term queries: with one cursor every accumulated score is
+/// exact, so the packed-block scan and the pool cut act alone.
 fn single_term_query() -> impl Strategy<Value = String> {
     prop_oneof![
         Just("best".to_string()),
@@ -176,15 +206,15 @@ proptest! {
     }
 
     /// Overfetch larger than the matching set: the compressed kernel
-    /// degrades to an exhaustive merge (every block decoded in order)
+    /// degrades to an exhaustive pass (every block decoded in order)
     /// without dropping or reordering anything.
     #[test]
     fn compressed_k_at_or_beyond_matching_docs(q in query(), k in 500usize..2000, which in 0usize..5) {
         assert_compressed_matches_raw(which, &q, k);
     }
 
-    /// Single-term queries exercise pure block-max skipping over packed
-    /// blocks — every seek is a summary walk plus one block decode.
+    /// Single-term queries exercise the packed-block scan with exact
+    /// accumulated scores.
     #[test]
     fn compressed_single_term_queries_match(q in single_term_query(), k in 1usize..40, which in 0usize..5) {
         assert_compressed_matches_raw(which, &q, k);
@@ -196,6 +226,13 @@ proptest! {
     #[test]
     fn compressed_tie_clusters_survive(q in single_term_query(), k in 1usize..60) {
         assert_compressed_matches_raw(4, &q, k);
+    }
+
+    /// The tie-dense twin at the deepest persona pool (k = 60): tie
+    /// clusters straddle the pool cut on multi-term queries too.
+    #[test]
+    fn compressed_tie_clusters_at_a_sixty_deep_pool(q in query()) {
+        assert_compressed_matches_raw(4, &q, 60);
     }
 }
 
@@ -220,6 +257,31 @@ proptest! {
             assert_serp_identical(&serial, &base);
             assert_serp_identical(&exhaustive, &base);
             assert_serp_identical(&tiered, &base);
+        }
+    }
+}
+
+/// Every edge input on every twin at shallow, default and the deepest
+/// persona pool depth, unsharded and over every compressed shard count
+/// and fan-out discipline.
+#[test]
+fn edge_inputs_match_raw_and_oracle() {
+    for which in 0..twins().len() {
+        for q in edge_queries() {
+            for k in [1usize, 10, 60] {
+                assert_compressed_matches_raw(which, &q, k);
+                let base = twins()[which].0.search(&q, k);
+                for sharded in &sharded_compressed()[which] {
+                    let mut scratch = QueryScratch::new();
+                    for serp in [
+                        sharded.search_with(&mut scratch, &q, k),
+                        sharded.search_with_mode_serial(&mut scratch, &q, k, EvalMode::Pruned),
+                        sharded.search_with_mode(&mut scratch, &q, k, EvalMode::Exhaustive),
+                    ] {
+                        assert_serp_identical(&serp, &base);
+                    }
+                }
+            }
         }
     }
 }

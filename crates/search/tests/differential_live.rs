@@ -207,23 +207,59 @@ fn query() -> impl Strategy<Value = String> {
         )
             .prop_map(|(a, b, c)| format!("{a} {b}{c}")),
         "\\PC{0,32}",
+        edge_query(),
     ]
 }
 
-/// Every cut × layout × params combination on a fixed query panel.
+/// Edge inputs every path must handle: duplicate query terms, a
+/// 70-term query, a query with no indexed term, and a single term.
+fn edge_queries() -> Vec<String> {
+    let words = [
+        "best",
+        "laptops",
+        "battery",
+        "review",
+        "hotels",
+        "2025",
+        "students",
+        "camera",
+        "smartphones",
+        "reliable",
+    ];
+    let long: Vec<&str> = words.iter().copied().cycle().take(70).collect();
+    vec![
+        "best best laptops".to_string(),
+        long.join(" "),
+        "xylophonic quuxations".to_string(),
+        "laptops".to_string(),
+    ]
+}
+
+/// [`edge_queries`] as a strategy, mixed into [`query`].
+fn edge_query() -> impl Strategy<Value = String> {
+    (0..edge_queries().len()).prop_map(|i| edge_queries().swap_remove(i))
+}
+
+/// Every cut × layout × params combination on a fixed query panel
+/// (with the edge inputs), up to the deepest persona pool (k = 60),
+/// where the tie-dense parameterization's clusters straddle every
+/// segment's cut.
 #[test]
 fn snapshots_match_batch_oracle_everywhere() {
-    let queries = [
+    let mut queries: Vec<String> = [
         "best laptops for students",
         "best smartphones camera battery",
         "top 10 hotels 2025",
         "review espresso machines",
-    ];
+    ]
+    .map(String::from)
+    .to_vec();
+    queries.extend(edge_queries());
     for c in cuts() {
         for cfg in 0..c.searchers.len() {
             for p in 0..c.oracles.len() {
-                for q in queries {
-                    for k in [1usize, 10] {
+                for q in &queries {
+                    for k in [1usize, 10, 60] {
                         assert_snapshot_matches_oracle(c, cfg, p, q, k);
                     }
                 }

@@ -1,8 +1,9 @@
-//! Differential gate for the DAAT kernel: both evaluation modes — the
-//! exhaustive merge and the max-score/block-max *pruned* kernel — must
-//! return byte-identical SERPs to the frozen term-at-a-time reference
-//! scorer (`query::reference`) on every world, parameterization, query
-//! and k — scores compared at the bit level, not with a tolerance.
+//! Differential gate for the retrieval kernel: every evaluation mode —
+//! the exhaustive dense pass, the *pruned* dense pass with its exact
+//! pool cut, and the tiered merge — must return byte-identical SERPs
+//! to the frozen term-at-a-time reference scorer (`query::reference`)
+//! on every world, parameterization, query and k — scores compared at
+//! the bit level, not with a tolerance.
 
 use std::sync::{Arc, OnceLock};
 
@@ -40,8 +41,8 @@ fn engines() -> &'static Vec<SearchEngine> {
         // document's static factors to exactly (1, 1), so documents
         // with equal term frequencies score bit-identically. This is
         // the adversarial case for pruning — equal-score tie clusters
-        // straddle the heap threshold, and the `score desc, doc asc`
-        // tie-break must survive block skipping.
+        // straddle the pool cut, and the `score desc, doc asc`
+        // tie-break must survive it.
         let world = World::generate(&WorldConfig::small(), 29);
         let mut ties = RankingParams {
             proximity_bonus: 0.0,
@@ -182,11 +183,41 @@ fn query() -> impl Strategy<Value = String> {
         )
             .prop_map(|(a, b, c)| format!("{a} {b}{c}")),
         "\\PC{0,48}",
+        edge_query(),
     ]
 }
 
-/// Single-term queries: with one cursor every pruning decision is a
-/// block-bound test, the pure block-max skipping path.
+/// Edge inputs every path must handle: duplicate query terms, a
+/// 70-term query, a query with no indexed term, and a single term.
+fn edge_queries() -> Vec<String> {
+    let words = [
+        "best",
+        "laptops",
+        "battery",
+        "review",
+        "hotels",
+        "2025",
+        "students",
+        "camera",
+        "smartphones",
+        "reliable",
+    ];
+    let long: Vec<&str> = words.iter().copied().cycle().take(70).collect();
+    vec![
+        "best best laptops".to_string(),
+        long.join(" "),
+        "xylophonic quuxations".to_string(),
+        "laptops".to_string(),
+    ]
+}
+
+/// [`edge_queries`] as a strategy, mixed into [`query`].
+fn edge_query() -> impl Strategy<Value = String> {
+    (0..edge_queries().len()).prop_map(|i| edge_queries().swap_remove(i))
+}
+
+/// Single-term queries: with one cursor every accumulated score is
+/// exact, so the pool cut decides every document on its own.
 fn single_term_query() -> impl Strategy<Value = String> {
     prop_oneof![
         Just("best".to_string()),
@@ -223,14 +254,14 @@ proptest! {
     }
 
     /// Overfetch larger than the matching set (k up to world size and
-    /// beyond): pruning must degrade to the exhaustive merge without
+    /// beyond): pruning must degrade to the exhaustive pass without
     /// dropping or reordering anything.
     #[test]
     fn k_at_or_beyond_matching_docs(q in query(), k in 500usize..2000, which in 0usize..6) {
         assert_all_paths_identical(&engines()[which], &q, k);
     }
 
-    /// Single-term queries exercise pure block-max skipping.
+    /// Single-term queries exercise the cut on exact scores alone.
     #[test]
     fn single_term_queries_match(q in single_term_query(), k in 1usize..40, which in 0usize..6) {
         assert_all_paths_identical(&engines()[which], &q, k);
@@ -258,6 +289,16 @@ proptest! {
     #[test]
     fn tie_clusters_straddling_the_threshold(q in single_term_query(), k in 1usize..60) {
         assert_all_paths_identical(&engines()[5], &q, k);
+    }
+
+    /// The tie-dense engine at the deepest persona pool (k = 60, so a
+    /// 240-deep overfetch): equal-score clusters straddle the pool cut
+    /// on multi-term queries too, and every path and shard count must
+    /// keep the `score desc, doc asc` order bit-for-bit.
+    #[test]
+    fn tie_clusters_at_a_sixty_deep_pool(q in query()) {
+        assert_all_paths_identical(&engines()[5], &q, 60);
+        assert_sharded_identical(5, &q, 60);
     }
 
     /// The tie-dense engine under tiering: the impact sort breaks key
@@ -317,6 +358,21 @@ proptest! {
     #[test]
     fn sharded_tie_clusters_straddle_shard_boundaries(q in single_term_query(), k in 1usize..60) {
         assert_sharded_identical(5, &q, k);
+    }
+}
+
+/// Every edge input on every engine, at shallow, default and the
+/// deepest persona pool depth, through every mode, shard count and
+/// fan-out discipline.
+#[test]
+fn edge_inputs_match_on_every_path() {
+    for which in 0..engines().len() {
+        for q in edge_queries() {
+            for k in [1usize, 10, 60] {
+                assert_all_paths_identical(&engines()[which], &q, k);
+                assert_sharded_identical(which, &q, k);
+            }
+        }
     }
 }
 
@@ -451,12 +507,12 @@ fn pruning_skips_work_but_not_results() {
     let slow_stats = exhaustive_scratch.take_stats();
     assert!(
         fast_stats.docs_scored < slow_stats.docs_scored,
-        "pruning scored as much as the exhaustive merge: {fast_stats:?} vs {slow_stats:?}"
+        "pruning scored as much as the exhaustive pass: {fast_stats:?} vs {slow_stats:?}"
     );
 }
 
 /// The tiered kernel's safe termination can only ever *skip* scoring
-/// work relative to the exhaustive merge — while its SERPs stay
+/// work relative to the exhaustive pass — while its SERPs stay
 /// byte-identical (and the tier counters prove tiers were consumed).
 #[test]
 fn tiered_termination_skips_work_but_not_results() {

@@ -35,7 +35,7 @@ cargo run --release --example run_replicated -- --gate
 echo "== retrieval kernel: unit suite (incl. live memtable/segment/WAL/compaction) =="
 cargo test -q -p shift-search --lib
 
-echo "== retrieval kernel: differential suite (kernel == reference, sharded == unsharded) =="
+echo "== retrieval kernel: differential suite (kernel == reference, sharded == unsharded, edge inputs) =="
 cargo test -q -p shift-search --test differential_search
 
 echo "== retrieval kernel: SERP invariants + in-place snippet locator == lowercase-and-find =="
@@ -70,8 +70,8 @@ echo "== engine stack: answer invariants + build-time text tables == per-result 
 cargo test -q -p shift-engines --test proptest_engines
 cargo test -q -p shift-engines --test precomputed_text
 
-echo "== lint: clippy on the serving-path and foundation crates =="
-cargo clippy -q -p shift-search -p shift-serve -p shift-engines -p shift-core -p shift-corpus -- -D warnings
+echo "== lint: clippy on the serving-path and foundation crates (all targets: lib, tests, benches, examples) =="
+cargo clippy -q -p shift-search -p shift-serve -p shift-engines -p shift-core -p shift-corpus --all-targets -- -D warnings
 
 echo "== retrieval kernel: bench smoke (small world, byte-identity incl. shard sweep) =="
 cargo bench -p shift-bench --bench search_kernel -- --quick
