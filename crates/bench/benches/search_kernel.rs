@@ -5,12 +5,9 @@
 //! at every scale, over shard counts 1/2/4/8 of the document-partitioned
 //! [`ShardedIndex`]. Every scale also builds a *compressed* twin of the
 //! same index (delta/bit-packed postings, packed impacts, dictionary
-//! metadata), re-checks byte-identity against the raw engine, measures
-//! the decode tax, and sweeps the impact-ordered *tiered* kernel over
-//! tier counts 1/2/4/8 on that compressed engine (byte-identity
-//! re-checked per tier count before timing); a fourth, compressed-only
-//! 1000× tier (~2M documents) reports held bytes against the
-//! raw-layout extrapolation.
+//! metadata), re-checks byte-identity against the raw engine and
+//! measures the decode tax; a fourth, compressed-only 1000× tier (~2M
+//! documents) reports held bytes against the raw-layout extrapolation.
 //!
 //! Run with `cargo bench -p shift-bench --bench search_kernel`. The full
 //! run re-checks a differential sample at every scale and shard count
@@ -26,11 +23,12 @@
 //! * `-- --quick` — smoke check: the same differential pipeline on the
 //!   small world with 100 queries, no JSON artifact.
 //! * `-- --gate`  — regression gate: measures paper-scale pruned
-//!   throughput, 100×-scale 4-shard throughput, 100×-scale
-//!   *compressed* throughput and 100×-scale *tiered* throughput at the
-//!   committed tier count (fails on a >20% regression of any), and the
-//!   100× compressed/raw byte ratio (fails if it rises >10% above the
+//!   throughput, 100×-scale 4-shard, batched and *compressed*
+//!   throughput (a >20% regression of any fails), and the 100×
+//!   compressed/raw byte ratio (fails if it rises >10% above the
 //!   committed value) — all against the committed `BENCH_search.json`.
+//!   Every gated number is one row of a table that is printed whole
+//!   before the gate passes or fails.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -60,10 +58,6 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const BATCH_SIZES: [usize; 4] = [16, 64, 256, 1000];
 /// Shard count whose 100×-scale throughput is committed and gated.
 const GATE_SHARDS: usize = 4;
-/// Tier counts swept through the tiered early-terminating kernel at
-/// every scale (on the compressed engine); 1 is a single-tier layout,
-/// i.e. the exhaustive-within-bounds degenerate case.
-const TIER_COUNTS: [u32; 4] = [1, 2, 4, 8];
 /// `--gate` fails when the fresh 100× compressed/raw byte ratio rises
 /// above the committed ratio by more than this factor (>10% regression
 /// in compression effectiveness).
@@ -114,46 +108,6 @@ impl ShardRow {
             self.speedup_vs_1shard,
             self.docs_scored,
             self.docs_skipped,
-        )
-    }
-}
-
-/// One row of a scale's tier-count sweep: the impact-ordered tiered
-/// kernel ([`EvalMode::Tiered`]) on the compressed engine.
-struct TierRow {
-    /// Tier count the index was partitioned into.
-    tiers: u32,
-    /// Tiered-kernel throughput through the compressed read path.
-    qps: f64,
-    /// Relative to compressed pruned on the same engine.
-    speedup_vs_pruned: f64,
-    /// Documents fully scored over one untimed query pass.
-    docs_scored: u64,
-    /// Tier lists actually decoded and merged.
-    tiers_opened: u64,
-    /// Tier lists proven unable to reach the heap threshold.
-    tiers_skipped: u64,
-    /// Queries that terminated before opening every tier.
-    early_terminations: u64,
-    /// `early_terminations` over the query count.
-    early_term_rate: f64,
-}
-
-impl TierRow {
-    fn json(&self) -> String {
-        format!(
-            "{{\"tiers\":{},\"qps\":{:.1},\"ms_per_query\":{:.6},\
-             \"speedup_vs_pruned\":{:.3},\"docs_scored\":{},\"tiers_opened\":{},\
-             \"tiers_skipped\":{},\"early_terminations\":{},\"early_term_rate\":{:.4}}}",
-            self.tiers,
-            self.qps,
-            1e3 / self.qps,
-            self.speedup_vs_pruned,
-            self.docs_scored,
-            self.tiers_opened,
-            self.tiers_skipped,
-            self.early_terminations,
-            self.early_term_rate,
         )
     }
 }
@@ -211,12 +165,6 @@ struct ScaleRow {
     batched_qps: f64,
     /// Batch size that achieved [`ScaleRow::batched_qps`].
     batched_best_batch: usize,
-    /// Tier-count sweep at this scale, in [`TIER_COUNTS`] order.
-    tiered: Vec<TierRow>,
-    /// Best tiered throughput across the sweep.
-    tiered_qps: f64,
-    /// Tier count that achieved [`ScaleRow::tiered_qps`].
-    tiered_best_tiers: u32,
     /// Pre-rendered byte-breakdown object from [`shift_search::IndexStats`].
     index_bytes_json: String,
     /// Pre-rendered compressed-layout object: held vs raw bytes, ratio,
@@ -252,13 +200,6 @@ impl ScaleRow {
         }
         out.push_str("],\"batched\":[");
         for (i, row) in self.batched.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&row.json());
-        }
-        out.push_str("],\"tiered\":[");
-        for (i, row) in self.tiered.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -529,79 +470,9 @@ fn run_scale(
     }
     let compressed_qps = queries.len() as f64 / compressed_best;
 
-    // Tier-count sweep: the impact-ordered tiered kernel on the same
-    // compressed engine. Per tier count, byte-identity against the raw
-    // pruned SERP is re-checked on the sample stride before anything is
-    // timed (the early-termination win is only meaningful while the
-    // SERPs stay bit-exact), then one untimed pass collects the tier
-    // counters and the timed rounds race it against compressed pruned.
-    let mut tier_rows: Vec<TierRow> = Vec::new();
-    for t in TIER_COUNTS {
-        let mode = EvalMode::Tiered(t);
-        for q in queries.iter().step_by(sample_stride) {
-            let tiered = compressed_engine.search_with_mode(&mut scratch, q, K, mode);
-            let flat = engine.search(q, K);
-            assert_eq!(
-                tiered.urls(),
-                flat.urls(),
-                "[{scale}] T={t} tiered SERP diverged on {q:?}"
-            );
-            for (a, b) in tiered.results.iter().zip(&flat.results) {
-                assert_eq!(
-                    a.score.to_bits(),
-                    b.score.to_bits(),
-                    "[{scale}] T={t} tiered score bits diverged on {q:?}"
-                );
-            }
-        }
-        scratch.take_stats();
-        for q in &queries {
-            black_box(compressed_engine.search_with_mode(&mut scratch, q, K, mode));
-        }
-        let tstats = scratch.take_stats();
-        assert!(
-            tstats.docs_scored <= exhaustive_stats.docs_scored,
-            "[{scale}] T={t} tiered pass scored more docs than exhaustive"
-        );
-        let mut best = f64::INFINITY;
-        for _ in 0..rounds {
-            let start = Instant::now();
-            for q in &queries {
-                black_box(compressed_engine.search_with_mode(&mut scratch, black_box(q), K, mode));
-            }
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        let tiered_qps = queries.len() as f64 / best;
-        let early_term_rate = tstats.early_terminations as f64 / queries.len() as f64;
-        println!(
-            "[{scale}] T={t}: {tiered_qps:.0} q/s ({:.3} ms/q), {:.2}x vs compressed pruned; \
-             scored {} docs, opened {} tiers, skipped {}, {:.0}% of queries early-terminated",
-            1e3 / tiered_qps,
-            tiered_qps / compressed_qps,
-            tstats.docs_scored,
-            tstats.tiers_opened,
-            tstats.tiers_skipped,
-            100.0 * early_term_rate,
-        );
-        tier_rows.push(TierRow {
-            tiers: t,
-            qps: tiered_qps,
-            speedup_vs_pruned: tiered_qps / compressed_qps,
-            docs_scored: tstats.docs_scored,
-            tiers_opened: tstats.tiers_opened,
-            tiers_skipped: tstats.tiers_skipped,
-            early_terminations: tstats.early_terminations,
-            early_term_rate,
-        });
-    }
-    let (tiered_qps, tiered_best_tiers) = tier_rows
-        .iter()
-        .map(|r| (r.qps, r.tiers))
-        .fold((0.0f64, 0u32), |acc, v| if v.0 > acc.0 { v } else { acc });
-
     // Captured after the timed pass so the lazily-built per-params
-    // caches (packed impact tables, bounds, tier layouts) are populated
-    // and counted.
+    // caches (static and packed impact tables) are populated and
+    // counted.
     let cstats = compressed_engine.index().stats();
     println!("{cstats}");
     println!(
@@ -658,9 +529,6 @@ fn run_scale(
         batched: batch_rows,
         batched_qps,
         batched_best_batch,
-        tiered: tier_rows,
-        tiered_qps,
-        tiered_best_tiers,
         index_bytes_json,
         compressed_json,
         compressed_qps,
@@ -856,14 +724,103 @@ fn json_number_field(json: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// `--gate`: measure paper-scale pruned throughput and 100×-scale
-/// [`GATE_SHARDS`]-shard throughput; fail on a >20% regression of either
-/// against the committed artifact.
+/// One gated metric of `--gate`: its committed value in
+/// `BENCH_search.json`, the fresh measurement, and the bound on
+/// `fresh / committed` — a floor when higher is better, a ceiling when
+/// lower is better.
+struct GateRow {
+    key: &'static str,
+    label: String,
+    unit: &'static str,
+    lower_is_better: bool,
+    bound: f64,
+    committed: f64,
+    fresh: f64,
+}
+
+impl GateRow {
+    /// Builds a row, reading the committed value of `key` from the
+    /// committed artifact.
+    fn new(
+        committed: &str,
+        key: &'static str,
+        label: String,
+        unit: &'static str,
+        lower_is_better: bool,
+        bound: f64,
+        fresh: f64,
+    ) -> GateRow {
+        let committed = json_number_field(committed, key)
+            .unwrap_or_else(|| panic!("gate: no {key} in {BENCH_JSON}"));
+        GateRow {
+            key,
+            label,
+            unit,
+            lower_is_better,
+            bound,
+            committed,
+            fresh,
+        }
+    }
+
+    fn diff_pct(&self) -> f64 {
+        100.0 * (self.fresh / self.committed - 1.0)
+    }
+
+    fn breached(&self) -> bool {
+        let ratio = self.fresh / self.committed;
+        if self.lower_is_better {
+            ratio > self.bound
+        } else {
+            ratio < self.bound
+        }
+    }
+}
+
+/// Prints every gate row as one table, then fails if any row breached
+/// its bound.
+fn report_gate(rows: &[GateRow]) {
+    println!(
+        "{:<22} {:<34} {:<5} {:<6} {:>6} {:>10} {:>10} {:>8}  verdict",
+        "key", "label", "unit", "lower", "bound", "committed", "fresh", "diff%"
+    );
+    for r in rows {
+        println!(
+            "{:<22} {:<34} {:<5} {:<6} {:>5.0}% {:>10.4} {:>10.4} {:>+7.1}%  {}",
+            r.key,
+            r.label,
+            r.unit,
+            if r.lower_is_better { "yes" } else { "no" },
+            100.0 * r.bound,
+            r.committed,
+            r.fresh,
+            r.diff_pct(),
+            if r.breached() { "FAILED" } else { "ok" },
+        );
+    }
+    let breached: Vec<&str> = rows
+        .iter()
+        .filter(|r| r.breached())
+        .map(|r| r.key)
+        .collect();
+    assert!(
+        breached.is_empty(),
+        "bench gate FAILED: out of bounds against {BENCH_JSON}: {}",
+        breached.join(", ")
+    );
+    println!("bench gate OK: {} rows within bounds", rows.len());
+}
+
+/// `--gate`: measures paper-scale pruned throughput and, on the 100×
+/// world, [`GATE_SHARDS`]-shard, batched and compressed throughput plus
+/// the compressed/raw byte ratio, and checks each against the committed
+/// artifact: q/s may not fall below [`GATE_FLOOR`] of committed, the
+/// byte ratio may not rise above [`RATIO_GATE_CEIL`] of committed.
 fn run_gate() {
     let committed = std::fs::read_to_string(BENCH_JSON)
         .unwrap_or_else(|e| panic!("gate: cannot read {BENCH_JSON}: {e}"));
-    let baseline = json_number_field(&committed, "paper_pruned_qps")
-        .unwrap_or_else(|| panic!("gate: no paper_pruned_qps in {BENCH_JSON}"));
+    let mut rows = Vec::new();
+
     let world = World::generate(&WorldConfig::paper(), STUDY_SEED);
     let engine = SearchEngine::build(&world, RankingParams::google());
     let queries: Vec<String> = ranking_queries(&world, 1000, STUDY_SEED)
@@ -874,22 +831,16 @@ fn run_gate() {
     let qps = measure_qps(&queries, 3, |q| {
         black_box(engine.search_with(&mut scratch, black_box(q), K));
     });
-    let ratio = qps / baseline;
-    assert!(
-        ratio >= GATE_FLOOR,
-        "bench gate FAILED: paper-scale pruned kernel at {qps:.0} q/s is {:.0}% of the \
-         committed {baseline:.0} q/s (floor {:.0}%)",
-        100.0 * ratio,
-        100.0 * GATE_FLOOR,
-    );
-    println!(
-        "bench gate OK: pruned kernel {qps:.0} q/s vs committed {baseline:.0} q/s \
-         ({:+.1}%)",
-        100.0 * (ratio - 1.0)
-    );
+    rows.push(GateRow::new(
+        &committed,
+        "paper_pruned_qps",
+        "paper-scale pruned kernel".to_string(),
+        "q/s",
+        false,
+        GATE_FLOOR,
+        qps,
+    ));
 
-    let sharded_baseline = json_number_field(&committed, "x100_sharded_qps")
-        .unwrap_or_else(|| panic!("gate: no x100_sharded_qps in {BENCH_JSON}"));
     let world = World::generate(&WorldConfig::scaled(100), STUDY_SEED);
     let engine = SearchEngine::build_sharded(&world, RankingParams::google(), GATE_SHARDS);
     let queries: Vec<String> = ranking_queries(&world, 1000, STUDY_SEED)
@@ -899,25 +850,19 @@ fn run_gate() {
     let qps = measure_qps(&queries, 2, |q| {
         black_box(engine.search_with(&mut scratch, black_box(q), K));
     });
-    let ratio = qps / sharded_baseline;
-    assert!(
-        ratio >= GATE_FLOOR,
-        "bench gate FAILED: 100×-scale {GATE_SHARDS}-shard kernel at {qps:.0} q/s is \
-         {:.0}% of the committed {sharded_baseline:.0} q/s (floor {:.0}%)",
-        100.0 * ratio,
-        100.0 * GATE_FLOOR,
-    );
-    println!(
-        "bench gate OK: {GATE_SHARDS}-shard 100× kernel {qps:.0} q/s vs committed \
-         {sharded_baseline:.0} q/s ({:+.1}%)",
-        100.0 * (ratio - 1.0)
-    );
+    rows.push(GateRow::new(
+        &committed,
+        "x100_sharded_qps",
+        format!("100x {GATE_SHARDS}-shard kernel"),
+        "q/s",
+        false,
+        GATE_FLOOR,
+        qps,
+    ));
 
-    // Batched-execution gate on the same 100× world: the BatchExecutor
-    // must hold its throughput (same 20% floor) at the committed best
-    // batch size, and must never trip the scratch re-entrancy fallback.
-    let batched_baseline = json_number_field(&committed, "x100_batched_qps")
-        .unwrap_or_else(|| panic!("gate: no x100_batched_qps in {BENCH_JSON}"));
+    // The BatchExecutor at the committed best batch size; batch workers
+    // own their scratches, so it must never trip the re-entrancy
+    // fallback.
     let batch_size = json_number_field(&committed, "x100_batched_batch")
         .unwrap_or_else(|| panic!("gate: no x100_batched_batch in {BENCH_JSON}"))
         as usize;
@@ -931,102 +876,66 @@ fn run_gate() {
         }
         best = best.min(start.elapsed().as_secs_f64());
     }
-    let qps = queries.len() as f64 / best;
-    let batched_ratio = qps / batched_baseline;
-    assert!(
-        batched_ratio >= GATE_FLOOR,
-        "bench gate FAILED: 100×-scale batched kernel (batch {batch_size}) at {qps:.0} q/s is \
-         {:.0}% of the committed {batched_baseline:.0} q/s (floor {:.0}%)",
-        100.0 * batched_ratio,
-        100.0 * GATE_FLOOR,
-    );
     assert_eq!(
         shift_search::scratch_fallbacks(),
         fallbacks_before,
         "bench gate FAILED: batched execution allocated fallback scratches"
     );
-    println!(
-        "bench gate OK: batched 100× kernel {qps:.0} q/s (batch {batch_size}) vs committed \
-         {batched_baseline:.0} q/s ({:+.1}%)",
-        100.0 * (batched_ratio - 1.0)
-    );
+    rows.push(GateRow::new(
+        &committed,
+        "x100_batched_qps",
+        format!("100x batched kernel (batch {batch_size})"),
+        "q/s",
+        false,
+        GATE_FLOOR,
+        queries.len() as f64 / best,
+    ));
 
-    // Compressed-layout gates on the same 100× world: the decode path
-    // must hold its throughput (same 20% floor), and the held/raw byte
-    // ratio must not drift more than 10% above the committed value.
-    let compressed_baseline = json_number_field(&committed, "x100_compressed_qps")
-        .unwrap_or_else(|| panic!("gate: no x100_compressed_qps in {BENCH_JSON}"));
-    let ratio_baseline = json_number_field(&committed, "x100_compressed_ratio")
-        .unwrap_or_else(|| panic!("gate: no x100_compressed_ratio in {BENCH_JSON}"));
-    let engine = SearchEngine::build_compressed(&world, RankingParams::google());
-    let qps = measure_qps(&queries, 2, |q| {
-        black_box(engine.search_with(&mut scratch, black_box(q), K));
-    });
-    let throughput_ratio = qps / compressed_baseline;
-    assert!(
-        throughput_ratio >= GATE_FLOOR,
-        "bench gate FAILED: 100×-scale compressed kernel at {qps:.0} q/s is {:.0}% of the \
-         committed {compressed_baseline:.0} q/s (floor {:.0}%)",
-        100.0 * throughput_ratio,
-        100.0 * GATE_FLOOR,
-    );
-    // Tiered early-termination gate on the same compressed engine: the
-    // committed best tier count must hold its throughput at the same
-    // floor, with byte-identity spot-checked before anything is timed.
-    let tiered_baseline = json_number_field(&committed, "x100_tiered_qps")
-        .unwrap_or_else(|| panic!("gate: no x100_tiered_qps in {BENCH_JSON}"));
-    let tier_count = json_number_field(&committed, "x100_tiered_tiers")
-        .unwrap_or_else(|| panic!("gate: no x100_tiered_tiers in {BENCH_JSON}"))
-        as u32;
-    let mode = EvalMode::Tiered(tier_count);
+    // The compressed read path, byte-identity spot-checked against the
+    // raw engine before anything is timed.
+    let compressed = SearchEngine::build_compressed(&world, RankingParams::google());
     for q in queries.iter().step_by((queries.len() / 25).max(1)) {
-        let tiered = engine.search_with_mode(&mut scratch, q, K, mode);
-        let pruned = engine.search(q, K);
+        let packed = compressed.search_with(&mut scratch, q, K);
+        let raw = engine.search(q, K);
         assert_eq!(
-            tiered.urls(),
-            pruned.urls(),
-            "gate: tiered SERP diverged on {q:?}"
+            packed.urls(),
+            raw.urls(),
+            "gate: compressed SERP diverged on {q:?}"
         );
-        for (a, b) in tiered.results.iter().zip(&pruned.results) {
+        for (a, b) in packed.results.iter().zip(&raw.results) {
             assert_eq!(
                 a.score.to_bits(),
                 b.score.to_bits(),
-                "gate: tiered score bits diverged on {q:?}"
+                "gate: compressed score bits diverged on {q:?}"
             );
         }
     }
-    let tiered_qps = measure_qps(&queries, 2, |q| {
-        black_box(engine.search_with_mode(&mut scratch, black_box(q), K, mode));
+    let qps = measure_qps(&queries, 2, |q| {
+        black_box(compressed.search_with(&mut scratch, black_box(q), K));
     });
-    let tiered_ratio = tiered_qps / tiered_baseline;
-    assert!(
-        tiered_ratio >= GATE_FLOOR,
-        "bench gate FAILED: 100×-scale tiered kernel (T={tier_count}) at {tiered_qps:.0} q/s \
-         is {:.0}% of the committed {tiered_baseline:.0} q/s (floor {:.0}%)",
-        100.0 * tiered_ratio,
-        100.0 * GATE_FLOOR,
-    );
-    println!(
-        "bench gate OK: tiered 100× kernel {tiered_qps:.0} q/s (T={tier_count}) vs committed \
-         {tiered_baseline:.0} q/s ({:+.1}%)",
-        100.0 * (tiered_ratio - 1.0)
-    );
+    rows.push(GateRow::new(
+        &committed,
+        "x100_compressed_qps",
+        "100x compressed kernel".to_string(),
+        "q/s",
+        false,
+        GATE_FLOOR,
+        qps,
+    ));
+    // Captured after the timed passes so the lazily-built static and
+    // packed impact tables are populated and counted, matching the
+    // full run.
+    rows.push(GateRow::new(
+        &committed,
+        "x100_compressed_ratio",
+        "100x compressed/raw bytes".to_string(),
+        "ratio",
+        true,
+        RATIO_GATE_CEIL,
+        compressed.index().stats().ratio(),
+    ));
 
-    // Stats captured after the timed passes so the lazily-built packed
-    // impact tables and tier layouts are populated and counted,
-    // matching the full run.
-    let size_ratio = engine.index().stats().ratio();
-    assert!(
-        size_ratio <= ratio_baseline * RATIO_GATE_CEIL,
-        "bench gate FAILED: 100×-scale compressed/raw byte ratio {size_ratio:.4} regressed \
-         more than 10% above the committed {ratio_baseline:.4}",
-    );
-    println!(
-        "bench gate OK: compressed 100× kernel {qps:.0} q/s vs committed \
-         {compressed_baseline:.0} q/s ({:+.1}%); byte ratio {size_ratio:.4} vs committed \
-         {ratio_baseline:.4}",
-        100.0 * (throughput_ratio - 1.0),
-    );
+    report_gate(&rows);
 }
 
 fn bench(c: &mut Criterion) {
@@ -1086,7 +995,6 @@ fn bench(c: &mut Criterion) {
              \"x100_sharded_shards\":{GATE_SHARDS},\"x100_sharded_qps\":{x100_sharded_qps:.1},\
              \"x100_batched_qps\":{:.1},\"x100_batched_batch\":{},\
              \"x100_compressed_qps\":{:.1},\"x100_compressed_ratio\":{:.4},\
-             \"x100_tiered_qps\":{:.1},\"x100_tiered_tiers\":{},\
              \"scales\":[",
             paper_row.qps,
             paper_row.qps / reference_qps,
@@ -1094,8 +1002,6 @@ fn bench(c: &mut Criterion) {
             x100_row.batched_best_batch,
             x100_row.compressed_qps,
             x100_row.compressed_ratio,
-            x100_row.tiered_qps,
-            x100_row.tiered_best_tiers,
         )
         .unwrap();
         for (i, row) in rows.iter().enumerate() {
@@ -1141,16 +1047,6 @@ fn bench(c: &mut Criterion) {
                 black_box(&probe),
                 K,
                 EvalMode::Exhaustive,
-            ))
-        })
-    });
-    group.bench_function("tiered_top10", |b| {
-        b.iter(|| {
-            black_box(engine.search_with_mode(
-                &mut scratch,
-                black_box(&probe),
-                K,
-                EvalMode::Tiered(4),
             ))
         })
     });

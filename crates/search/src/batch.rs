@@ -323,11 +323,6 @@ impl BatchExecutor {
         let params = engine.params();
         let statics = engine.statics();
         let impacts = engine.impacts();
-        // Tiered layouts and tier bounds likewise resolve once per
-        // batch (they are cache probes with an RwLock each — hoisting
-        // them out of the per-query path is the whole point here).
-        let tiered = kernel::resolve_tiered(index, mode, params);
-        let tiered = tiered.as_ref().map(|(tp, tb)| (&**tp, &**tb));
         self.for_each_group(plan, |gi, g, scratch| {
             if g.terms.is_empty() {
                 Vec::new()
@@ -342,7 +337,6 @@ impl BatchExecutor {
                     &resolved[gi],
                     k,
                     mode,
-                    tiered,
                 )
             }
         })
@@ -366,12 +360,7 @@ impl BatchExecutor {
         let params = engine.params();
         let statics = engine.statics();
         let impacts = engine.impacts();
-        let overfetch = (k * 4).max(k + 8);
-        // One tiered resolution for the whole batch; every shard worker
-        // shares the same global layout and derives its shard-local tier
-        // bounds inside the kernel, exactly like the per-query path.
-        let tiered = kernel::resolve_tiered(index, mode, params);
-        let tiered = tiered.as_ref().map(|(tp, tb)| (&**tp, &**tb));
+        let overfetch = kernel::overfetch(k);
 
         let interned: HashMap<&str, Option<TermId>> = plan
             .distinct_terms()
@@ -409,7 +398,6 @@ impl BatchExecutor {
                         Some(&resolved[gi]),
                         overfetch,
                         mode,
-                        tiered,
                         &mut out,
                     );
                 }
@@ -506,12 +494,7 @@ mod tests {
     use shift_corpus::{World, WorldConfig};
 
     fn assert_batch_matches(engine: &SearchEngine, queries: &[&str], k: usize) {
-        for mode in [
-            EvalMode::Pruned,
-            EvalMode::Exhaustive,
-            EvalMode::Tiered(4),
-            EvalMode::Tiered(1),
-        ] {
+        for mode in [EvalMode::Pruned, EvalMode::Exhaustive] {
             let got = engine.search_batch(queries, k, mode);
             assert_eq!(got.len(), queries.len());
             let mut scratch = QueryScratch::new();

@@ -133,14 +133,15 @@ pub fn packed_len(count: usize, width: u8) -> usize {
     (count * width as usize).div_ceil(8)
 }
 
-/// Encodes just the document-id section of a block (varint first doc,
-/// width byte, bit-packed `(count-1) × (delta-1)`) into `out`. This is
-/// the front half of [`encode_block`]; a stream produced here decodes
-/// with [`decode_block_docs`] unchanged. Tiered postings use it to emit
-/// id-only blocks (term frequencies live in the full per-term lists).
-pub fn encode_doc_block(out: &mut Vec<u8>, docs: &[u32]) {
+/// Encodes one block of `docs.len()` postings (1..=[`crate::BLOCK_LEN`])
+/// into `out` in the layout described at module level. `docs` must be
+/// strictly increasing; the three slices must be the same length.
+pub fn encode_block(out: &mut Vec<u8>, docs: &[u32], title_tfs: &[u32], body_tfs: &[u32]) {
     let count = docs.len();
     debug_assert!((1..=crate::BLOCK_LEN).contains(&count));
+    debug_assert_eq!(count, title_tfs.len());
+    debug_assert_eq!(count, body_tfs.len());
+
     write_varint(out, docs[0]);
     let mut deltas = [0u32; crate::BLOCK_LEN];
     let mut max_delta = 0u32;
@@ -153,18 +154,6 @@ pub fn encode_doc_block(out: &mut Vec<u8>, docs: &[u32]) {
     let width = bits_for(max_delta);
     out.push(width);
     pack_bits(out, &deltas[..count - 1], width);
-}
-
-/// Encodes one block of `docs.len()` postings (1..=[`crate::BLOCK_LEN`])
-/// into `out` in the layout described at module level. `docs` must be
-/// strictly increasing; the three slices must be the same length.
-pub fn encode_block(out: &mut Vec<u8>, docs: &[u32], title_tfs: &[u32], body_tfs: &[u32]) {
-    let count = docs.len();
-    debug_assert!(count >= 1);
-    debug_assert_eq!(count, title_tfs.len());
-    debug_assert_eq!(count, body_tfs.len());
-
-    encode_doc_block(out, docs);
 
     let tw = bits_for(title_tfs.iter().copied().max().unwrap_or(0));
     let bw = bits_for(body_tfs.iter().copied().max().unwrap_or(0));
@@ -345,24 +334,6 @@ mod tests {
     fn block_roundtrip_extreme_gaps() {
         roundtrip_block(&[0, u32::MAX - 1, u32::MAX], &[1, 2, 3], &[9, 0, 1]);
         roundtrip_block(&[u32::MAX], &[0], &[0]);
-    }
-
-    #[test]
-    fn doc_only_block_decodes_with_block_docs_decoder() {
-        for docs in [
-            vec![0u32],
-            vec![7],
-            vec![3, 4, 5, 6],
-            vec![0, 100, 10_000, 1_000_000],
-            (0..64u32).map(|i| i * 17 + 2).collect::<Vec<_>>(),
-        ] {
-            let mut buf = Vec::new();
-            encode_doc_block(&mut buf, &docs);
-            let mut back = [0u32; crate::BLOCK_LEN];
-            let used = decode_block_docs(&buf, docs.len(), &mut back);
-            assert_eq!(used, buf.len());
-            assert_eq!(&back[..docs.len()], &docs[..]);
-        }
     }
 
     #[test]

@@ -5,15 +5,12 @@
 //! built, lock-guarded caches shared by every [`crate::SearchEngine`]
 //! wrapping the same `Arc<SearchIndex>`:
 //!
-//! * a [`StaticTable`] of per-document static score factors (plus their
-//!   maximum product, the tiered bound's static fold-in) per distinct
-//!   `(authority_weight, freshness_weight, freshness_half_life)`
-//!   parameterization,
+//! * [`StaticScores`], the per-document static score factors, per
+//!   distinct `(authority_weight, freshness_weight,
+//!   freshness_half_life)` parameterization, and
 //! * a [`ScoreTable`] of per-posting BM25 impacts per distinct BM25
 //!   parameterization — what the kernel sums instead of re-evaluating
-//!   BM25 — and
-//! * impact-tiered layouts with their [`TierBoundTable`]s for
-//!   [`crate::EvalMode::Tiered`].
+//!   BM25.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -25,13 +22,8 @@ use shift_textkit::analyze;
 
 use crate::bm25::{idf, term_score_tf, Bm25Params};
 use crate::docstore::{raw_doc_meta_bytes, CompactDocs, DocFields};
-use crate::postings::{DocNum, PostingsStore, TermId, TieredPostings};
+use crate::postings::{DocNum, PostingsStore, TermId};
 use crate::sizing::{postings_size, SizePair};
-
-/// Tier count used by read paths that pick the tiered layout themselves
-/// (live segments flush at this fan-out; `EvalMode::Tiered` callers may
-/// request any count on batch indexes).
-pub const DEFAULT_TIER_COUNT: u32 = 4;
 
 /// Per-document metadata kept alongside the postings.
 #[derive(Debug, Clone)]
@@ -68,134 +60,6 @@ pub struct DocMeta {
 /// pre-folded product would drift in the last ulp and break the
 /// byte-identical SERP guarantee).
 pub type StaticScores = Vec<(f64, f64)>;
-
-/// One cached static-score parameterization: the per-document factor
-/// pairs plus the maximum factor *product* over all documents — the
-/// admissible static multiplier the tiered merge folds into its
-/// proximity headroom (a document's true score is its text score times
-/// its own `auth·fresh`, which is at most `max_factor`).
-#[derive(Debug)]
-pub struct StaticTable {
-    /// Per-document `(authority_factor, freshness_factor)` pairs.
-    pub factors: StaticScores,
-    /// `max_d authority_factor(d) · freshness_factor(d)`.
-    pub max_factor: f64,
-}
-
-/// Per-tier score upper bounds over a [`TieredPostings`] layout for one
-/// *ranking* parameterization (BM25 plus the static-factor triple).
-///
-/// `tier_ub[term * T + tier]` bounds the term's *static-scaled* score
-/// contribution — BM25 term score times the document's own
-/// `authority_factor · freshness_factor` product — over every posting
-/// assigned to that tier; `block_ub` holds one bound per tier block in
-/// the layout's emission order (index through
-/// [`TieredPostings::block_base`]), which is what lets the kernel
-/// derive *shard-local* tier bounds at query time by maxing only the
-/// blocks overlapping a shard's document range.
-///
-/// Folding the per-block static maximum in (instead of the
-/// whole-index `max_factor`) is what gives the tiered kernel
-/// its teeth: the tier key already orders postings by static-scaled
-/// impact, so tail tiers group documents whose *product* of relevance
-/// and statics is small, and their bounds collapse accordingly. Only
-/// proximity and coordination headroom (and the strict slop) remain to
-/// fold in at query time.
-#[derive(Debug)]
-pub struct TierBoundTable {
-    tier_count: u32,
-    tier_ub: Vec<f64>,
-    block_ub: Vec<f64>,
-}
-
-/// Callback replaying one term's full posting list in document order,
-/// emitting each posting's *exact* cached impact score — the values
-/// [`TierBoundTable::build`] maxes per tier block.
-pub(crate) type TermImpacts<'a> = dyn Fn(TermId, &mut dyn FnMut(DocNum, f64)) + 'a;
-
-/// Cache key of one tier-bound parameterization: tier count, BM25
-/// params and the static-factor triple.
-type TierBoundKey = (u32, Bm25Key, StaticKey);
-
-impl TierBoundTable {
-    /// Builds the table for `tiered` from the caller's *exact*
-    /// per-posting impacts: `term_impacts` must replay one term's full
-    /// posting list in document order, emitting each posting's cached
-    /// impact score — the very values the kernel's scoring loop sums —
-    /// and `static_of` the document's full static product
-    /// (`authority_factor · freshness_factor`) under the same
-    /// parameterization.
-    ///
-    /// Each tier-block bound is then the *max achieved* static-scaled
-    /// contribution over the documents in that block, not a
-    /// componentwise BM25 extreme: admissible by construction (every
-    /// scored contribution is one of the maxed values) and with zero
-    /// slack, which is what lets the tail tiers' bounds collapse to
-    /// their actual impact quantiles instead of saturating near the
-    /// list maximum the way `BlockSummary`-derived bounds do over
-    /// doc-ordered (impact-heterogeneous) blocks.
-    pub(crate) fn build(
-        tiered: &TieredPostings,
-        term_impacts: &TermImpacts<'_>,
-        static_of: &dyn Fn(DocNum) -> f64,
-    ) -> TierBoundTable {
-        use crate::postings::BLOCK_LEN;
-        let t = tiered.tier_count();
-        let vocab = tiered.vocabulary();
-        let mut tier_ub = Vec::with_capacity(vocab * t as usize);
-        let mut block_ub = Vec::new();
-        let mut buf = [0u32; BLOCK_LEN];
-        let mut scaled: Vec<(DocNum, f64)> = Vec::new();
-        for term in 0..vocab as TermId {
-            scaled.clear();
-            term_impacts(term, &mut |d, imp| scaled.push((d, imp * static_of(d))));
-            for tier in 0..t {
-                let mut ub = 0.0_f64;
-                for bi in 0..tiered.blocks_in(term, tier).len() {
-                    let n = tiered.decode_block(term, tier, bi as u32, &mut buf);
-                    // The tier holds a doc-ascending subset of the full
-                    // list, so each doc resolves by binary search.
-                    let bb = buf[..n].iter().fold(0.0_f64, |m, &d| {
-                        let i = scaled.partition_point(|&(x, _)| x < d);
-                        m.max(scaled[i].1)
-                    });
-                    block_ub.push(bb);
-                    ub = ub.max(bb);
-                }
-                tier_ub.push(ub);
-            }
-        }
-        TierBoundTable {
-            tier_count: t,
-            tier_ub,
-            block_ub,
-        }
-    }
-
-    /// Number of tiers the table was built for.
-    #[inline]
-    pub fn tier_count(&self) -> u32 {
-        self.tier_count
-    }
-
-    /// Upper bound on the term's static-scaled score contribution
-    /// (BM25 term score × the doc's own static product) over one tier.
-    #[inline]
-    pub fn tier_ub(&self, term: TermId, tier: u32) -> f64 {
-        self.tier_ub[term as usize * self.tier_count as usize + tier as usize]
-    }
-
-    /// Flat per-tier-block bounds in the layout's emission order.
-    #[inline]
-    pub fn block_ub(&self) -> &[f64] {
-        &self.block_ub
-    }
-
-    /// Estimated heap bytes held by the table.
-    pub fn heap_bytes(&self) -> u64 {
-        ((self.tier_ub.len() + self.block_ub.len()) * std::mem::size_of::<f64>()) as u64
-    }
-}
 
 /// Precomputed per-posting BM25 contributions ("impact scores") for one
 /// BM25 parameterization.
@@ -437,15 +301,9 @@ pub struct SearchIndex {
     // Lazily built static-score tables, one per distinct parameter
     // triple. A handful of personas share an index, so a linear scan
     // over the entries is cheaper than any map.
-    static_cache: RwLock<Vec<(StaticKey, Arc<StaticTable>)>>,
+    static_cache: RwLock<Vec<(StaticKey, Arc<StaticScores>)>>,
     // Lazily built per-posting impact-score tables, one per BM25 triple.
     score_cache: RwLock<Vec<(Bm25Key, Arc<ScoreTable>)>>,
-    // Lazily built impact-tiered posting layouts, one per tier count.
-    tier_cache: RwLock<Vec<(u32, Arc<TieredPostings>)>>,
-    // Lazily built per-tier bound tables, one per (tier count, BM25
-    // triple, static triple) — tier bounds fold per-block static
-    // maxima in, so they depend on the full ranking parameterization.
-    tier_bound_cache: RwLock<Vec<(TierBoundKey, Arc<TierBoundTable>)>>,
 }
 
 impl SearchIndex {
@@ -511,8 +369,6 @@ impl SearchIndex {
             host_count,
             static_cache: RwLock::new(Vec::new()),
             score_cache: RwLock::new(Vec::new()),
-            tier_cache: RwLock::new(Vec::new()),
-            tier_bound_cache: RwLock::new(Vec::new()),
         }
     }
 
@@ -589,8 +445,7 @@ impl SearchIndex {
         self.host_count
     }
 
-    /// The per-document static score factors (and their max product) for
-    /// one parameter triple, computing and caching them on first
+    /// The per-document static score factors for one parameter triple, computing and caching them on first
     /// request. Engines sharing an `Arc<SearchIndex>` and a
     /// parameterization share one table.
     pub fn static_scores(
@@ -598,7 +453,7 @@ impl SearchIndex {
         authority_weight: f64,
         freshness_weight: f64,
         freshness_half_life: f64,
-    ) -> Arc<StaticTable> {
+    ) -> Arc<StaticScores> {
         let key = StaticKey::new(authority_weight, freshness_weight, freshness_half_life);
         {
             let cache = self.static_cache.read();
@@ -613,14 +468,9 @@ impl SearchIndex {
                 1.0 + freshness_weight * fresh,
             )
         };
-        let factors: StaticScores = match &self.docs {
+        let table: Arc<StaticScores> = Arc::new(match &self.docs {
             DocStore::Raw(v) => v.iter().map(|m| factor(m.authority, m.age_days)).collect(),
             DocStore::Compact(c) => c.static_inputs().map(|(a, age)| factor(a, age)).collect(),
-        };
-        let max_factor = factors.iter().fold(0.0_f64, |m, &(a, f)| m.max(a * f));
-        let table = Arc::new(StaticTable {
-            factors,
-            max_factor,
         });
         let mut cache = self.static_cache.write();
         // Another thread may have built the same entry while we computed;
@@ -679,104 +529,6 @@ impl SearchIndex {
         table
     }
 
-    /// The impact-tiered posting layout with `tier_count` tiers,
-    /// computing and caching it on first request (one layout per tier
-    /// count, shared by every engine wrapping this index).
-    ///
-    /// The tier key is the posting's default-parameter BM25 term score
-    /// at neutral idf scaled by `1 + authority` — a static,
-    /// parameter-free ordering, so one layout serves every ranking
-    /// parameterization (admissibility never depends on the ordering,
-    /// only the per-tier bound tables do, and those are built per
-    /// parameterization by [`SearchIndex::tier_bounds`]).
-    pub fn tiered(&self, tier_count: u32) -> Arc<TieredPostings> {
-        {
-            let cache = self.tier_cache.read();
-            if let Some((_, t)) = cache.iter().find(|(k, _)| *k == tier_count) {
-                return Arc::clone(t);
-            }
-        }
-        // Materialize the static boost once: the compact doc layout
-        // would otherwise rebuild URL strings per posting callback.
-        let boost: Vec<f64> = match &self.docs {
-            DocStore::Raw(v) => v.iter().map(|m| 1.0 + m.authority).collect(),
-            DocStore::Compact(c) => c.static_inputs().map(|(a, _)| 1.0 + a).collect(),
-        };
-        let table = Arc::new(TieredPostings::build(
-            &self.postings,
-            tier_count,
-            &|d| self.token_len(d),
-            &|d| boost[d as usize],
-        ));
-        let mut cache = self.tier_cache.write();
-        if let Some((_, existing)) = cache.iter().find(|(k, _)| *k == tier_count) {
-            return Arc::clone(existing);
-        }
-        cache.push((tier_count, Arc::clone(&table)));
-        table
-    }
-
-    /// The per-tier score upper bounds for one `(tier count, ranking
-    /// parameterization)` pair, computing and caching them on first
-    /// request (builds the tiered layout itself, and the static-score
-    /// table the bounds fold in, if needed).
-    pub fn tier_bounds(
-        &self,
-        tier_count: u32,
-        params: &crate::query::RankingParams,
-    ) -> Arc<TierBoundTable> {
-        let key = (
-            tier_count,
-            Bm25Key::new(&params.bm25),
-            StaticKey::new(
-                params.authority_weight,
-                params.freshness_weight,
-                params.freshness_half_life,
-            ),
-        );
-        {
-            let cache = self.tier_bound_cache.read();
-            if let Some((_, t)) = cache.iter().find(|(k, _)| *k == key) {
-                return Arc::clone(t);
-            }
-        }
-        let tiered = self.tiered(tier_count);
-        let statics = self.static_scores(
-            params.authority_weight,
-            params.freshness_weight,
-            params.freshness_half_life,
-        );
-        // Replay the cached impact table: the bound build maxes over
-        // exactly the values the kernel's scoring loop will sum, so
-        // the bounds are admissible with zero slack.
-        let impacts = self.score_table(&params.bm25);
-        let store = &self.postings;
-        let table = Arc::new(TierBoundTable::build(
-            &tiered,
-            &|term, emit| store.for_each_doc(term, |i, d| emit(d, impacts.at(term, i))),
-            &|d| {
-                let (a, f) = statics.factors[d as usize];
-                a * f
-            },
-        ));
-        let mut cache = self.tier_bound_cache.write();
-        if let Some((_, existing)) = cache.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(existing);
-        }
-        cache.push((key, Arc::clone(&table)));
-        table
-    }
-
-    /// Number of cached tiered layouts (for tests).
-    pub fn tier_cache_len(&self) -> usize {
-        self.tier_cache.read().len()
-    }
-
-    /// Number of cached tier-bound parameterizations (for tests).
-    pub fn tier_bound_cache_len(&self) -> usize {
-        self.tier_bound_cache.read().len()
-    }
-
     /// Number of cached static-score parameterizations (for tests).
     pub fn static_cache_len(&self) -> usize {
         self.static_cache.read().len()
@@ -814,24 +566,8 @@ impl SearchIndex {
         let static_table_bytes: u64 = self.static_cache.read().len() as u64
             * self.docs.len() as u64
             * std::mem::size_of::<(f64, f64)>() as u64;
-        // Tiered sidecars: the tier directories/blocks plus their cached
-        // per-tier bound tables. Counting them here keeps new sidecar
-        // structures inside `estimated_heap_bytes` instead of silently
-        // vanishing from the committed totals.
-        let tier_bytes: u64 = self
-            .tier_cache
-            .read()
-            .iter()
-            .map(|(_, t)| t.heap_bytes())
-            .sum::<u64>()
-            + self
-                .tier_bound_cache
-                .read()
-                .iter()
-                .map(|(_, t)| t.heap_bytes())
-                .sum::<u64>();
         // Structures whose layout is identical in both modes.
-        let shared = SizePair::raw(p.block_bytes + p.dict_bytes + static_table_bytes + tier_bytes);
+        let shared = SizePair::raw(p.block_bytes + p.dict_bytes + static_table_bytes);
         let total = postings_size(&p)
             + SizePair {
                 raw_bytes: score_table_raw,
@@ -850,7 +586,6 @@ impl SearchIndex {
             block_entries: p.block_entries,
             block_bytes: p.block_bytes,
             dict_bytes: p.dict_bytes,
-            tier_bytes,
             score_table_bytes,
             doc_meta_bytes: doc_meta.compressed_bytes,
             estimated_heap_bytes: total.compressed_bytes,
@@ -893,9 +628,6 @@ pub struct IndexStats {
     pub block_bytes: u64,
     /// Estimated heap bytes of the term dictionary (strings + entries).
     pub dict_bytes: u64,
-    /// Estimated heap bytes of cached tiered posting layouts and their
-    /// per-tier bound tables.
-    pub tier_bytes: u64,
     /// Estimated heap bytes of cached per-posting impact-score tables.
     pub score_table_bytes: u64,
     /// Estimated heap bytes of document metadata (incl. raw text).
@@ -955,11 +687,6 @@ impl fmt::Display for IndexStats {
             f,
             "  impacts   {:>34.2} MiB (cached per-posting scores)",
             mib(self.score_table_bytes)
-        )?;
-        writeln!(
-            f,
-            "  tiers     {:>34.2} MiB (cached tiered layouts + bounds)",
-            mib(self.tier_bytes)
         )?;
         writeln!(f, "  dict      {:>34.2} MiB", mib(self.dict_bytes))?;
         writeln!(f, "  doc meta  {:>34.2} MiB", mib(self.doc_meta_bytes))?;
@@ -1032,7 +759,7 @@ mod tests {
         let c = idx.static_scores(0.5, 0.9, 120.0);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(idx.static_cache_len(), 2);
-        assert_eq!(a.factors.len(), idx.len());
+        assert_eq!(a.len(), idx.len());
     }
 
     #[test]
@@ -1040,24 +767,11 @@ mod tests {
         let idx = index();
         let (aw, fw, hl) = (2.2, 0.12, 365.0);
         let table = idx.static_scores(aw, fw, hl);
-        for (meta, &(auth, fresh)) in idx.docs().iter().zip(table.factors.iter()).take(50) {
+        for (meta, &(auth, fresh)) in idx.docs().iter().zip(table.iter()).take(50) {
             assert_eq!(auth.to_bits(), (1.0 + aw * meta.authority).to_bits());
             let expect = 1.0 + fw * (-meta.age_days / hl).exp();
             assert_eq!(fresh.to_bits(), expect.to_bits());
         }
-    }
-
-    #[test]
-    fn static_table_max_factor_covers_every_document() {
-        let idx = index();
-        let table = idx.static_scores(2.2, 0.12, 365.0);
-        let mut max_seen = 0.0_f64;
-        for &(a, f) in table.factors.iter() {
-            assert!(a * f <= table.max_factor);
-            max_seen = max_seen.max(a * f);
-        }
-        assert_eq!(max_seen.to_bits(), table.max_factor.to_bits());
-        assert!(table.max_factor >= 1.0, "weights are nonnegative");
     }
 
     #[test]
@@ -1077,104 +791,6 @@ mod tests {
         // Display renders without panicking and mentions the doc count.
         let rendered = format!("{s}");
         assert!(rendered.contains(&format!("{} docs", s.docs)));
-    }
-
-    #[test]
-    fn tiered_layouts_are_cached_and_shared() {
-        let idx = index();
-        assert_eq!(idx.tier_cache_len(), 0);
-        let a = idx.tiered(4);
-        let b = idx.tiered(4);
-        assert!(Arc::ptr_eq(&a, &b), "same tier count must share a layout");
-        assert_eq!(idx.tier_cache_len(), 1);
-        let c = idx.tiered(2);
-        assert_eq!(c.tier_count(), 2);
-        assert_eq!(idx.tier_cache_len(), 2);
-        let p = crate::query::RankingParams::google();
-        let x = idx.tier_bounds(4, &p);
-        let y = idx.tier_bounds(4, &p);
-        assert!(Arc::ptr_eq(&x, &y));
-        assert_eq!(idx.tier_bound_cache_len(), 1);
-        // A different static triple over the same BM25 triple is a
-        // distinct table: tier bounds fold per-block statics in.
-        let q = crate::query::RankingParams {
-            authority_weight: 0.0,
-            ..crate::query::RankingParams::google()
-        };
-        let z = idx.tier_bounds(4, &q);
-        assert!(!Arc::ptr_eq(&x, &z));
-        assert_eq!(idx.tier_bound_cache_len(), 2);
-    }
-
-    #[test]
-    fn tier_bounds_dominate_real_static_scaled_scores() {
-        use crate::bm25::{idf, term_score_idf};
-        use crate::postings::BLOCK_LEN;
-
-        let idx = index();
-        let params = crate::query::RankingParams::google();
-        let tiered = idx.tiered(4);
-        let bounds = idx.tier_bounds(4, &params);
-        let statics = idx.static_scores(
-            params.authority_weight,
-            params.freshness_weight,
-            params.freshness_half_life,
-        );
-        let store = idx.postings();
-        let avg_len = store.avg_doc_len();
-        let mut buf = [0u32; BLOCK_LEN];
-        for term in ["laptop", "battery", "review", "best"] {
-            let id = store.term_id(term).expect("term indexed");
-            let term_idf = idf(store.doc_count(), store.doc_freq_by_id(id));
-            for tier in 0..4 {
-                let base = tiered.block_base(id, tier);
-                let nblocks = tiered.blocks_in(id, tier).len();
-                for blk in 0..nblocks {
-                    let n = tiered.decode_block(id, tier, blk as u32, &mut buf);
-                    let bb = bounds.block_ub()[base + blk];
-                    assert!(bb <= bounds.tier_ub(id, tier));
-                    for &d in &buf[..n] {
-                        let at = store.lower_bound(id, d) as usize;
-                        let p = &store.postings_by_id(id)[at];
-                        let doc_len = f64::from(idx.doc(d).token_len);
-                        let (auth, fresh) = statics.factors[d as usize];
-                        let s = term_score_idf(&params.bm25, p, term_idf, doc_len, avg_len)
-                            * auth
-                            * fresh;
-                        // The kernel compares under its strict slop
-                        // (multiplication association may differ by an
-                        // ulp between the bound and the score path).
-                        assert!(s <= bb * (1.0 + 1e-9), "{term} t{tier} doc {d}: {s} > {bb}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tier_bytes_counted_in_heap_estimate() {
-        let idx = index();
-        let params = crate::query::RankingParams::google();
-        // The tier-bound build also pulls in the static and impact
-        // tables (counted separately in the heap estimate); build them
-        // first so the delta below isolates the tier sidecars.
-        let _ = idx.static_scores(
-            params.authority_weight,
-            params.freshness_weight,
-            params.freshness_half_life,
-        );
-        let _ = idx.score_table(&params.bm25);
-        let before = idx.stats();
-        assert_eq!(before.tier_bytes, 0);
-        let _ = idx.tiered(4);
-        let _ = idx.tier_bounds(4, &params);
-        let after = idx.stats();
-        assert!(after.tier_bytes > 0);
-        assert_eq!(
-            after.estimated_heap_bytes,
-            before.estimated_heap_bytes + after.tier_bytes,
-            "tier sidecars must be folded into the heap estimate"
-        );
     }
 
     #[test]

@@ -36,22 +36,20 @@
 //!   between queries, each slot carries the generation that last wrote
 //!   it; stale slots are treated as empty.
 //!
-//! [`EvalMode::Tiered`] keeps its own cursor merge over impact tiers
-//! ([`run_tiered`]). Every floating-point operation of a *scored*
-//! document mirrors the reference scorer's sequence exactly (same
-//! additions in the same order, static factors applied as two separate
-//! multiplies), and pruning only discards documents that provably
-//! cannot enter the overfetch pool, so every mode returns
-//! byte-identical SERPs — gated by the differential suite in
-//! `tests/differential_search.rs`.
+//! Every floating-point operation of a *scored* document mirrors the
+//! reference scorer's sequence exactly (same additions in the same
+//! order, static factors applied as two separate multiplies), and
+//! pruning only discards documents that provably cannot enter the
+//! overfetch pool, so both modes return byte-identical SERPs — gated by
+//! the differential suite in `tests/differential_search.rs`.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::bm25::window_bonus;
-use crate::index::{DocMeta, ScoreTable, SearchIndex, StaticTable, TierBoundTable};
-use crate::postings::{DocNum, PostingsStore, TermId, TieredPostings, BLOCK_LEN};
+use crate::index::{DocMeta, ScoreTable, SearchIndex};
+use crate::postings::{DocNum, PostingsStore, TermId, BLOCK_LEN};
 use crate::query::RankingParams;
 use crate::serp::{extract_snippet, SerpResult};
 use crate::shard::{IndexShard, ShardedIndex};
@@ -67,30 +65,14 @@ pub enum EvalMode {
     /// byte-identical SERPs to `Exhaustive`.
     #[default]
     Pruned,
-    /// Impact-ordered tiered evaluation with the given tier count:
-    /// consume each list tier-by-tier (highest static-impact postings
-    /// first) and *terminate* once the summed remaining-tier upper
-    /// bounds cannot beat the heap threshold — whole list tails are
-    /// never visited. Safe termination only: returns byte-identical
-    /// SERPs to `Exhaustive`. Live snapshots always read the tier
-    /// layout their segments flushed ([`crate::DEFAULT_TIER_COUNT`]);
-    /// the payload then only selects which batch-index layout to use
-    /// and never affects output bytes.
-    Tiered(u32),
 }
 
-/// Strict multiplicative inflation applied to every tiered-merge bound.
-///
-/// The admissibility argument needs a pruned document's true score to
-/// sit *strictly* below the heap threshold, so that equal-score ties
-/// (which the SERP order breaks by document number) can never straddle
-/// a pruning decision. Real-math bounds already dominate real-math
-/// scores; the slop (a relative 1e-9, seven orders of magnitude above
-/// the ~1e-16 relative error of the handful of f64 ops involved) turns
-/// "≥ with float noise" into "> with margin". It costs effectively
-/// nothing: a bound this close to the threshold saves at most one
-/// document's scoring.
-const BOUND_SLOP: f64 = 1.0 + 1e-9;
+/// The candidate pool depth for a `k`-result SERP: the kernel keeps the
+/// top `overfetch(k)` documents before host crowding trims them to `k`.
+#[inline]
+pub(crate) fn overfetch(k: usize) -> usize {
+    (k * 4).max(k + 8)
+}
 
 /// The heap-threshold broadcast shared by concurrently evaluating
 /// shards: a monotonically tightening lower bound on the score a
@@ -107,12 +89,10 @@ const BOUND_SLOP: f64 = 1.0 + 1e-9;
 /// knows `overfetch` live documents scoring at least that much (a full
 /// heap's root, or the dense pass's cut τ), so a read value θ proves
 /// ≥ overfetch documents score ≥ θ somewhere. A candidate whose exact
-/// upper bound is `< θ` (dense pass), or whose inflated bound is ≤ θ
-/// (tiered merge, [`BOUND_SLOP`]), therefore has a true score
-/// *strictly* below those pooled documents — it can never reach the
-/// merged pool, no matter how stale or fresh the read was. Pruning
-/// decisions (and so `KernelStats`) depend on timing; merged SERPs do
-/// not.
+/// upper bound is `< θ` therefore has a true score *strictly* below
+/// those pooled documents — it can never reach the merged pool, no
+/// matter how stale or fresh the read was. Pruning decisions (and so
+/// `KernelStats`) depend on timing; merged SERPs do not.
 pub(crate) struct SharedTheta(AtomicU64);
 
 impl SharedTheta {
@@ -268,23 +248,14 @@ pub struct KernelStats {
     /// Documents whose full score was computed (every float op of the
     /// reference path, proximity included where it applies).
     pub docs_scored: u64,
-    /// Documents a bound excluded without computing their full score:
-    /// the dense pass's `ub < τ` cut, or a tiered-merge bound test.
+    /// Documents the dense pass's `ub < τ` cut excluded without
+    /// computing their full score.
     pub candidates_pruned: u64,
     /// Times [`with_thread_scratch`] had to allocate a fresh scratch
     /// because the thread-local was already borrowed (re-entrant
     /// search). A nonzero count means some caller is silently paying
     /// allocation + warm-up on every query — the bench asserts zero.
     pub scratch_fallbacks: u64,
-    /// Nonempty tier lists decoded by the tiered merge (one per
-    /// cursor per opened round).
-    pub tiers_opened: u64,
-    /// Nonempty tier lists skipped by an early termination — the work
-    /// tiering saved, in the same unit as `tiers_opened`.
-    pub tiers_skipped: u64,
-    /// Tiered merges that stopped before exhausting every tier round
-    /// with nonempty lists still ahead.
-    pub early_terminations: u64,
 }
 
 impl KernelStats {
@@ -295,9 +266,6 @@ impl KernelStats {
         self.docs_scored += other.docs_scored;
         self.candidates_pruned += other.candidates_pruned;
         self.scratch_fallbacks += other.scratch_fallbacks;
-        self.tiers_opened += other.tiers_opened;
-        self.tiers_skipped += other.tiers_skipped;
-        self.early_terminations += other.early_terminations;
     }
 }
 
@@ -349,11 +317,6 @@ pub struct QueryScratch {
     window_counts: Vec<u32>,
     // coverage^coordination per matched-count, computed once per query.
     coord: Vec<f64>,
-    // Tiered essential-list tables: cursor indices ordered by ascending
-    // cap, and prefix sums of those caps (prefix[j] = sum of the j
-    // smallest).
-    order: Vec<u32>,
-    prefix: Vec<f64>,
     // Pruning telemetry, accumulated until taken.
     stats: KernelStats,
     // Host-crowding counters indexed by interned host id, valid only
@@ -361,18 +324,6 @@ pub struct QueryScratch {
     host_counts: Vec<u32>,
     host_stamp: Vec<u32>,
     generation: u32,
-    // Tiered-merge buffers: the generation-stamped per-document
-    // surfaced marker (a document is scored or pruned at most once per
-    // tier sweep), per-cursor decoded round lists with their
-    // per-posting block bounds, shard-local per-tier bounds (`n × T`),
-    // their suffix maxima (`n × (T+1)`), and the per-(cursor, tier)
-    // block ranges overlapping the shard.
-    seen: Vec<u32>,
-    tier_docs: Vec<Vec<DocNum>>,
-    tier_bnds: Vec<Vec<f64>>,
-    tier_ub_local: Vec<f64>,
-    tier_suffix: Vec<f64>,
-    tier_spans: Vec<(u32, u32)>,
     // Per-shard child scratches for sharded execution, grown to the
     // shard count on first sharded query and reused afterwards (each
     // worker's children warm up exactly like the parent).
@@ -414,14 +365,13 @@ impl QueryScratch {
         }
     }
 
-    /// Advances the accumulator/crowding/surfaced generation, resetting
+    /// Advances the accumulator/crowding generation, resetting
     /// all stamps on the (once per 2^32 bumps) wrap so a stale stamp can
     /// never collide.
     fn bump_generation(&mut self) {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             self.host_stamp.fill(0);
-            self.seen.fill(0);
             for slot in &mut self.dense.slots {
                 slot.stamp = 0;
             }
@@ -790,43 +740,6 @@ fn seek_packed(store: &PostingsStore, c: &mut TermCursor, lo: u32, hi: u32, targ
     }
 }
 
-/// Scores `doc` with every float op in the reference scorer's exact
-/// sequence, advancing the cursors that matched. Precondition: every
-/// cursor is positioned at its first posting with doc ≥ `doc`.
-///
-/// The BM25 term contributions come from the precomputed
-/// [`ScoreTable`] — each entry is `term_score_idf` evaluated at
-/// build time with the same arguments this function used to pass, so
-/// the summation sequence (query-term order) is bit-identical.
-fn score_doc(
-    ctx: &ScoreCtx<'_>,
-    doc: DocNum,
-    cursors: &mut [TermCursor],
-    tagged: &mut Vec<(u32, u32)>,
-    window_counts: &mut Vec<u32>,
-) -> f64 {
-    let mut score = 0.0;
-    let mut matched = 0u32;
-    tagged.clear();
-    // Cursors iterate in query-term order, so per-document additions
-    // happen in exactly the reference scorer's sequence.
-    for c in cursors.iter_mut() {
-        if c.cur == doc {
-            let at = c.base as usize + c.next as usize;
-            score += ctx.impacts.at(c.term, at);
-            if ctx.collect_positions {
-                ctx.lists
-                    .store()
-                    .for_each_position(c.term, at, |pos| tagged.push((pos, matched)));
-            }
-            matched += 1;
-            land_view(&ctx.lists, c, c.next as usize + 1);
-        }
-    }
-    let text = add_proximity(ctx, score, tagged, window_counts, matched);
-    ctx.blend(text, doc, matched)
-}
-
 /// Adds the proximity bonus over the `tagged` positions of `matched`
 /// terms to a BM25 sum (a matched posting always carries at least one
 /// position, so no empty-slice guard is needed).
@@ -850,8 +763,8 @@ fn add_proximity(
 /// The exact score of a dense-pass survivor: seeks the cursors forward
 /// to `doc` until the slot's matches are found, collects the matched
 /// postings' positions in query-term order and adds the proximity bonus
-/// to the accumulated sum — [`score_doc`]'s float sequence, with the
-/// sum read from the slot.
+/// to the accumulated sum — the reference scorer's float sequence, with
+/// the BM25 sum read from the slot.
 fn proximity_score(
     ctx: &ScoreCtx<'_>,
     doc: DocNum,
@@ -948,7 +861,9 @@ fn accumulate(
 ///
 /// 1. **Accumulate.** Each cursor's list is walked once, in query-term
 ///    order (duplicates included), so a document's slot sums its
-///    impacts in exactly [`score_doc`]'s sequence.
+///    impacts in exactly the reference scorer's sequence (each cached
+///    impact is the value the reference recomputes, see
+///    [`ScoreTable`]).
 /// 2. **Bracket.** A touched document's final score is bracketed by
 ///    blending its sum with no proximity bonus and with the full one
 ///    (`window_bonus` lies between `0` and `proximity_bonus`, IEEE
@@ -1103,398 +1018,15 @@ fn run_dense(
     }
 }
 
-/// The tiered layout + per-tier bounds one [`gather`] call in
-/// [`EvalMode::Tiered`] consumes. The document range and per-shard
-/// tier bounds are derived inside the kernel from the gather's shard
-/// view, so one resolved pair serves every shard of a fan-out.
-pub(crate) struct TieredRun<'a> {
-    pub(crate) tiered: &'a TieredPostings,
-    pub(crate) bounds: &'a TierBoundTable,
-}
-
-/// Impact-ordered tiered merge: per-round essential-list selection
-/// over static-score tier bands, an exact seek-gate per candidate, and
-/// safe early termination.
-///
-/// The tiered layout partitions each list into `T` impact tiers
-/// (tier 0 = highest static-scaled-impact postings, doc-ascending
-/// within each tier). The merge runs `T` *rounds*. Each round:
-///
-/// 1. computes per-cursor *caps* — the max tier bound over the
-///    cursor's still-unswept bands (future tiers plus any earlier band
-///    skipped while the cursor was non-essential) — and terminates the
-///    whole query when the summed caps, plus proximity/coordination
-///    headroom under the strict slop, cannot beat the heap threshold;
-/// 2. splits cursors into essential and non-essential by MaxScore
-///    demotion against the *band* caps:
-///    a cursor whose unswept bands cannot lift a document over the
-///    threshold (with the cheaper cursors' caps, level-wise
-///    coordination and proximity folded in) is demoted, and its bands
-///    are not decoded or merged at all this round;
-/// 3. surfaces candidates by min-merging the essential cursors'
-///    unswept bands up to the current round (the catch-up is what
-///    keeps the invariant: an unsurfaced document never hides in an
-///    *earlier* band of an essential cursor, so a non-holding
-///    essential cursor's contribution is capped by its future-tier
-///    suffix bound, and a non-essential cursor's by its cap).
-///
-/// A surfaced candidate passes three increasingly exact checks, each
-/// admissible under [`BOUND_SLOP`] and each final (the threshold only
-/// tightens, so a stamped document never needs revisiting):
-///
-/// * a charge-sum prefilter — holders contribute their *own block's*
-///   static-scaled bound, essential non-holders their future-tier
-///   suffix, non-essential cursors their cap;
-/// * a seek-gate that resolves cursors in descending-charge order:
-///   each seek replaces a charge with the posting's *exact* cached
-///   impact times the candidate's *exact* static product (or zero on
-///   absence — the decisive information tier bounds alone cannot
-///   provide), re-checking against the threshold after folding
-///   level-wise coordination and proximity headroom;
-/// * survivors run [`score_doc`] — the identical float sequence of the
-///   other modes — so the scored set is a superset of the final
-///   pool and the SERP is byte-identical (DESIGN.md §3 "Tiered
-///   postings" gives the full argument).
-///
-/// Tier bounds come from the [`TierBoundTable`]: each tier block's
-/// bound is the max *achieved* `impact · static product` over its
-/// postings, so only the proximity headroom (a pre-static bonus) needs
-/// static inflation — the shard max in list-level checks, the
-/// candidate's own product inside the gate.
-#[allow(clippy::too_many_arguments)]
-fn run_tiered(
-    ctx: &ScoreCtx<'_>,
-    tiers: &TieredRun<'_>,
-    stamp: u32,
-    cursors: &mut [TermCursor],
-    heap: &mut Vec<(f64, DocNum)>,
-    overfetch: usize,
-    seen: &mut Vec<u32>,
-    tier_docs: &mut Vec<Vec<DocNum>>,
-    tier_bnds: &mut Vec<Vec<f64>>,
-    tier_ub_local: &mut Vec<f64>,
-    tier_suffix: &mut Vec<f64>,
-    tier_spans: &mut Vec<(u32, u32)>,
-    order: &mut Vec<u32>,
-    prefix: &mut Vec<f64>,
-    tagged: &mut Vec<(u32, u32)>,
-    window_counts: &mut Vec<u32>,
-    prox_ub: f64,
-    max_static: f64,
-    stats: &mut KernelStats,
-    shared: Option<&SharedTheta>,
-) {
-    let n = cursors.len();
-    let t = tiers.tiered.tier_count() as usize;
-    let store = ctx.lists.store();
-    let coord = ctx.coord;
-    let (begin, end) = ctx.lists.doc_range();
-    if seen.len() < store.doc_count() as usize {
-        seen.resize(store.doc_count() as usize, 0);
-    }
-
-    // Shard-local per-(cursor, tier) bounds: max the global per-tier-
-    // block bounds over just the blocks overlapping [begin, end). The
-    // first block whose last doc reaches `end` may straddle the range
-    // end and is included; every later block lies entirely past it.
-    tier_ub_local.clear();
-    tier_spans.clear();
-    for c in cursors.iter() {
-        for tier in 0..t as u32 {
-            let summaries = tiers.tiered.blocks_in(c.term, tier);
-            let lo = summaries.partition_point(|b| b.last_doc < begin);
-            let cut = summaries.partition_point(|b| b.last_doc < end);
-            let hi = (cut + 1).min(summaries.len()).max(lo);
-            let base = tiers.tiered.block_base(c.term, tier);
-            let ub = tiers.bounds.block_ub()[base + lo..base + hi]
-                .iter()
-                .fold(0.0_f64, |m, &u| m.max(u));
-            tier_ub_local.push(ub);
-            tier_spans.push((lo as u32, hi as u32));
-        }
-    }
-    // Suffix maxima: tier_suffix[ci][r] = max over tiers ≥ r (0 at T).
-    tier_suffix.clear();
-    tier_suffix.resize(n * (t + 1), 0.0);
-    for ci in 0..n {
-        for tier in (0..t).rev() {
-            tier_suffix[ci * (t + 1) + tier] =
-                tier_suffix[ci * (t + 1) + tier + 1].max(tier_ub_local[ci * t + tier]);
-        }
-    }
-
-    // One decoded stream per (cursor, band): the band's in-range docs
-    // plus each posting's own block bound.
-    if tier_docs.len() < n * t {
-        tier_docs.resize_with(n * t, Vec::new);
-    }
-    if tier_bnds.len() < n * t {
-        tier_bnds.resize_with(n * t, Vec::new);
-    }
-    let mut heads = vec![0u32; n * t];
-    let mut swept = vec![false; n * t];
-    let mut caps = vec![0.0_f64; n];
-    let mut charge = vec![0.0_f64; n];
-    let mut ess = vec![false; n];
-    let mut gate: Vec<u32> = Vec::with_capacity(n);
-    let mut streams: Vec<u32> = Vec::with_capacity(n * t);
-
-    // Proximity contribution for a document matched by ≤ j cursors:
-    // none for j < 2. The bonus is pre-static, so list-level checks
-    // inflate it by the shard's max static product and the seek-gate
-    // by the candidate's own.
-    let prox_at = |j: usize| if j >= 2 { prox_ub } else { 0.0 };
-
-    let mut buf = [0u32; BLOCK_LEN];
-    let mut terminated = false;
-    for round in 0..t {
-        // Per-cursor cap over unswept bands: everything an unsurfaced
-        // document could still get from this cursor.
-        for ci in 0..n {
-            let mut cap = 0.0_f64;
-            for tier in 0..t {
-                if !swept[ci * t + tier] {
-                    cap = cap.max(tier_ub_local[ci * t + tier]);
-                }
-            }
-            caps[ci] = cap;
-        }
-        let local = if heap.len() == overfetch {
-            heap[0].0
-        } else {
-            f64::NEG_INFINITY
-        };
-        let theta = match shared {
-            Some(s) => local.max(s.get()),
-            None => local,
-        };
-
-        // Essential selection against ascending caps: the m cheapest
-        // cursors whose combined caps cannot beat the threshold stop
-        // generating candidates.
-        order.clear();
-        order.extend(0..n as u32);
-        order.sort_unstable_by(|&a, &b| {
-            caps[a as usize]
-                .total_cmp(&caps[b as usize])
-                .then(a.cmp(&b))
-        });
-        prefix.clear();
-        prefix.push(0.0);
-        for j in 0..n {
-            let s = prefix[j] + caps[order[j] as usize];
-            prefix.push(s);
-        }
-        let mut m = 0usize;
-        if theta > f64::NEG_INFINITY {
-            while m < n
-                && (prefix[m + 1] + prox_at(m + 1) * max_static) * coord[m + 1] * BOUND_SLOP
-                    <= theta
-            {
-                m += 1;
-            }
-            if m == n {
-                // Even every unswept band combined cannot beat the
-                // threshold: nothing unsurfaced can enter the pool.
-                terminated = true;
-                break;
-            }
-        }
-        ess.fill(false);
-        for &i in &order[m..] {
-            ess[i as usize] = true;
-        }
-
-        // Decode the essential cursors' unswept bands up to this round
-        // (catch-up included), carrying per-posting block bounds.
-        streams.clear();
-        for &i in &order[m..] {
-            let ci = i as usize;
-            for tier in 0..=round {
-                let slot = ci * t + tier;
-                if swept[slot] {
-                    continue;
-                }
-                let term = cursors[ci].term;
-                let (lo, hi) = tier_spans[slot];
-                let docs = &mut tier_docs[slot];
-                let bnds = &mut tier_bnds[slot];
-                docs.clear();
-                bnds.clear();
-                heads[slot] = 0;
-                let base = tiers.tiered.block_base(term, tier as u32);
-                'blocks: for blk in lo..hi {
-                    let mcount = tiers.tiered.decode_block(term, tier as u32, blk, &mut buf);
-                    let bb = tiers.bounds.block_ub()[base + blk as usize];
-                    for &d in &buf[..mcount] {
-                        if d >= end {
-                            break 'blocks;
-                        }
-                        if d >= begin {
-                            docs.push(d);
-                            bnds.push(bb);
-                        }
-                    }
-                }
-                if !docs.is_empty() {
-                    stats.tiers_opened += 1;
-                    streams.push(slot as u32);
-                }
-                swept[slot] = true;
-            }
-        }
-        if streams.is_empty() {
-            continue;
-        }
-        // Rounds restart the document space (each band is only
-        // internally doc-ascending) and `seek` is forward-only: re-land
-        // every full-list cursor at the view's first posting. Round 0
-        // cursors are already freshly landed by `gather`.
-        if round > 0 {
-            for c in cursors.iter_mut() {
-                land_view(&ctx.lists, c, 0);
-            }
-        }
-        loop {
-            let mut d = DocNum::MAX;
-            for &slot in &streams {
-                if let Some(&x) = tier_docs[slot as usize].get(heads[slot as usize] as usize) {
-                    d = d.min(x);
-                }
-            }
-            if d == DocNum::MAX {
-                break;
-            }
-            // Charges: essential non-holders cannot hold `d` in any
-            // merged band (the min-merge would have surfaced it), so
-            // their postings — if any — sit in a future tier; demoted
-            // cursors may hold it anywhere unswept.
-            for ci in 0..n {
-                charge[ci] = if ess[ci] {
-                    tier_suffix[ci * (t + 1) + round + 1]
-                } else {
-                    caps[ci]
-                };
-            }
-            // Advance the heads sitting on `d`; the holding band's
-            // block contains the document, so its bound dominates both
-            // the term score and the document's static product.
-            for &slot in &streams {
-                let slot = slot as usize;
-                let at = heads[slot] as usize;
-                if tier_docs[slot].get(at) == Some(&d) {
-                    heads[slot] += 1;
-                    charge[slot / t] = tier_bnds[slot][at];
-                }
-            }
-            if seen[d as usize] == stamp {
-                continue;
-            }
-            seen[d as usize] = stamp;
-            let local = if heap.len() == overfetch {
-                heap[0].0
-            } else {
-                f64::NEG_INFINITY
-            };
-            let theta = match shared {
-                Some(s) => local.max(s.get()),
-                None => local,
-            };
-            let active = theta > f64::NEG_INFINITY;
-            let pre: f64 = charge[..n].iter().sum();
-            if active && (pre + prox_at(n) * max_static) * coord[n] * BOUND_SLOP <= theta {
-                // Strictly below every pooled score: the document can
-                // never enter the pool, so the surfaced stamp is final
-                // (the threshold only tightens from here) — and no
-                // cursor moves for it at all.
-                stats.candidates_pruned += 1;
-                continue;
-            }
-            // Seek-gate: resolve cursors in descending-charge order,
-            // replacing each charge with the posting's exact cached
-            // impact scaled by the candidate's exact static product —
-            // or zero when the cursor's list does not contain `d` at
-            // all, the fact tier bounds alone cannot express. A level
-            // of `matched + unresolved` cursors folds coordination and
-            // proximity headroom in as tightly as currently provable.
-            let (auth, fresh) = ctx.statics[d as usize];
-            let s_d = auth * fresh;
-            gate.clear();
-            gate.extend(0..n as u32);
-            gate.sort_unstable_by(|&a, &b| {
-                charge[b as usize]
-                    .total_cmp(&charge[a as usize])
-                    .then(a.cmp(&b))
-            });
-            let mut total = pre;
-            let mut matched = 0usize;
-            let mut pruned = false;
-            for (resolved, &gi) in gate.iter().enumerate() {
-                let level = matched + (n - resolved);
-                if active && (total + prox_at(level) * s_d) * coord[level] * BOUND_SLOP <= theta {
-                    pruned = true;
-                    break;
-                }
-                let ci = gi as usize;
-                let c = &mut cursors[ci];
-                seek(&ctx.lists, c, d);
-                if c.cur == d {
-                    let at = c.base as usize + c.next as usize;
-                    total += ctx.impacts.at(c.term, at) * s_d - charge[ci];
-                    matched += 1;
-                } else {
-                    total -= charge[ci];
-                }
-            }
-            if pruned
-                || (active
-                    && (total + prox_at(matched) * s_d) * coord[matched] * BOUND_SLOP <= theta)
-            {
-                stats.candidates_pruned += 1;
-                continue;
-            }
-            // Survivor: every cursor was just seeked to `d`, so run
-            // the exact reference scoring sequence.
-            let score = score_doc(ctx, d, cursors, tagged, window_counts);
-            if ctx.is_live(d) {
-                heap_push(heap, overfetch, (score, d));
-                if let Some(s) = shared {
-                    if heap.len() == overfetch {
-                        s.raise(heap[0].0);
-                    }
-                }
-            }
-            stats.docs_scored += 1;
-        }
-    }
-    // Every band left unswept was skipped outright — demoted all the
-    // way, or dropped by the termination break.
-    let mut skipped = 0u64;
-    for slot in 0..n * t {
-        if !swept[slot] {
-            let (lo, hi) = tier_spans[slot];
-            if hi > lo {
-                skipped += 1;
-            }
-        }
-    }
-    if skipped > 0 {
-        stats.tiers_skipped += skipped;
-        if terminated {
-            stats.early_terminations += 1;
-        }
-    }
-}
-
 /// Fills one scratch's candidate heap with a shard view's top
 /// `overfetch` documents: cursor setup, coordination table, then the
-/// dense pass or the tiered merge. The heap is left unsorted; callers
-/// order (and, for sharded execution, merge) it in [`finalize`].
+/// dense pass. The heap is left unsorted; callers order (and, for
+/// sharded execution, merge) it in [`finalize`].
 #[allow(clippy::too_many_arguments)]
 fn gather(
     lists: ShardLists<'_>,
     params: &RankingParams,
-    statics: &StaticTable,
+    statics: &[(f64, f64)],
     impacts: &ScoreTable,
     scratch: &mut QueryScratch,
     terms: &[String],
@@ -1503,13 +1035,12 @@ fn gather(
     mode: EvalMode,
     shared: Option<&SharedTheta>,
     alive: Option<&[bool]>,
-    tiers: Option<&TieredRun<'_>>,
 ) {
     let store = lists.store();
-    // One generation per gather: the dense pass's accumulator slots and
-    // the tiered merge's surfaced stamps are valid for this gather
-    // only. (Bumping the shared generation more often only invalidates
-    // stale stamps, never falsely validates them.)
+    // One generation per gather: the dense pass's accumulator slots are
+    // valid for this gather only. (Bumping the shared generation more
+    // often only invalidates stale stamps, never falsely validates
+    // them.)
     scratch.bump_generation();
     // The heap is NOT cleared here: callers own it. `execute` clears it
     // per query; the serial sharded path deliberately carries it across
@@ -1571,15 +1102,7 @@ fn gather(
         tagged,
         window_counts,
         coord,
-        order,
-        prefix,
         stats,
-        seen,
-        tier_docs,
-        tier_bnds,
-        tier_ub_local,
-        tier_suffix,
-        tier_spans,
         ..
     } = &mut *scratch;
 
@@ -1587,61 +1110,24 @@ fn gather(
         lists,
         impacts,
         params,
-        statics: &statics.factors,
+        statics,
         coord,
         collect_positions: cursors.len() >= 2 && params.proximity_bonus != 0.0,
         alive,
     };
-    match mode {
-        EvalMode::Exhaustive | EvalMode::Pruned => run_dense(
-            &ctx,
-            stamp,
-            dense,
-            cursors,
-            heap,
-            overfetch,
-            tagged,
-            window_counts,
-            mode == EvalMode::Pruned,
-            stats,
-            shared,
-        ),
-        EvalMode::Tiered(_) => {
-            let tr = tiers.expect("Tiered mode requires resolved tier tables");
-            // A document matching one cursor gets no proximity bonus;
-            // with several cursors the bonus is capped by the params.
-            let prox_ub = if cursors.len() >= 2 {
-                params.proximity_bonus
-            } else {
-                0.0
-            };
-            // Tier bounds already carry each block's static maximum —
-            // only the proximity headroom still needs the whole-shard
-            // static inflation.
-            run_tiered(
-                &ctx,
-                tr,
-                stamp,
-                cursors,
-                heap,
-                overfetch,
-                seen,
-                tier_docs,
-                tier_bnds,
-                tier_ub_local,
-                tier_suffix,
-                tier_spans,
-                order,
-                prefix,
-                tagged,
-                window_counts,
-                prox_ub,
-                statics.max_factor,
-                stats,
-                shared,
-            )
-        }
-    }
+    run_dense(
+        &ctx,
+        stamp,
+        dense,
+        cursors,
+        heap,
+        overfetch,
+        tagged,
+        window_counts,
+        mode == EvalMode::Pruned,
+        stats,
+        shared,
+    );
 }
 
 /// Orders the gathered candidates, truncates to the overfetch pool,
@@ -1707,24 +1193,6 @@ fn finalize(
     results
 }
 
-/// Resolves the (layout, bound table) pair [`EvalMode::Tiered`] needs
-/// from the index's caches; `None` for the other modes. Resolved per
-/// query here, per batch in `batch.rs`, per snapshot reader on the
-/// live path.
-pub(crate) fn resolve_tiered(
-    index: &SearchIndex,
-    mode: EvalMode,
-    params: &RankingParams,
-) -> Option<(
-    std::sync::Arc<TieredPostings>,
-    std::sync::Arc<TierBoundTable>,
-)> {
-    match mode {
-        EvalMode::Tiered(t) => Some((index.tiered(t), index.tier_bounds(t, params))),
-        _ => None,
-    }
-}
-
 /// Executes one query over the full (unsharded) index and returns the
 /// final, host-crowded, truncated result list (snippets extracted only
 /// for the survivors).
@@ -1732,20 +1200,15 @@ pub(crate) fn resolve_tiered(
 pub(crate) fn execute(
     index: &SearchIndex,
     params: &RankingParams,
-    statics: &StaticTable,
+    statics: &[(f64, f64)],
     impacts: &ScoreTable,
     scratch: &mut QueryScratch,
     terms: &[String],
     k: usize,
     mode: EvalMode,
 ) -> Vec<SerpResult> {
-    let overfetch = (k * 4).max(k + 8);
+    let overfetch = overfetch(k);
     scratch.heap.clear();
-    let tiered = resolve_tiered(index, mode, params);
-    let run = tiered.as_ref().map(|(tp, tb)| TieredRun {
-        tiered: tp,
-        bounds: tb,
-    });
     gather(
         ShardLists::full(index.postings()),
         params,
@@ -1758,7 +1221,6 @@ pub(crate) fn execute(
         mode,
         None,
         None,
-        run.as_ref(),
     );
     finalize(index, params, scratch, terms, k, overfetch)
 }
@@ -1772,21 +1234,16 @@ pub(crate) fn execute(
 pub(crate) fn execute_resolved(
     index: &SearchIndex,
     params: &RankingParams,
-    statics: &StaticTable,
+    statics: &[(f64, f64)],
     impacts: &ScoreTable,
     scratch: &mut QueryScratch,
     terms: &[String],
     resolved: &[TermId],
     k: usize,
     mode: EvalMode,
-    tiers: Option<(&TieredPostings, &TierBoundTable)>,
 ) -> Vec<SerpResult> {
-    let overfetch = (k * 4).max(k + 8);
+    let overfetch = overfetch(k);
     scratch.heap.clear();
-    let run = tiers.map(|(tp, tb)| TieredRun {
-        tiered: tp,
-        bounds: tb,
-    });
     gather(
         ShardLists::full(index.postings()),
         params,
@@ -1799,7 +1256,6 @@ pub(crate) fn execute_resolved(
         mode,
         None,
         None,
-        run.as_ref(),
     );
     finalize(index, params, scratch, terms, k, overfetch)
 }
@@ -1817,21 +1273,16 @@ pub(crate) fn gather_shard_candidates(
     store: &PostingsStore,
     shard: &IndexShard,
     params: &RankingParams,
-    statics: &StaticTable,
+    statics: &[(f64, f64)],
     impacts: &ScoreTable,
     scratch: &mut QueryScratch,
     terms: &[String],
     resolved: Option<&[TermId]>,
     overfetch: usize,
     mode: EvalMode,
-    tiers: Option<(&TieredPostings, &TierBoundTable)>,
     out: &mut Vec<(f64, DocNum)>,
 ) {
     scratch.heap.clear();
-    let run = tiers.map(|(tp, tb)| TieredRun {
-        tiered: tp,
-        bounds: tb,
-    });
     gather(
         ShardLists::shard(store, shard),
         params,
@@ -1844,7 +1295,6 @@ pub(crate) fn gather_shard_candidates(
         mode,
         None,
         None,
-        run.as_ref(),
     );
     out.clear();
     out.extend_from_slice(&scratch.heap);
@@ -1863,7 +1313,7 @@ pub(crate) fn finalize_merged<'a>(
     k: usize,
     parts: impl Iterator<Item = &'a [(f64, DocNum)]>,
 ) -> Vec<SerpResult> {
-    let overfetch = (k * 4).max(k + 8);
+    let overfetch = overfetch(k);
     scratch.heap.clear();
     for part in parts {
         scratch.heap.extend_from_slice(part);
@@ -1899,7 +1349,7 @@ pub(crate) fn finalize_merged<'a>(
 pub(crate) fn execute_sharded(
     sharded: &ShardedIndex,
     params: &RankingParams,
-    statics: &StaticTable,
+    statics: &[(f64, f64)],
     impacts: &ScoreTable,
     scratch: &mut QueryScratch,
     terms: &[String],
@@ -1910,29 +1360,17 @@ pub(crate) fn execute_sharded(
     let index = sharded.index();
     let shards = sharded.shards();
     let n = shards.len();
-    let overfetch = (k * 4).max(k + 8);
+    let overfetch = overfetch(k);
 
     let store = index.postings();
-    // Tiered tables resolve once per query; the per-shard document
-    // ranges are derived from each gather's shard view, and the tier
-    // bounds go shard-local inside the kernel (block-overlap maxima).
-    let tiered = resolve_tiered(index, mode, params);
-    let tiered = tiered.as_ref();
     if parallel && n > 1 {
         scratch.ensure_children(n);
         let theta = SharedTheta::new();
-        let shared = match mode {
-            EvalMode::Pruned | EvalMode::Tiered(_) => Some(&theta),
-            EvalMode::Exhaustive => None,
-        };
+        let shared = (mode == EvalMode::Pruned).then_some(&theta);
         let (first_child, rest) = scratch.children.split_first_mut().expect("n >= 1 children");
         crossbeam::thread::scope(|scope| {
             for (child, shard) in rest.iter_mut().zip(&shards[1..]) {
                 scope.spawn(move || {
-                    let run = tiered.map(|(tp, tb)| TieredRun {
-                        tiered: tp,
-                        bounds: tb,
-                    });
                     child.heap.clear();
                     gather(
                         ShardLists::shard(store, shard),
@@ -1946,16 +1384,11 @@ pub(crate) fn execute_sharded(
                         mode,
                         shared,
                         None,
-                        run.as_ref(),
                     );
                 });
             }
             // The first shard runs on the calling thread while the
             // spawned shards work.
-            let run = tiered.map(|(tp, tb)| TieredRun {
-                tiered: tp,
-                bounds: tb,
-            });
             first_child.heap.clear();
             gather(
                 ShardLists::shard(store, &shards[0]),
@@ -1969,7 +1402,6 @@ pub(crate) fn execute_sharded(
                 mode,
                 shared,
                 None,
-                run.as_ref(),
             );
         })
         .expect("shard gather panicked");
@@ -1990,10 +1422,6 @@ pub(crate) fn execute_sharded(
         // and the heap never exceeds `overfetch` entries.
         scratch.heap.clear();
         for shard in shards {
-            let run = tiered.map(|(tp, tb)| TieredRun {
-                tiered: tp,
-                bounds: tb,
-            });
             gather(
                 ShardLists::shard(store, shard),
                 params,
@@ -2006,7 +1434,6 @@ pub(crate) fn execute_sharded(
                 mode,
                 None,
                 None,
-                run.as_ref(),
             );
         }
     }
@@ -2021,18 +1448,13 @@ pub(crate) fn execute_sharded(
 /// stored in page-id order, the same order the global numbering uses).
 pub(crate) struct SegmentRun<'a> {
     pub(crate) store: &'a PostingsStore,
-    pub(crate) statics: &'a StaticTable,
+    pub(crate) statics: &'a [(f64, f64)],
     pub(crate) impacts: &'a ScoreTable,
     pub(crate) alive: Option<&'a [bool]>,
     pub(crate) global_of: &'a [DocNum],
     /// Pre-resolved term ids for this segment's dictionary (batch
     /// executor only; `None` probes the dictionary per occurrence).
     pub(crate) resolved: Option<&'a [TermId]>,
-    /// Tiered layout + per-tier bounds for this segment, present only
-    /// when the query runs in [`EvalMode::Tiered`]. Segments flush the
-    /// default tier layout lazily; bounds are built against the same
-    /// snapshot-global statistics as `impacts`.
-    pub(crate) tiered: Option<(&'a TieredPostings, &'a TierBoundTable)>,
 }
 
 /// The [`finalize`] tail for live snapshots: identical sort, overfetch
@@ -2134,20 +1556,13 @@ pub(crate) fn execute_live<'a>(
     k: usize,
     mode: EvalMode,
 ) -> Vec<SerpResult> {
-    let overfetch = (k * 4).max(k + 8);
+    let overfetch = overfetch(k);
     scratch.heap.clear();
     let theta = SharedTheta::new();
-    let shared = match mode {
-        EvalMode::Pruned | EvalMode::Tiered(_) => Some(&theta),
-        EvalMode::Exhaustive => None,
-    };
+    let shared = (mode == EvalMode::Pruned).then_some(&theta);
     scratch.ensure_children(1);
     for seg in segments {
         {
-            let run = seg.tiered.map(|(tp, tb)| TieredRun {
-                tiered: tp,
-                bounds: tb,
-            });
             let child = &mut scratch.children[0];
             child.heap.clear();
             gather(
@@ -2162,7 +1577,6 @@ pub(crate) fn execute_live<'a>(
                 mode,
                 shared,
                 seg.alive,
-                run.as_ref(),
             );
         }
         // Remap the segment's candidates to snapshot-global document
@@ -2436,70 +1850,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tiered_mode_matches_exhaustive_bytes_at_every_tier_count() {
-        use crate::query::{RankingParams, SearchEngine};
-
-        let world = World::generate(&WorldConfig::small(), 7);
-        let engine = SearchEngine::build(&world, RankingParams::google());
-        let mut scratch = QueryScratch::new();
-        let queries = [
-            "best laptops for students",
-            "most reliable SUVs 2025",
-            "best smartphones camera battery battery",
-            "best",
-            "zzzzunknownterm",
-        ];
-        for q in queries {
-            let want = engine.search_with_mode(&mut scratch, q, 10, EvalMode::Exhaustive);
-            let exhaustive = scratch.take_stats();
-            for t in [1u32, 2, 4, 8] {
-                let got = engine.search_with_mode(&mut scratch, q, 10, EvalMode::Tiered(t));
-                let tiered = scratch.take_stats();
-                assert_eq!(got.results.len(), want.results.len(), "{q} (T={t})");
-                for (g, w) in got.results.iter().zip(&want.results) {
-                    assert_eq!(g.url, w.url, "{q} (T={t})");
-                    assert_eq!(g.score.to_bits(), w.score.to_bits(), "{q} (T={t})");
-                    assert_eq!(g.snippet, w.snippet, "{q} (T={t})");
-                }
-                // Safe termination can only skip work, never add it.
-                assert!(
-                    tiered.docs_scored <= exhaustive.docs_scored,
-                    "{q} (T={t}): tiered scored {} > exhaustive {}",
-                    tiered.docs_scored,
-                    exhaustive.docs_scored,
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tiered_counters_account_for_opened_and_skipped_tiers() {
-        use crate::query::{RankingParams, SearchEngine};
-
-        let world = World::generate(&WorldConfig::small(), 7);
-        let engine = SearchEngine::build(&world, RankingParams::google());
-        let mut scratch = QueryScratch::new();
-        let queries = [
-            "best laptops for students",
-            "best smartphones camera battery",
-            "best",
-            "review hotels",
-        ];
-        for q in queries {
-            let _ = engine.search_with_mode(&mut scratch, q, 5, EvalMode::Tiered(4));
-        }
-        let stats = scratch.take_stats();
-        assert!(stats.docs_scored > 0, "tiered mode scored nothing");
-        assert!(stats.tiers_opened > 0, "no tier was ever opened");
-        // Every skipped round counts one early termination (and at
-        // least one tier), never the other way around.
-        assert!(stats.tiers_skipped >= stats.early_terminations, "{stats:?}");
-        if stats.tiers_skipped > 0 {
-            assert!(stats.early_terminations > 0, "{stats:?}");
-        }
-    }
-
     /// Forces the crossbeam fan-out regardless of the host's CPU count
     /// (the public dispatcher downgrades to serial on single-CPU
     /// hosts, which would otherwise leave the parallel branch
@@ -2527,12 +1877,7 @@ mod tests {
         for q in queries {
             let terms = analyze(q);
             let want = unsharded.search_with(&mut scratch, q, 10);
-            for mode in [
-                EvalMode::Pruned,
-                EvalMode::Exhaustive,
-                EvalMode::Tiered(4),
-                EvalMode::Tiered(2),
-            ] {
+            for mode in [EvalMode::Pruned, EvalMode::Exhaustive] {
                 let got = execute_sharded(
                     &view,
                     engine.params(),

@@ -14,9 +14,8 @@
 //! * [`bm25`] — Okapi BM25 with field weighting (title terms count extra)
 //!   and a proximity bonus from positional data.
 //! * [`kernel`] — the scoring kernel (dense accumulation with an exact
-//!   pool cut, its exhaustive twin, and the tiered merge — all
-//!   [`EvalMode`]s byte-identical) and its reusable zero-allocation
-//!   [`QueryScratch`].
+//!   pool cut, and its exhaustive twin — both [`EvalMode`]s
+//!   byte-identical) and its reusable zero-allocation [`QueryScratch`].
 //! * [`serp`] — result assembly: score blending (relevance × authority ×
 //!   freshness), host-crowding limits, snippet extraction.
 //! * [`query`] — the user-facing [`SearchEngine`] handle, plus the frozen
@@ -66,14 +65,12 @@ pub mod sizing;
 pub use batch::BatchExecutor;
 pub use bm25::Bm25Params;
 pub use docstore::{CompactDocs, DocFields};
-pub use index::{
-    IndexStats, ScoreTable, SearchIndex, StaticTable, TierBoundTable, DEFAULT_TIER_COUNT,
-};
+pub use index::{IndexStats, ScoreTable, SearchIndex, StaticScores};
 pub use kernel::{scratch_fallbacks, with_thread_scratch, EvalMode, KernelStats, QueryScratch};
 pub use live::{
     LiveCounters, LiveDoc, LiveIndex, LiveIndexConfig, LiveIndexStats, LiveSearcher, LiveSnapshot,
 };
-pub use postings::{PostingsStats, TieredPostings, BLOCK_LEN};
+pub use postings::{PostingsStats, BLOCK_LEN};
 pub use query::{RankingParams, SearchEngine};
 pub use serp::{Serp, SerpResult};
 pub use shard::{ShardStats, ShardedIndex, ShardedIndexStats};

@@ -7,12 +7,10 @@
 //! paths as [`crate::SearchIndex::build`] — a segment keeps the raw
 //! [`LiveDoc`]s too, so merges can rebuild without re-analyzing text.
 
-use std::sync::OnceLock;
-
 use shift_corpus::PageId;
 
-use crate::index::{DocMeta, DEFAULT_TIER_COUNT};
-use crate::postings::{DocNum, PostingsStore, TieredPostings};
+use crate::index::DocMeta;
+use crate::postings::{DocNum, PostingsStore};
 use crate::sizing::{postings_size, SizePair};
 
 use super::memtable::LiveDoc;
@@ -32,13 +30,6 @@ pub struct Segment {
     /// Pages deleted by this run, ascending; they shadow any version
     /// in an *older* segment.
     tombstones: Vec<PageId>,
-    /// Impact-tiered layout over the segment's postings, built lazily
-    /// on the first tiered read so flushes and compactions pay nothing
-    /// for it. The layout is a pure function of the segment's content
-    /// (the tier key drops idf, which is constant per term), so lazy
-    /// construction is as deterministic as flushing it eagerly would
-    /// be — and compaction preserves tier assignment for free.
-    tiered: OnceLock<TieredPostings>,
 }
 
 impl Segment {
@@ -75,7 +66,6 @@ impl Segment {
             metas,
             store,
             tombstones,
-            tiered: OnceLock::new(),
         }
     }
 
@@ -88,20 +78,6 @@ impl Segment {
     /// The segment's postings (local doc numbers).
     pub fn store(&self) -> &PostingsStore {
         &self.store
-    }
-
-    /// The segment's impact-tiered posting layout (local doc numbers),
-    /// at the flush-default tier count. Built once on first use; see
-    /// the field docs for why laziness does not cost determinism.
-    pub(crate) fn tiered(&self) -> &TieredPostings {
-        self.tiered.get_or_init(|| {
-            TieredPostings::build(
-                &self.store,
-                DEFAULT_TIER_COUNT,
-                &|d| self.metas[d as usize].token_len,
-                &|d| 1.0 + self.metas[d as usize].authority,
-            )
-        })
     }
 
     /// Per-document metadata, local doc order (= ascending page id).

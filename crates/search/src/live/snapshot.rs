@@ -12,17 +12,17 @@
 //! set. On top of that the snapshot computes the *global* collection
 //! statistics (visible doc count, exact integer token total, per-term
 //! union document frequencies), so a [`LiveSearcher`]'s per-segment
-//! impact/bound/static tables are built from the same inputs a batch
+//! impact/static tables are built from the same inputs a batch
 //! build would use — the keystone of the byte-identical-SERP guarantee
 //! the differential suite (`tests/differential_live.rs`) enforces.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use shift_textkit::analyze;
 
 use crate::bm25::{idf, term_score_tf};
-use crate::index::{DocMeta, ScoreTable, StaticTable, TierBoundTable};
+use crate::index::{DocMeta, ScoreTable, StaticScores};
 use crate::kernel::{self, EvalMode, QueryScratch, SegmentRun};
 use crate::postings::{DocNum, TermId};
 use crate::query::RankingParams;
@@ -202,13 +202,8 @@ impl LiveSnapshot {
 pub struct LiveSearcher {
     snapshot: Arc<LiveSnapshot>,
     params: RankingParams,
-    statics: Vec<StaticTable>,
+    statics: Vec<StaticScores>,
     impacts: Vec<ScoreTable>,
-    /// Per-segment tier bound tables, built lazily on the first
-    /// [`EvalMode::Tiered`] query so non-tiered readers pay nothing.
-    /// Bounds are maxima over the cached `impacts` (snapshot-global
-    /// statistics), so they dominate every visible document's impact.
-    tier_bounds: OnceLock<Vec<TierBoundTable>>,
 }
 
 impl LiveSearcher {
@@ -234,21 +229,18 @@ impl LiveSearcher {
             let metas = seg.metas();
             let df = &snapshot.seg_df[si];
 
-            let factors: Vec<(f64, f64)> = metas
-                .iter()
-                .map(|m| {
-                    let fresh = (-m.age_days / params.freshness_half_life).exp();
-                    (
-                        1.0 + params.authority_weight * m.authority,
-                        1.0 + params.freshness_weight * fresh,
-                    )
-                })
-                .collect();
-            let max_factor = factors.iter().fold(0.0_f64, |mx, &(a, f)| mx.max(a * f));
-            statics.push(StaticTable {
-                factors,
-                max_factor,
-            });
+            statics.push(
+                metas
+                    .iter()
+                    .map(|m| {
+                        let fresh = (-m.age_days / params.freshness_half_life).exp();
+                        (
+                            1.0 + params.authority_weight * m.authority,
+                            1.0 + params.freshness_weight * fresh,
+                        )
+                    })
+                    .collect(),
+            );
 
             let vocab = store.vocabulary_size();
             let mut scores = Vec::with_capacity(vocab);
@@ -280,44 +272,7 @@ impl LiveSearcher {
             params,
             statics,
             impacts,
-            tier_bounds: OnceLock::new(),
         }
-    }
-
-    /// Per-segment tier bound tables over each segment's lazily built
-    /// tiered layout (flush-default tier count). Like the eager tables
-    /// in [`LiveSearcher::new`], bounds are computed against the
-    /// *snapshot-global* doc count, average length and union document
-    /// frequencies, so admissibility carries over verbatim.
-    fn tier_bound_tables(&self) -> &[TierBoundTable] {
-        self.tier_bounds.get_or_init(|| {
-            let snapshot = &*self.snapshot;
-            snapshot
-                .segments
-                .iter()
-                .enumerate()
-                .map(|(si, seg)| {
-                    // Replay this segment's cached impact table and
-                    // static factor pairs — the very values the kernel
-                    // sums and multiplies — so per-block bounds are
-                    // admissible with zero slack, exactly as on the
-                    // batch path.
-                    let statics = &self.statics[si];
-                    let impacts = &self.impacts[si];
-                    let store = seg.store();
-                    TierBoundTable::build(
-                        seg.tiered(),
-                        &|term, emit| {
-                            store.for_each_doc(term, |i, d| emit(d, impacts.at(term, i)));
-                        },
-                        &|d| {
-                            let (a, f) = statics.factors[d as usize];
-                            a * f
-                        },
-                    )
-                })
-                .collect()
-        })
     }
 
     /// The snapshot this searcher reads.
@@ -357,7 +312,6 @@ impl LiveSearcher {
             return serp;
         }
         let snapshot = &*self.snapshot;
-        let tiers = matches!(mode, EvalMode::Tiered(_)).then(|| self.tier_bound_tables());
         let runs: Vec<SegmentRun<'_>> = snapshot
             .segments
             .iter()
@@ -369,7 +323,6 @@ impl LiveSearcher {
                 alive: Some(&snapshot.alive[si]),
                 global_of: &snapshot.global_of[si],
                 resolved: None,
-                tiered: tiers.map(|tb| (seg.tiered(), &tb[si])),
             })
             .collect();
         let meta_of = |doc: DocNum| snapshot.meta(doc);
@@ -426,7 +379,6 @@ impl LiveSearcher {
         mode: EvalMode,
     ) -> Vec<crate::serp::SerpResult> {
         let snapshot = &*self.snapshot;
-        let tiers = matches!(mode, EvalMode::Tiered(_)).then(|| self.tier_bound_tables());
         let runs: Vec<SegmentRun<'_>> = snapshot
             .segments
             .iter()
@@ -438,7 +390,6 @@ impl LiveSearcher {
                 alive: Some(&snapshot.alive[si]),
                 global_of: &snapshot.global_of[si],
                 resolved: Some(&resolved[si]),
-                tiered: tiers.map(|tb| (seg.tiered(), &tb[si])),
             })
             .collect();
         let meta_of = |doc: DocNum| snapshot.meta(doc);

@@ -584,189 +584,6 @@ pub struct PostingsStats {
     pub dict_bytes: u64,
 }
 
-/// Growth ratio between consecutive impact tiers: tier `i+1` holds
-/// roughly `TIER_GROWTH` times as many postings as tier `i`, so the
-/// highest-impact tier (tier 0) is a small head of each list and the
-/// last tier holds the long tail. With `T = 4` tiers the fractions are
-/// about 1.2% / 4.7% / 18.8% / 75.3% of the list.
-pub const TIER_GROWTH: u64 = 4;
-
-/// Directory of one term's postings in one tier (see
-/// [`TieredPostings`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct TierSlot {
-    /// First block of this slot in the global block arrays.
-    first_block: u32,
-    /// Number of postings in this slot (blocks = `postings.div_ceil(BLOCK_LEN)`).
-    postings: u32,
-}
-
-/// Impact-ordered tiered projection of a [`PostingsStore`].
-///
-/// Each term's posting list is partitioned into `tier_count` *impact
-/// tiers* by a static-score-scaled BM25 impact key (see
-/// [`TieredPostings::build`]): tier 0 holds the highest-impact postings
-/// and tier sizes grow geometrically by [`TIER_GROWTH`]. Documents are
-/// re-sorted ascending *within* each tier, so every tier slot is itself
-/// a well-formed doc-ascending list: it is chunked into
-/// [`BLOCK_LEN`]-posting encoded blocks (ids only — scoring always goes
-/// through the full per-term lists of the backing store) with one
-/// [`BlockSummary`] per block, which per-tier bound tables align with.
-///
-/// The structure is a *pure function* of the backing store's content
-/// plus the per-document length/boost inputs — independent of insertion
-/// order, segmentation, or layout (raw vs compressed). Live compaction
-/// therefore preserves tier assignment deterministically for free: the
-/// merged segment rebuilds the identical tiers from the merged content.
-#[derive(Debug, Default)]
-pub struct TieredPostings {
-    tier_count: u32,
-    /// Term-major tier directory: `slots[term * tier_count + tier]`.
-    slots: Vec<TierSlot>,
-    /// Concatenated encoded doc-id blocks across all slots.
-    data: Vec<u8>,
-    /// Byte offset of each block in `data` (`len == nblocks + 1`).
-    block_offs: Vec<u32>,
-    /// One summary per encoded block, in emission order (term-major,
-    /// tier-major) — the per-tier analogue of the store's block table,
-    /// and the alignment contract for per-tier bound tables.
-    blocks: Vec<BlockSummary>,
-}
-
-impl TieredPostings {
-    /// Builds the tiered projection of `store` with `tier_count` tiers.
-    ///
-    /// The impact key of a posting `(doc, title_tf, body_tf)` is its
-    /// BM25 term score at neutral idf (idf is constant within one list,
-    /// so it cannot change the order) scaled by the document's static
-    /// boost: `term_score_tf(defaults, tfs, 1.0, doc_len(doc),
-    /// avg_len) * boost(doc)`. Postings sort by key descending
-    /// (document ascending on exact ties), are cut into geometric
-    /// tiers, and each tier is re-sorted document-ascending and
-    /// encoded.
-    pub fn build(
-        store: &PostingsStore,
-        tier_count: u32,
-        doc_len: &dyn Fn(DocNum) -> u32,
-        boost: &dyn Fn(DocNum) -> f64,
-    ) -> TieredPostings {
-        assert!(tier_count >= 1, "tier_count must be at least 1");
-        let t = tier_count as usize;
-        let vocab = store.vocabulary_size();
-        let avg_len = store.avg_doc_len();
-        let params = crate::bm25::Bm25Params::default();
-        // Cumulative geometric weights: cum[i] = sum_{j<i} TIER_GROWTH^j.
-        let mut cum = vec![0u64; t + 1];
-        for i in 0..t {
-            cum[i + 1] = cum[i] + TIER_GROWTH.pow(i as u32);
-        }
-        let total_w = cum[t];
-
-        let mut out = TieredPostings {
-            tier_count,
-            slots: Vec::with_capacity(vocab * t),
-            data: Vec::new(),
-            block_offs: vec![0],
-            blocks: Vec::new(),
-        };
-        let mut entries: Vec<(f64, DocNum)> = Vec::new();
-        let mut docs: Vec<DocNum> = Vec::new();
-        for term in 0..vocab as TermId {
-            entries.clear();
-            store.for_each_posting(term, |_, doc, tt, bt| {
-                let key = crate::bm25::term_score_tf(
-                    &params,
-                    tt,
-                    bt,
-                    1.0,
-                    f64::from(doc_len(doc)),
-                    avg_len,
-                ) * boost(doc);
-                entries.push((key, doc));
-            });
-            entries.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-            let n = entries.len() as u64;
-            let mut start = 0usize;
-            for tier in 0..t {
-                let end = if tier + 1 == t {
-                    n as usize
-                } else {
-                    ((n * cum[tier + 1]).div_ceil(total_w) as usize)
-                        .max(start)
-                        .min(n as usize)
-                };
-                let slice = &mut entries[start..end];
-                slice.sort_unstable_by_key(|e| e.1);
-                let first_block = out.blocks.len() as u32;
-                for chunk in slice.chunks(BLOCK_LEN) {
-                    docs.clear();
-                    docs.extend(chunk.iter().map(|e| e.1));
-                    out.blocks.push(BlockSummary {
-                        last_doc: *docs.last().unwrap(),
-                    });
-                    codec::encode_doc_block(&mut out.data, &docs);
-                    out.block_offs.push(out.data.len() as u32);
-                }
-                out.slots.push(TierSlot {
-                    first_block,
-                    postings: (end - start) as u32,
-                });
-                start = end;
-            }
-        }
-        out
-    }
-
-    /// Number of impact tiers.
-    pub fn tier_count(&self) -> u32 {
-        self.tier_count
-    }
-
-    /// Number of terms covered (matches the backing store's vocabulary).
-    pub fn vocabulary(&self) -> usize {
-        self.slots.len() / self.tier_count as usize
-    }
-
-    /// Number of postings of `term` assigned to `tier`.
-    pub fn postings_in(&self, term: TermId, tier: u32) -> u32 {
-        self.slots[term as usize * self.tier_count as usize + tier as usize].postings
-    }
-
-    /// Block summaries of `(term, tier)`, aligned with the slot's
-    /// encoded blocks (one per [`BLOCK_LEN`] postings, last partial).
-    pub fn blocks_in(&self, term: TermId, tier: u32) -> &[BlockSummary] {
-        let slot = self.slots[term as usize * self.tier_count as usize + tier as usize];
-        let n = (slot.postings as usize).div_ceil(BLOCK_LEN);
-        &self.blocks[slot.first_block as usize..slot.first_block as usize + n]
-    }
-
-    /// Global block index of `(term, tier)`'s first block — the offset
-    /// of this slot's run inside any flat per-block sidecar built in
-    /// emission order (e.g. a per-tier-block bound table).
-    pub fn block_base(&self, term: TermId, tier: u32) -> usize {
-        self.slots[term as usize * self.tier_count as usize + tier as usize].first_block as usize
-    }
-
-    /// Decodes slot-relative block `blk` of `(term, tier)` into
-    /// `out[..n]`, returning `n` (≤ [`BLOCK_LEN`]).
-    pub fn decode_block(&self, term: TermId, tier: u32, blk: u32, out: &mut [u32]) -> usize {
-        let slot = self.slots[term as usize * self.tier_count as usize + tier as usize];
-        let g = slot.first_block as usize + blk as usize;
-        let n = (slot.postings as usize - blk as usize * BLOCK_LEN).min(BLOCK_LEN);
-        codec::decode_block_docs(&self.data[self.block_offs[g] as usize..], n, out);
-        n
-    }
-
-    /// Estimated heap footprint: encoded blocks, offsets, summaries,
-    /// and the tier directory.
-    pub fn heap_bytes(&self) -> u64 {
-        self.data.len() as u64
-            + 4 * self.block_offs.len() as u64
-            + (self.blocks.len() * std::mem::size_of::<BlockSummary>()) as u64
-            + (self.slots.len() * std::mem::size_of::<TierSlot>()) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1012,93 +829,5 @@ mod tests {
             ps.raw_postings_bytes
         );
         assert!(ps.positions_bytes < ps.raw_positions_bytes);
-    }
-
-    /// Decodes every posting of `(term, tier)` into a vec.
-    fn tier_docs(tp: &TieredPostings, term: TermId, tier: u32) -> Vec<DocNum> {
-        let mut buf = [0u32; BLOCK_LEN];
-        let mut out = Vec::new();
-        let nblocks = (tp.postings_in(term, tier) as usize).div_ceil(BLOCK_LEN);
-        for blk in 0..nblocks {
-            let n = tp.decode_block(term, tier, blk as u32, &mut buf);
-            out.extend_from_slice(&buf[..n]);
-        }
-        out
-    }
-
-    #[test]
-    fn tiers_partition_each_list_and_sort_within() {
-        for (store, label) in {
-            let (raw, packed) = twin_stores(300);
-            [(raw, "raw"), (packed, "packed")]
-        } {
-            let tp = TieredPostings::build(&store, 4, &|_| 10, &|d| 1.0 + f64::from(d % 7) / 7.0);
-            for (term, id) in store.terms() {
-                let mut union = Vec::new();
-                let mut total = 0u32;
-                for tier in 0..4 {
-                    let docs = tier_docs(&tp, id, tier);
-                    assert!(
-                        docs.windows(2).all(|w| w[0] < w[1]),
-                        "{label}/{term} t{tier}"
-                    );
-                    // Block summaries align with the decoded blocks.
-                    let sums = tp.blocks_in(id, tier);
-                    assert_eq!(sums.len(), docs.len().div_ceil(BLOCK_LEN));
-                    for (b, chunk) in sums.iter().zip(docs.chunks(BLOCK_LEN)) {
-                        assert_eq!(b.last_doc, *chunk.last().unwrap());
-                    }
-                    total += tp.postings_in(id, tier);
-                    union.extend(docs);
-                }
-                union.sort_unstable();
-                let mut full = Vec::new();
-                store.for_each_doc(id, |_, d| full.push(d));
-                assert_eq!(union, full, "{label}/{term}: tiers must partition the list");
-                assert_eq!(total, store.doc_freq_by_id(id));
-            }
-        }
-    }
-
-    #[test]
-    fn tier_zero_is_nonempty_and_small() {
-        let (raw, _) = twin_stores(300);
-        let tp = TieredPostings::build(&raw, 4, &|_| 10, &|_| 1.0);
-        let id = raw.term_id("common").unwrap();
-        let df = raw.doc_freq_by_id(id);
-        let head = tp.postings_in(id, 0);
-        assert!(head >= 1);
-        assert!(head <= df.div_ceil(20), "head tier too large: {head}/{df}");
-    }
-
-    #[test]
-    fn single_tier_build_equals_full_list() {
-        let (raw, _) = twin_stores(150);
-        let tp = TieredPostings::build(&raw, 1, &|_| 10, &|_| 1.0);
-        for (_, id) in raw.terms() {
-            let mut full = Vec::new();
-            raw.for_each_doc(id, |_, d| full.push(d));
-            assert_eq!(tier_docs(&tp, id, 0), full);
-        }
-    }
-
-    #[test]
-    fn tier_build_is_layout_independent() {
-        let (raw, packed) = twin_stores(300);
-        let len = |_: DocNum| 12u32;
-        let boost = |d: DocNum| 1.0 + f64::from(d % 11) / 5.0;
-        let a = TieredPostings::build(&raw, 4, &len, &boost);
-        let b = TieredPostings::build(&packed, 4, &len, &boost);
-        for (term, rid) in raw.terms() {
-            let pid = packed.term_id(term).unwrap();
-            for tier in 0..4 {
-                assert_eq!(
-                    tier_docs(&a, rid, tier),
-                    tier_docs(&b, pid, tier),
-                    "{term} t{tier}"
-                );
-            }
-        }
-        assert!(a.heap_bytes() > 0);
     }
 }

@@ -11,7 +11,7 @@ use shift_corpus::World;
 use shift_textkit::analyze;
 
 use crate::bm25::Bm25Params;
-use crate::index::{ScoreTable, SearchIndex, StaticTable};
+use crate::index::{ScoreTable, SearchIndex, StaticScores};
 use crate::kernel::{self, EvalMode, QueryScratch};
 use crate::serp::Serp;
 use crate::shard::ShardedIndex;
@@ -130,7 +130,7 @@ pub struct SearchEngine {
     // This engine's handle into the index's per-params static-score
     // cache, resolved on first search. Engines sharing an index and a
     // parameterization share the underlying table.
-    statics: OnceLock<Arc<StaticTable>>,
+    statics: OnceLock<Arc<StaticScores>>,
     // The precomputed per-posting BM25 impact table for this engine's
     // BM25 parameters, shared through the index's cache.
     impacts: OnceLock<Arc<ScoreTable>>,
@@ -228,7 +228,7 @@ impl SearchEngine {
 
     /// This engine's static score factors (lazily built, then cached on
     /// the shared index keyed by the parameter triple).
-    pub(crate) fn statics(&self) -> &Arc<StaticTable> {
+    pub(crate) fn statics(&self) -> &Arc<StaticScores> {
         self.statics.get_or_init(|| {
             self.index.static_scores(
                 self.params.authority_weight,

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use shift_search::codec;
-use shift_search::postings::{DocNum, PostingsStore, TieredPostings, BLOCK_LEN};
+use shift_search::postings::{DocNum, PostingsStore, BLOCK_LEN};
 
 /// Sorts and dedups into a strictly-increasing doc-id list.
 fn ascending(mut v: Vec<u32>) -> Vec<u32> {
@@ -88,63 +88,6 @@ proptest! {
             prop_assert_eq!(&t[..n], titles.as_slice());
             prop_assert_eq!(&b[..n], bodies.as_slice());
         }
-    }
-
-    /// Doc-only block codec (the tier-slice emitter) round-trips
-    /// through the shared doc-section decoder — in particular partial
-    /// final blocks, whose length is carried out-of-band by the caller.
-    #[test]
-    fn doc_only_block_codec_roundtrips(docs in doc_id_list()) {
-        for chunk in docs.chunks(BLOCK_LEN) {
-            let mut buf = Vec::new();
-            codec::encode_doc_block(&mut buf, chunk);
-            let mut d = [0u32; BLOCK_LEN];
-            let sec = codec::decode_block_docs(&buf, chunk.len(), &mut d);
-            // A doc-only block has no tf section: the doc section IS
-            // the whole encoding.
-            prop_assert_eq!(sec, buf.len());
-            prop_assert_eq!(&d[..chunk.len()], chunk);
-        }
-    }
-
-    /// Tier layouts over raw and packed twins agree exactly, and every
-    /// tier's postings union back to the full list (each posting in
-    /// exactly one tier, doc-ascending within its tier).
-    #[test]
-    fn tier_layouts_are_store_layout_independent(
-        docs in prop::collection::vec(0u32..5000, 1..260).prop_map(ascending),
-        tier_count in 1u32..9,
-    ) {
-        let (raw, packed) = twin_stores(&docs);
-        let build = |store: &PostingsStore| {
-            TieredPostings::build(store, tier_count, &|_| 10, &|_| 1.0)
-        };
-        let tiers_of = |t: &TieredPostings, term| {
-            let mut per_tier: Vec<Vec<u32>> = Vec::new();
-            for tier in 0..tier_count {
-                let mut list = Vec::new();
-                let mut buf = [0u32; BLOCK_LEN];
-                let nblocks = t.blocks_in(term, tier).len();
-                for blk in 0..nblocks as u32 {
-                    let n = t.decode_block(term, tier, blk, &mut buf);
-                    list.extend_from_slice(&buf[..n]);
-                }
-                prop_assert_eq!(list.len() as u32, t.postings_in(term, tier));
-                per_tier.push(list);
-            }
-            Ok(per_tier)
-        };
-        let id_r = raw.term_id("t").expect("term indexed");
-        let id_p = packed.term_id("t").expect("term indexed");
-        let tiers_raw = tiers_of(&build(&raw), id_r)?;
-        let tiers_packed = tiers_of(&build(&packed), id_p)?;
-        prop_assert_eq!(&tiers_raw, &tiers_packed);
-        let mut union: Vec<u32> = tiers_raw.iter().flatten().copied().collect();
-        for tier in &tiers_raw {
-            prop_assert!(tier.windows(2).all(|w| w[0] < w[1]), "tier not doc-ascending");
-        }
-        union.sort_unstable();
-        prop_assert_eq!(union, docs);
     }
 
     /// Position codec round-trip over arbitrary strictly-increasing
@@ -264,32 +207,6 @@ fn adversarial_edge_lists_roundtrip() {
             let sec = codec::decode_block_docs(&buf, chunk_docs.len(), &mut d);
             assert_eq!(sec, codec::doc_section_len(&buf, chunk_docs.len()));
             assert_eq!(&d[..chunk_docs.len()], chunk_docs);
-        }
-    }
-}
-
-/// A single-posting list under tiering: the lone posting must land in
-/// the head tier (never be lost to an empty cut) at every tier count,
-/// on both store layouts.
-#[test]
-fn single_posting_lists_tier_into_the_head() {
-    let (raw, packed) = twin_stores(&[42]);
-    for store in [&raw, &packed] {
-        let id = store.term_id("t").unwrap();
-        for tier_count in [1u32, 2, 4, 8] {
-            let tiered = TieredPostings::build(store, tier_count, &|_| 10, &|_| 1.0);
-            assert_eq!(tiered.postings_in(id, 0), 1, "T={tier_count}");
-            let mut buf = [0u32; BLOCK_LEN];
-            assert_eq!(tiered.decode_block(id, 0, 0, &mut buf), 1);
-            assert_eq!(buf[0], 42);
-            for tier in 1..tier_count {
-                assert_eq!(
-                    tiered.postings_in(id, tier),
-                    0,
-                    "T={tier_count} tier {tier}"
-                );
-                assert!(tiered.blocks_in(id, tier).is_empty());
-            }
         }
     }
 }

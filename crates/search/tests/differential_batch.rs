@@ -194,7 +194,9 @@ fn shuffle(queries: &mut [String], mut seed: u64) {
 
 /// The canonical batch-size ladder from the issue: a singleton, an odd
 /// partial group, a typical micro-batch, and a size that dwarfs the
-/// distinct-query pool (forcing heavy in-batch dedup).
+/// distinct-query pool (forcing heavy in-batch dedup) — on both study
+/// parameterizations and on the 3-shard executor's shard-per-worker
+/// schedule.
 #[test]
 fn batch_sizes_1_7_64_1000_match_per_query() {
     let pool = [
@@ -208,7 +210,7 @@ fn batch_sizes_1_7_64_1000_match_per_query() {
         "xylophonic quuxations", // unknown terms
         "",
     ];
-    for engine in [&engines()[0], &engines()[1]] {
+    for engine in [&engines()[0], &engines()[1], &sharded_engines()[1]] {
         for size in [1usize, 7, 64, 1000] {
             let queries: Vec<String> = (0..size)
                 .map(|i| {
@@ -258,9 +260,9 @@ proptest! {
         queries in prop::collection::vec(query(), 1..24),
         k in 0usize..25,
         which in 0usize..6,
-        mode_ix in 0usize..3,
+        mode_ix in 0usize..2,
     ) {
-        let mode = [EvalMode::Pruned, EvalMode::Exhaustive, EvalMode::Tiered(4)][mode_ix];
+        let mode = [EvalMode::Pruned, EvalMode::Exhaustive][mode_ix];
         assert_batch_matches_per_query(&engines()[which], &queries, k, mode);
     }
 
@@ -320,9 +322,9 @@ proptest! {
         queries in prop::collection::vec(query(), 1..16),
         k in 0usize..25,
         sharded_ix in 0usize..3,
-        tiered in prop_oneof![Just(true), Just(false)],
+        exhaustive in prop_oneof![Just(true), Just(false)],
     ) {
-        let mode = if tiered { EvalMode::Tiered(4) } else { EvalMode::Pruned };
+        let mode = if exhaustive { EvalMode::Exhaustive } else { EvalMode::Pruned };
         assert_batch_matches_per_query(&sharded_engines()[sharded_ix], &queries, k, mode);
     }
 }
@@ -386,9 +388,9 @@ proptest! {
         k in 0usize..20,
         cut_ix in 0usize..4,
         params_ix in 0usize..2,
-        mode_ix in 0usize..3,
+        mode_ix in 0usize..2,
     ) {
-        let mode = [EvalMode::Pruned, EvalMode::Exhaustive, EvalMode::Tiered(4)][mode_ix];
+        let mode = [EvalMode::Pruned, EvalMode::Exhaustive][mode_ix];
         let (cut, searchers) = &live_searchers()[cut_ix];
         let searcher = &searchers[params_ix];
         let batched = searcher.search_batch(&queries, k, mode);
@@ -398,29 +400,6 @@ proptest! {
             assert_serp_identical(b, &per);
         }
         prop_assert!(*cut <= timeline().len());
-    }
-}
-
-/// Tiered batches across the batch-size ladder, on the unsharded and
-/// sharded executors: the per-batch tier-table resolution (one cache
-/// probe for the whole batch) must be invisible in the output bytes.
-#[test]
-fn tiered_batch_sizes_match_per_query() {
-    let pool = [
-        "best laptops for students",
-        "best smartphones camera battery",
-        "top 10 hotels 2025",
-        "review espresso machines",
-        "the of and",
-        "",
-    ];
-    for engine in [&engines()[0], &sharded_engines()[1]] {
-        for size in [1usize, 7, 64] {
-            let queries: Vec<String> = (0..size)
-                .map(|i| pool[i % pool.len()].to_string())
-                .collect();
-            assert_batch_matches_per_query(engine, &queries, 10, EvalMode::Tiered(4));
-        }
     }
 }
 
@@ -439,7 +418,7 @@ fn edge_inputs_batch_like_per_query() {
         ]
         .map(String::from),
     );
-    let modes = [EvalMode::Pruned, EvalMode::Exhaustive, EvalMode::Tiered(4)];
+    let modes = [EvalMode::Pruned, EvalMode::Exhaustive];
     for k in [1usize, 10, 60] {
         for mode in modes {
             for engine in engines().iter().chain(sharded_engines()) {

@@ -1,7 +1,7 @@
-//! Differential gate for the retrieval kernel: every evaluation mode —
-//! the exhaustive dense pass, the *pruned* dense pass with its exact
-//! pool cut, and the tiered merge — must return byte-identical SERPs
-//! to the frozen term-at-a-time reference scorer (`query::reference`)
+//! Differential gate for the retrieval kernel: both evaluation modes —
+//! the exhaustive dense pass and the *pruned* dense pass with its exact
+//! pool cut — must return byte-identical SERPs to the frozen
+//! term-at-a-time reference scorer (`query::reference`)
 //! on every world, parameterization, query and k — scores compared at
 //! the bit level, not with a tolerance.
 
@@ -114,20 +114,14 @@ fn assert_serp_identical(kernel: &Serp, reference: &Serp) {
     }
 }
 
-/// Pruned mode, exhaustive mode, the tiered early-terminating kernel
-/// and the reference oracle must agree byte-for-byte.
+/// Pruned mode, exhaustive mode and the reference oracle must agree
+/// byte-for-byte.
 fn assert_all_paths_identical(engine: &SearchEngine, q: &str, k: usize) {
     let pruned = engine.search(q, k); // default path = pruned
     let exhaustive = engine.search_with_mode(&mut QueryScratch::new(), q, k, EvalMode::Exhaustive);
     let oracle = reference::search(engine, q, k);
     assert_serp_identical(&pruned, &oracle);
     assert_serp_identical(&exhaustive, &oracle);
-    // T = 1 is the degenerate single-tier layout (one round, pure
-    // per-candidate pruning); T = 4 is the flush default.
-    for t in [1u32, 4] {
-        let tiered = engine.search_with_mode(&mut QueryScratch::new(), q, k, EvalMode::Tiered(t));
-        assert_serp_identical(&tiered, &oracle);
-    }
 }
 
 /// Every shard count, both fan-out disciplines (parallel scoped
@@ -140,15 +134,13 @@ fn assert_sharded_identical(which: usize, q: &str, k: usize) {
         let parallel = sharded.search_with(&mut scratch, q, k);
         let serial = sharded.search_with_mode_serial(&mut scratch, q, k, EvalMode::Pruned);
         let exhaustive = sharded.search_with_mode(&mut scratch, q, k, EvalMode::Exhaustive);
-        let tiered = sharded.search_with_mode(&mut scratch, q, k, EvalMode::Tiered(4));
-        let tiered_serial =
-            sharded.search_with_mode_serial(&mut scratch, q, k, EvalMode::Tiered(4));
+        let exhaustive_serial =
+            sharded.search_with_mode_serial(&mut scratch, q, k, EvalMode::Exhaustive);
         let n = sharded.shard_count();
         assert_serp_identical(&parallel, &base);
         assert_serp_identical(&serial, &base);
         assert_serp_identical(&exhaustive, &base);
-        assert_serp_identical(&tiered, &base);
-        assert_serp_identical(&tiered_serial, &base);
+        assert_serp_identical(&exhaustive_serial, &base);
         assert!(n >= 1);
     }
 }
@@ -274,11 +266,9 @@ proptest! {
         let engine = &engines()[which];
         let pruned = engine.search(&q, k);
         let exhaustive = engine.search_with_mode(&mut QueryScratch::new(), &q, k, EvalMode::Exhaustive);
-        let tiered = engine.search_with_mode(&mut QueryScratch::new(), &q, k, EvalMode::Tiered(4));
         let oracle = reference::search(engine, &q, k);
         prop_assert!(pruned.results.is_empty());
         prop_assert!(exhaustive.results.is_empty());
-        prop_assert!(tiered.results.is_empty());
         prop_assert!(oracle.results.is_empty());
     }
 
@@ -299,19 +289,6 @@ proptest! {
     fn tie_clusters_at_a_sixty_deep_pool(q in query()) {
         assert_all_paths_identical(&engines()[5], &q, 60);
         assert_sharded_identical(5, &q, 60);
-    }
-
-    /// The tie-dense engine under tiering: the impact sort breaks key
-    /// ties by ascending doc, so an equal-score cluster can be split
-    /// across a tier boundary — members of the same cluster then
-    /// surface in *different* rounds, and the `score desc, doc asc`
-    /// order must still reassemble bit-for-bit at every tier count.
-    #[test]
-    fn tie_clusters_straddling_tier_boundaries(q in single_term_query(), k in 1usize..60, t in 1u32..9) {
-        let engine = &engines()[5];
-        let oracle = reference::search(engine, &q, k);
-        let tiered = engine.search_with_mode(&mut QueryScratch::new(), &q, k, EvalMode::Tiered(t));
-        assert_serp_identical(&tiered, &oracle);
     }
 
     /// A single scratch reused across an arbitrary query sequence never
@@ -508,36 +485,5 @@ fn pruning_skips_work_but_not_results() {
     assert!(
         fast_stats.docs_scored < slow_stats.docs_scored,
         "pruning scored as much as the exhaustive pass: {fast_stats:?} vs {slow_stats:?}"
-    );
-}
-
-/// The tiered kernel's safe termination can only ever *skip* scoring
-/// work relative to the exhaustive pass — while its SERPs stay
-/// byte-identical (and the tier counters prove tiers were consumed).
-#[test]
-fn tiered_termination_skips_work_but_not_results() {
-    let engine = &engines()[0];
-    let mut tiered_scratch = QueryScratch::new();
-    let mut exhaustive_scratch = QueryScratch::new();
-    for q in [
-        "best laptops for students",
-        "best smartphones camera battery",
-        "top 10 hotels 2025",
-        "review espresso machines",
-        "best",
-    ] {
-        let fast = engine.search_with_mode(&mut tiered_scratch, q, 10, EvalMode::Tiered(4));
-        let slow = engine.search_with_mode(&mut exhaustive_scratch, q, 10, EvalMode::Exhaustive);
-        assert_serp_identical(&fast, &slow);
-    }
-    let fast_stats = tiered_scratch.take_stats();
-    let slow_stats = exhaustive_scratch.take_stats();
-    assert!(
-        fast_stats.tiers_opened > 0,
-        "no tiers consumed: {fast_stats:?}"
-    );
-    assert!(
-        fast_stats.docs_scored <= slow_stats.docs_scored,
-        "tiered termination scored extra documents: {fast_stats:?} vs {slow_stats:?}"
     );
 }

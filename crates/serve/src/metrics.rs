@@ -45,9 +45,6 @@ pub struct ServiceMetrics {
     docs_scored: AtomicU64,
     candidates_pruned: AtomicU64,
     scratch_fallbacks: AtomicU64,
-    tiers_opened: AtomicU64,
-    tiers_skipped: AtomicU64,
-    early_terminations: AtomicU64,
     // Micro-batch shape: how many queue drains happened, how many jobs
     // they carried, and the largest drain seen (fetch_max gauge).
     batches: AtomicU64,
@@ -90,9 +87,6 @@ impl ServiceMetrics {
             docs_scored: AtomicU64::new(0),
             candidates_pruned: AtomicU64::new(0),
             scratch_fallbacks: AtomicU64::new(0),
-            tiers_opened: AtomicU64::new(0),
-            tiers_skipped: AtomicU64::new(0),
-            early_terminations: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_jobs: AtomicU64::new(0),
             max_batch: AtomicU64::new(0),
@@ -193,12 +187,6 @@ impl ServiceMetrics {
             .fetch_add(stats.candidates_pruned, Ordering::Relaxed);
         self.scratch_fallbacks
             .fetch_add(stats.scratch_fallbacks, Ordering::Relaxed);
-        self.tiers_opened
-            .fetch_add(stats.tiers_opened, Ordering::Relaxed);
-        self.tiers_skipped
-            .fetch_add(stats.tiers_skipped, Ordering::Relaxed);
-        self.early_terminations
-            .fetch_add(stats.early_terminations, Ordering::Relaxed);
     }
 
     /// Record one micro-batch drained from the admission queue.
@@ -294,9 +282,6 @@ impl ServiceMetrics {
                 docs_scored: self.docs_scored.load(Ordering::Relaxed),
                 candidates_pruned: self.candidates_pruned.load(Ordering::Relaxed),
                 scratch_fallbacks: self.scratch_fallbacks.load(Ordering::Relaxed),
-                tiers_opened: self.tiers_opened.load(Ordering::Relaxed),
-                tiers_skipped: self.tiers_skipped.load(Ordering::Relaxed),
-                early_terminations: self.early_terminations.load(Ordering::Relaxed),
             },
             batch: BatchServeStats {
                 batches: self.batches.load(Ordering::Relaxed),
@@ -393,17 +378,11 @@ mod tests {
             docs_scored: 40,
             candidates_pruned: 7,
             scratch_fallbacks: 0,
-            tiers_opened: 6,
-            tiers_skipped: 2,
-            early_terminations: 1,
         });
         m.record_kernel(KernelStats {
             docs_scored: 2,
             candidates_pruned: 3,
             scratch_fallbacks: 1,
-            tiers_opened: 4,
-            tiers_skipped: 0,
-            early_terminations: 0,
         });
         m.record_batch(1);
         m.record_batch(5);
@@ -420,9 +399,6 @@ mod tests {
         assert_eq!(snap.kernel.docs_scored, 42);
         assert_eq!(snap.kernel.candidates_pruned, 10);
         assert_eq!(snap.kernel.scratch_fallbacks, 1);
-        assert_eq!(snap.kernel.tiers_opened, 10);
-        assert_eq!(snap.kernel.tiers_skipped, 2);
-        assert_eq!(snap.kernel.early_terminations, 1);
         assert_eq!(snap.batch.batches, 3);
         assert_eq!(snap.batch.batched_jobs, 9);
         assert_eq!(snap.batch.max_batch, 5);

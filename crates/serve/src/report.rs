@@ -156,12 +156,6 @@ impl MetricsSnapshot {
             "retrieval: {} docs scored, {} candidates pruned, {} scratch fallbacks\n",
             self.kernel.docs_scored, self.kernel.candidates_pruned, self.kernel.scratch_fallbacks,
         ));
-        if self.kernel.tiers_opened > 0 || self.kernel.tiers_skipped > 0 {
-            out.push_str(&format!(
-                "tiering: {} tiers opened, {} skipped, {} early terminations\n",
-                self.kernel.tiers_opened, self.kernel.tiers_skipped, self.kernel.early_terminations,
-            ));
-        }
         out.push_str(&format!(
             "batching: {} drains carrying {} jobs (mean {:.2}, max {})\n",
             self.batch.batches,
@@ -278,18 +272,6 @@ impl MetricsSnapshot {
         kernel.insert(
             "scratch_fallbacks".to_string(),
             num(self.kernel.scratch_fallbacks as f64),
-        );
-        kernel.insert(
-            "tiers_opened".to_string(),
-            num(self.kernel.tiers_opened as f64),
-        );
-        kernel.insert(
-            "tiers_skipped".to_string(),
-            num(self.kernel.tiers_skipped as f64),
-        );
-        kernel.insert(
-            "early_terminations".to_string(),
-            num(self.kernel.early_terminations as f64),
         );
         let mut batch = BTreeMap::new();
         batch.insert("batches".to_string(), num(self.batch.batches as f64));
@@ -635,9 +617,6 @@ mod tests {
                 docs_scored: 1234,
                 candidates_pruned: 567,
                 scratch_fallbacks: 0,
-                tiers_opened: 12,
-                tiers_skipped: 4,
-                early_terminations: 2,
             },
             batch: BatchServeStats {
                 batches: 4,
@@ -708,18 +687,6 @@ mod tests {
                 .and_then(|k| k.get("scratch_fallbacks")),
             Some(&Value::Number(0.0)),
             "scratch fallbacks survive the round trip"
-        );
-        assert_eq!(
-            parsed.get("kernel").and_then(|k| k.get("tiers_opened")),
-            Some(&Value::Number(12.0)),
-            "tier counters survive the round trip"
-        );
-        assert_eq!(
-            parsed
-                .get("kernel")
-                .and_then(|k| k.get("early_terminations")),
-            Some(&Value::Number(2.0)),
-            "early-termination counter survives the round trip"
         );
         assert_eq!(
             parsed.get("batch").and_then(|b| b.get("mean_batch")),

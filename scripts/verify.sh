@@ -14,6 +14,9 @@ cargo build --release
 echo "== tier-1: root-package tests =="
 cargo test -q
 
+echo "== workspace: every crate's unit, integration and doc tests =="
+cargo test -q --workspace --release
+
 echo "== serving layer: unit + integration =="
 cargo test -q -p shift-serve
 
@@ -73,10 +76,10 @@ cargo test -q -p shift-engines --test precomputed_text
 echo "== lint: clippy on the serving-path and foundation crates (all targets: lib, tests, benches, examples) =="
 cargo clippy -q -p shift-search -p shift-serve -p shift-engines -p shift-core -p shift-corpus --all-targets -- -D warnings
 
-echo "== retrieval kernel: bench smoke (small world, byte-identity incl. shard sweep) =="
+echo "== retrieval kernel: bench smoke (small world, byte-identity incl. shard, batch and compressed sweeps) =="
 cargo bench -p shift-bench --bench search_kernel -- --quick
 
-echo "== retrieval kernel: throughput + compression + batching gates (paper pruned, 100x sharded, 100x compressed, 100x batched q/s vs committed BENCH_search.json) =="
+echo "== retrieval kernel: gate table (paper pruned, 100x sharded/batched/compressed q/s >= 80%, 100x compressed byte ratio <= 110% of committed BENCH_search.json) =="
 cargo bench -p shift-bench --bench search_kernel -- --gate
 
 echo "verify.sh: all checks passed"
