@@ -1,32 +1,13 @@
 //! Offline, API-compatible subset of `crossbeam`.
 //!
-//! Provides the two facilities this workspace relies on:
-//!
-//! * [`channel`] — multi-producer **multi-consumer** bounded/unbounded
-//!   channels with `try_send` (backpressure), `recv_timeout` (deadlines)
-//!   and disconnect semantics, built on `Mutex<VecDeque>` + condvars.
-//! * [`thread`] — scoped threads, delegating to `std::thread::scope`
-//!   (the closure takes no `&Scope` argument, unlike upstream; callers
-//!   in this workspace use the std-style API).
+//! Provides the one facility this workspace relies on that stable std
+//! lacks: [`channel`] — multi-producer **multi-consumer**
+//! bounded/unbounded channels with `try_send` (backpressure),
+//! `recv_timeout` (deadlines) and disconnect semantics, built on
+//! `Mutex<VecDeque>` + condvars. Scoped threads come from
+//! `std::thread::scope`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod channel;
-
-pub mod thread {
-    //! Scoped threads over `std::thread::scope`.
-
-    pub use std::thread::{Scope, ScopedJoinHandle};
-
-    /// Runs `f` with a scope handle; all threads spawned on the scope are
-    /// joined before this returns. Mirrors `crossbeam::thread::scope`'s
-    /// `Result` return: `Err` is never produced here because child panics
-    /// resurface as panics on join (acceptable for in-workspace callers).
-    pub fn scope<'env, F, T>(f: F) -> std::thread::Result<T>
-    where
-        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> T,
-    {
-        Ok(std::thread::scope(f))
-    }
-}

@@ -1,21 +1,21 @@
 //! Retrieval-kernel benchmark: the *pruned* dense kernel (exact pool
 //! cut) vs its exhaustive pass vs the frozen term-at-a-time
 //! reference scorer, swept over three corpus scales (the paper's
-//! ≈2,700-document world, 10×, and 100× via [`WorldConfig::scaled`]) and,
-//! at every scale, over shard counts 1/2/4/8 of the document-partitioned
-//! [`ShardedIndex`]. Every scale also builds a *compressed* twin of the
+//! ≈2,700-document world, 10×, and 100× via [`WorldConfig::scaled`]), with
+//! a batched-execution sweep at every scale. Every scale also builds a
+//! *compressed* twin of the
 //! same index (delta/bit-packed postings, packed impacts, dictionary
 //! metadata), re-checks byte-identity against the raw engine and
 //! measures the decode tax; a fourth, compressed-only 1000× tier (~2M
 //! documents) reports held bytes against the raw-layout extrapolation.
 //!
 //! Run with `cargo bench -p shift-bench --bench search_kernel`. The full
-//! run re-checks a differential sample at every scale and shard count
-//! (the sharded SERP must be byte-identical to the unsharded pruned SERP,
-//! and to the reference SERP at paper scale), measures end-to-end top-10
-//! throughput per scale and per shard count, prints each index's
+//! run re-checks a differential sample at every scale (the batched and
+//! compressed SERPs must be byte-identical to the per-query pruned SERP,
+//! and the pruned SERP to the reference SERP at paper scale), measures
+//! end-to-end top-10 throughput per scale, prints each index's
 //! [`IndexStats`] report, writes the per-scale table (with a nested
-//! shard-sweep table) into `BENCH_search.json`, and prints the lines
+//! batch-sweep table) into `BENCH_search.json`, and prints the lines
 //! recorded in EXPERIMENTS.md §Performance.
 //!
 //! Two extra modes, both used by `scripts/verify.sh`:
@@ -23,10 +23,9 @@
 //! * `-- --quick` — smoke check: the same differential pipeline on the
 //!   small world with 100 queries, no JSON artifact.
 //! * `-- --gate`  — regression gate: measures paper-scale pruned
-//!   throughput, 100×-scale 4-shard, batched and *compressed*
-//!   throughput (a >20% regression of any fails), and the 100×
-//!   compressed/raw byte ratio (fails if it rises >10% above the
-//!   committed value) — all against the committed `BENCH_search.json`.
+//!   throughput, 100×-scale batched and *compressed* throughput
+//!   (a >20% regression of any fails), and the 100× compressed/raw
+//!   byte ratio (fails if it rises >10% above the committed value) — all against the committed `BENCH_search.json`.
 //!   Every gated number is one row of a table that is printed whole
 //!   before the gate passes or fails.
 
@@ -41,7 +40,7 @@ use shift_metrics::percentile;
 use shift_queries::ranking_queries;
 use shift_search::live::{LiveDoc, LiveIndex, LiveIndexConfig, LiveIndexStats, LiveSearcher};
 use shift_search::query::reference;
-use shift_search::{EvalMode, QueryScratch, RankingParams, SearchEngine, ShardedIndex};
+use shift_search::{EvalMode, QueryScratch, RankingParams, SearchEngine};
 use std::hint::black_box;
 
 const K: usize = 10;
@@ -50,14 +49,9 @@ const K: usize = 10;
 const GATE_FLOOR: f64 = 0.8;
 /// Workspace-root artifact path (benches run with the package dir as cwd).
 const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_search.json");
-/// Shard counts swept at every scale; 1 is the unsharded kernel and the
-/// speedup baseline.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Batch sizes swept through the [`shift_search::BatchExecutor`] at
 /// every scale (clamped to the query count).
 const BATCH_SIZES: [usize; 4] = [16, 64, 256, 1000];
-/// Shard count whose 100×-scale throughput is committed and gated.
-const GATE_SHARDS: usize = 4;
 /// `--gate` fails when the fresh 100× compressed/raw byte ratio rises
 /// above the committed ratio by more than this factor (>10% regression
 /// in compression effectiveness).
@@ -80,36 +74,6 @@ fn measure_qps(queries: &[String], rounds: usize, mut f: impl FnMut(&str)) -> f6
         best = best.min(start.elapsed().as_secs_f64());
     }
     queries.len() as f64 / best
-}
-
-/// One row of a scale's shard sweep.
-struct ShardRow {
-    shards: usize,
-    /// Pruned-kernel throughput through the sharded dispatch path.
-    qps: f64,
-    /// Relative to the 1-shard (unsharded) row of the same scale.
-    speedup_vs_1shard: f64,
-    /// Documents fully scored over one serial query pass (the serial
-    /// path carries the threshold shard-to-shard deterministically; the
-    /// parallel path's counters depend on cross-shard race timing).
-    docs_scored: u64,
-    /// Matching documents never scored (vs the exhaustive total).
-    docs_skipped: u64,
-}
-
-impl ShardRow {
-    fn json(&self) -> String {
-        format!(
-            "{{\"shards\":{},\"qps\":{:.1},\"ms_per_query\":{:.6},\
-             \"speedup_vs_1shard\":{:.3},\"docs_scored\":{},\"docs_skipped\":{}}}",
-            self.shards,
-            self.qps,
-            1e3 / self.qps,
-            self.speedup_vs_1shard,
-            self.docs_scored,
-            self.docs_skipped,
-        )
-    }
 }
 
 /// One row of a scale's batched-execution sweep.
@@ -145,7 +109,7 @@ struct ScaleRow {
     scale: &'static str,
     docs: usize,
     queries: usize,
-    /// Pruned-kernel throughput (the production path, unsharded).
+    /// Pruned-kernel throughput (the production path).
     qps: f64,
     /// Exhaustive-pass throughput (the same kernel with no pool cut).
     exhaustive_qps: f64,
@@ -157,8 +121,6 @@ struct ScaleRow {
     /// scores every matching document exactly once, so the difference
     /// of the two counters is exact).
     docs_skipped: u64,
-    /// Shard sweep at this scale, in [`SHARD_COUNTS`] order.
-    shards: Vec<ShardRow>,
     /// Batched-execution sweep at this scale, in [`BATCH_SIZES`] order.
     batched: Vec<BatchRow>,
     /// Best batched throughput across the sweep.
@@ -181,7 +143,7 @@ impl ScaleRow {
         let mut out = format!(
             "{{\"scale\":\"{}\",\"docs\":{},\"queries\":{},\"k\":{K},\
              \"qps\":{:.1},\"ms_per_query\":{:.6},\"exhaustive_qps\":{:.1},\
-             \"speedup\":{:.3},\"docs_scored\":{},\"docs_skipped\":{},\"shards\":[",
+             \"speedup\":{:.3},\"docs_scored\":{},\"docs_skipped\":{},\"batched\":[",
             self.scale,
             self.docs,
             self.queries,
@@ -192,13 +154,6 @@ impl ScaleRow {
             self.docs_scored,
             self.docs_skipped,
         );
-        for (i, row) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&row.json());
-        }
-        out.push_str("],\"batched\":[");
         for (i, row) in self.batched.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -212,18 +167,11 @@ impl ScaleRow {
         out.push('}');
         out
     }
-
-    fn sharded_qps(&self, shards: usize) -> Option<f64> {
-        self.shards
-            .iter()
-            .find(|r| r.shards == shards)
-            .map(|r| r.qps)
-    }
 }
 
 /// Builds one scale's engine, checks byte-identity on a query sample,
 /// collects pruning-effectiveness counters, measures both kernel modes,
-/// and sweeps the sharded dispatch path over [`SHARD_COUNTS`].
+/// and sweeps the batch executor over [`BATCH_SIZES`].
 fn run_scale(
     scale: &'static str,
     config: &WorldConfig,
@@ -297,74 +245,6 @@ fn run_scale(
     }
     let qps = queries.len() as f64 / pruned_best;
     let exhaustive_qps = queries.len() as f64 / exhaustive_best;
-
-    // Shard sweep: the same queries through document-partitioned
-    // [`ShardedIndex`] views of the very same index. Count 1 is the
-    // unsharded kernel measured above. Every sharded engine must return
-    // byte-identical SERPs to the unsharded one — checked on the same
-    // sample stride before anything is timed.
-    let mut shard_rows = vec![ShardRow {
-        shards: 1,
-        qps,
-        speedup_vs_1shard: 1.0,
-        docs_scored: pruned_stats.docs_scored,
-        docs_skipped,
-    }];
-    for &n in SHARD_COUNTS.iter().filter(|&&n| n > 1) {
-        let sharded_engine = SearchEngine::with_sharded_index(
-            Arc::new(ShardedIndex::build(engine.index_handle(), n)),
-            engine.params().clone(),
-        );
-        for q in queries.iter().step_by(sample_stride) {
-            let sharded = sharded_engine.search_with(&mut scratch, q, K);
-            let flat = engine.search(q, K);
-            assert_eq!(
-                sharded.urls(),
-                flat.urls(),
-                "[{scale}] {n}-shard SERP diverged on {q:?}"
-            );
-            for (a, b) in sharded.results.iter().zip(&flat.results) {
-                assert_eq!(
-                    a.score.to_bits(),
-                    b.score.to_bits(),
-                    "[{scale}] {n}-shard score bits diverged on {q:?}"
-                );
-            }
-        }
-        scratch.take_stats();
-        for q in &queries {
-            black_box(sharded_engine.search_with_mode_serial(&mut scratch, q, K, EvalMode::Pruned));
-        }
-        let stats = scratch.take_stats();
-        assert!(
-            exhaustive_stats.docs_scored >= stats.docs_scored,
-            "[{scale}] {n}-shard pruned pass scored more docs than exhaustive"
-        );
-        let mut best = f64::INFINITY;
-        for _ in 0..rounds {
-            let start = Instant::now();
-            for q in &queries {
-                black_box(sharded_engine.search_with(&mut scratch, black_box(q), K));
-            }
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        let sharded_qps = queries.len() as f64 / best;
-        println!(
-            "[{scale}] {n} shards: {sharded_qps:.0} q/s ({:.3} ms/q), {:.2}x vs 1 shard; \
-             scored {} docs, skipped {}",
-            1e3 / sharded_qps,
-            sharded_qps / qps,
-            stats.docs_scored,
-            exhaustive_stats.docs_scored - stats.docs_scored,
-        );
-        shard_rows.push(ShardRow {
-            shards: n,
-            qps: sharded_qps,
-            speedup_vs_1shard: sharded_qps / qps,
-            docs_scored: stats.docs_scored,
-            docs_skipped: exhaustive_stats.docs_scored - stats.docs_scored,
-        });
-    }
 
     // Batched-execution sweep: the same queries streamed through the
     // BatchExecutor in submission-order chunks of each sweep size.
@@ -525,7 +405,6 @@ fn run_scale(
         speedup: qps / exhaustive_qps,
         docs_scored: pruned_stats.docs_scored,
         docs_skipped,
-        shards: shard_rows,
         batched: batch_rows,
         batched_qps,
         batched_best_batch,
@@ -812,7 +691,7 @@ fn report_gate(rows: &[GateRow]) {
 }
 
 /// `--gate`: measures paper-scale pruned throughput and, on the 100×
-/// world, [`GATE_SHARDS`]-shard, batched and compressed throughput plus
+/// world, batched and compressed throughput plus
 /// the compressed/raw byte ratio, and checks each against the committed
 /// artifact: q/s may not fall below [`GATE_FLOOR`] of committed, the
 /// byte ratio may not rise above [`RATIO_GATE_CEIL`] of committed.
@@ -842,23 +721,11 @@ fn run_gate() {
     ));
 
     let world = World::generate(&WorldConfig::scaled(100), STUDY_SEED);
-    let engine = SearchEngine::build_sharded(&world, RankingParams::google(), GATE_SHARDS);
+    let engine = SearchEngine::build(&world, RankingParams::google());
     let queries: Vec<String> = ranking_queries(&world, 1000, STUDY_SEED)
         .into_iter()
         .map(|q| q.text)
         .collect();
-    let qps = measure_qps(&queries, 2, |q| {
-        black_box(engine.search_with(&mut scratch, black_box(q), K));
-    });
-    rows.push(GateRow::new(
-        &committed,
-        "x100_sharded_qps",
-        format!("100x {GATE_SHARDS}-shard kernel"),
-        "q/s",
-        false,
-        GATE_FLOOR,
-        qps,
-    ));
 
     // The BatchExecutor at the committed best batch size; batch workers
     // own their scratches, so it must never trip the re-entrancy
@@ -866,13 +733,12 @@ fn run_gate() {
     let batch_size = json_number_field(&committed, "x100_batched_batch")
         .unwrap_or_else(|| panic!("gate: no x100_batched_batch in {BENCH_JSON}"))
         as usize;
-    let flat = SearchEngine::with_index(engine.index_handle(), engine.params().clone());
     let fallbacks_before = shift_search::scratch_fallbacks();
     let mut best = f64::INFINITY;
     for _ in 0..2 {
         let start = Instant::now();
         for chunk in queries.chunks(batch_size.max(1)) {
-            black_box(flat.search_batch(black_box(chunk), K, EvalMode::Pruned));
+            black_box(engine.search_batch(black_box(chunk), K, EvalMode::Pruned));
         }
         best = best.min(start.elapsed().as_secs_f64());
     }
@@ -968,9 +834,6 @@ fn bench(c: &mut Criterion) {
                 row.scale
             );
         }
-        let x100_sharded_qps = x100_row
-            .sharded_qps(GATE_SHARDS)
-            .expect("100x sweep includes the gate shard count");
         let x1000_json = run_scale_1000x();
 
         // The historical comparison kept from PR 2: pruned kernel vs the
@@ -992,7 +855,6 @@ fn bench(c: &mut Criterion) {
             json,
             "{{\"seed\":{STUDY_SEED},\"k\":{K},\"paper_pruned_qps\":{:.1},\
              \"reference_qps\":{reference_qps:.1},\"reference_speedup\":{:.3},\
-             \"x100_sharded_shards\":{GATE_SHARDS},\"x100_sharded_qps\":{x100_sharded_qps:.1},\
              \"x100_batched_qps\":{:.1},\"x100_batched_batch\":{},\
              \"x100_compressed_qps\":{:.1},\"x100_compressed_ratio\":{:.4},\
              \"scales\":[",

@@ -1,7 +1,7 @@
 //! Whole-study execution: every figure and table in one call.
 //!
-//! [`Study::run`] executes the seven experiment runners on crossbeam
-//! scoped threads. Each runner derives its randomness from
+//! [`Study::run`] executes the seven experiment runners on scoped
+//! threads. Each runner derives its randomness from
 //! [`Study::stage_seed`] with a stage-local label and reads the shared
 //! [`Study`] immutably, so the parallel schedule cannot change any
 //! result: [`Study::run`] and [`Study::run_serial`] render bit-identical
@@ -59,7 +59,7 @@ impl Study {
     /// this is a pure wall-clock optimization with output identical to
     /// [`Study::run_serial`].
     pub fn run(&self) -> StudyResults {
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let f1 = s.spawn(|| fig1::run(self));
             let f2 = s.spawn(|| fig2::run(self));
             let f3 = s.spawn(|| fig3::run(self));
@@ -77,7 +77,6 @@ impl Study {
                 tab3: t3.join().expect("tab3 runner panicked"),
             }
         })
-        .expect("scoped experiment threads panicked")
     }
 
     /// Runs every experiment on the calling thread, in paper order.

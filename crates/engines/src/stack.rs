@@ -75,43 +75,13 @@ impl AnswerEngines {
     /// Builds the stack with a custom LLM configuration (used by the
     /// pre-training ablations).
     pub fn build_with_llm_config(world: Arc<World>, llm_config: LlmConfig) -> AnswerEngines {
-        Self::build_inner(world, llm_config, 1)
-    }
-
-    /// Builds the stack with every retrieval engine running over a
-    /// document-partitioned index at `shard_count` shards (SERPs stay
-    /// byte-identical to the unsharded stack for any count; 0 and 1
-    /// both mean unsharded).
-    pub fn build_sharded(world: Arc<World>, shard_count: usize) -> AnswerEngines {
-        Self::build_inner(world, LlmConfig::default(), shard_count)
-    }
-
-    fn build_inner(world: Arc<World>, llm_config: LlmConfig, shard_count: usize) -> AnswerEngines {
         let google = SearchEngine::build(&world, RankingParams::google());
         let index = google.index_handle();
-        // One partition layout serves every parameterization: the view
-        // holds only doc ranges, posting subranges and block summaries,
-        // all params-independent.
-        let sharded = (shard_count > 1).then(|| {
-            Arc::new(shift_search::ShardedIndex::build(
-                index.clone(),
-                shard_count,
-            ))
-        });
-        let google = match &sharded {
-            Some(view) => SearchEngine::with_sharded_index(view.clone(), RankingParams::google()),
-            None => google,
-        };
         let mut retrievers = HashMap::new();
         let mut personas = HashMap::new();
         for kind in EngineKind::GENERATIVE {
             let persona = Persona::for_kind(kind);
-            let engine = match &sharded {
-                Some(view) => {
-                    SearchEngine::with_sharded_index(view.clone(), persona.retrieval.clone())
-                }
-                None => SearchEngine::with_index(index.clone(), persona.retrieval.clone()),
-            };
+            let engine = SearchEngine::with_index(index.clone(), persona.retrieval.clone());
             retrievers.insert(kind, engine);
             personas.insert(kind, persona);
         }
@@ -133,11 +103,6 @@ impl AnswerEngines {
             serp_cache: SerpCache::new(&SerpCacheConfig::default()),
             single_flight: SingleFlight::new(),
         }
-    }
-
-    /// Number of index shards retrievals fan out over (1 = unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.google.shard_count()
     }
 
     /// Snapshot of the SERP-level retrieval cache counters.
@@ -788,26 +753,6 @@ mod tests {
         assert_eq!(sf.leaders + sf.waiters + cache.hits, N as u64);
         assert!(sf.leaders >= 1);
         assert_eq!(cache.inserts, sf.leaders, "one insert per kernel run");
-    }
-
-    #[test]
-    fn sharded_stack_answers_match_unsharded() {
-        let w = world();
-        let flat = AnswerEngines::build(w.clone());
-        let sharded = AnswerEngines::build_sharded(w.clone(), 4);
-        assert_eq!(flat.shard_count(), 1);
-        assert_eq!(sharded.shard_count(), 4);
-        for kind in EngineKind::ALL {
-            for q in ["Top 10 most reliable SUVs", "best laptops 2025"] {
-                let a = flat.answer(kind, q, 10, 1);
-                let b = sharded.answer(kind, q, 10, 1);
-                assert_eq!(a.domains(), b.domains(), "{kind:?} {q}");
-                assert_eq!(a.text, b.text);
-                let urls_a: Vec<_> = a.citations.iter().map(|c| &c.url).collect();
-                let urls_b: Vec<_> = b.citations.iter().map(|c| &c.url).collect();
-                assert_eq!(urls_a, urls_b);
-            }
-        }
     }
 
     #[test]

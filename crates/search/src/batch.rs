@@ -1,14 +1,13 @@
 //! Batched query execution: per-worker pinned indexes, cross-query
 //! amortization, and in-batch deduplication.
 //!
-//! PR 5's shard sweep proved that fanning *one query* across shards is
-//! a net loss at every tested scale (`speedup_vs_1shard` 0.78–0.95 in
-//! BENCH_search.json): per-query thread spawn, redundant per-shard
-//! cursor setup and a wider merged pool eat the parallelism. The
-//! [`BatchExecutor`] inverts that: each worker pins one immutable
-//! index reference and streams *many queries* through it, so threads
-//! amortize their setup over a whole batch and never contend on
-//! shared query state.
+//! The [`BatchExecutor`] parallelizes across queries, not within one:
+//! each worker pins one immutable index reference and streams *many
+//! queries* through it, so threads amortize their setup over a whole
+//! batch and never contend on shared query state. (Splitting one query
+//! across document-range shards was measured against this and lost at
+//! every tested scale; DESIGN.md §3 "Why there is no sharded
+//! retrieval" has the numbers.)
 //!
 //! What is amortized across a batch — and why none of it can change
 //! output bytes:
@@ -41,16 +40,9 @@
 //!   only the raw `query` echo differs per member, exactly as the
 //!   SERP-cache hit path patches it.
 //!
-//! Parallel schedule: on an unsharded engine (and on live snapshots)
+//! Parallel schedule: on batch indexes and live snapshots alike,
 //! workers claim query groups from a shared atomic cursor
-//! (query-per-worker). On a sharded engine the schedule is
-//! **shard-per-worker**: each worker pins one shard and streams the
-//! whole batch through it, producing per-(query, shard) candidate
-//! heaps; a second query-per-worker pass merges each query's heaps
-//! through the exact sharded-merge tail. No cross-shard threshold is
-//! broadcast (workers sit at different queries at different times),
-//! which can only reduce pruning — the merged overfetch pool, and so
-//! the SERP bytes, are unchanged (DESIGN.md §3 "Sharded retrieval").
+//! (query-per-worker).
 //!
 //! Byte-identity against per-query execution — for every batch size,
 //! submission order, parameterization, eval mode and live cut — is
@@ -64,13 +56,21 @@ use shift_textkit::analyze;
 
 use crate::kernel::{self, EvalMode, QueryScratch};
 use crate::live::LiveSearcher;
-use crate::postings::{DocNum, TermId};
+use crate::postings::TermId;
 use crate::query::SearchEngine;
 use crate::serp::{Serp, SerpResult};
-use crate::shard::ShardedIndex;
 
-/// One shard's candidate pools, one `(score, doc)` list per term group.
-type ShardCandidates = Vec<Vec<(f64, DocNum)>>;
+/// Hardware threads available to this process, resolved once: the
+/// executor's default worker count, and the gate that keeps live
+/// compaction's claim scans serial on a single-CPU host.
+pub(crate) fn hardware_threads() -> usize {
+    static N: OnceLock<usize> = OnceLock::new();
+    *N.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
 
 /// One group of submitted queries sharing an identical analyzed term
 /// list — the unit of execution and in-batch deduplication.
@@ -195,7 +195,7 @@ impl BatchExecutor {
     /// lexicographic group order).
     pub fn new() -> BatchExecutor {
         BatchExecutor {
-            workers: kernel::hardware_threads(),
+            workers: hardware_threads(),
             seed: 0,
         }
     }
@@ -214,10 +214,9 @@ impl BatchExecutor {
         self
     }
 
-    /// Executes a batch against a [`SearchEngine`] — unsharded
-    /// (query-per-worker) or sharded (shard-per-worker + per-query
-    /// merge) — returning one SERP per query in submission order,
-    /// byte-identical to per-query [`SearchEngine::search_with_mode`].
+    /// Executes a batch against a [`SearchEngine`], returning one SERP
+    /// per query in submission order, byte-identical to per-query
+    /// [`SearchEngine::search_with_mode`].
     pub fn run<Q: AsRef<str>>(
         &self,
         engine: &SearchEngine,
@@ -232,10 +231,44 @@ impl BatchExecutor {
                 plan.groups.iter().map(|_| Some(Vec::new())).collect();
             return plan.emit(queries, empty);
         }
-        let results = match engine.sharded() {
-            Some(sharded) => self.run_sharded(engine, sharded, &plan, k, mode),
-            None => self.run_unsharded(engine, &plan, k, mode),
-        };
+        let index = engine.index();
+        let store = index.postings();
+        let interned: HashMap<&str, Option<TermId>> = plan
+            .distinct_terms()
+            .into_iter()
+            .map(|t| (t, store.term_id(t)))
+            .collect();
+        let resolved: Vec<Vec<TermId>> = plan
+            .groups
+            .iter()
+            .map(|g| {
+                g.terms
+                    .iter()
+                    .filter_map(|t| interned[t.as_str()])
+                    .collect()
+            })
+            .collect();
+        // Resolve the per-params tables once for the whole batch.
+        let params = engine.params();
+        let statics = engine.statics();
+        let impacts = engine.impacts();
+        let results = self.for_each_group(&plan, |gi, g, scratch| {
+            if g.terms.is_empty() {
+                Vec::new()
+            } else {
+                kernel::execute(
+                    index,
+                    params,
+                    statics,
+                    impacts,
+                    scratch,
+                    &g.terms,
+                    Some(&resolved[gi]),
+                    k,
+                    mode,
+                )
+            }
+        });
         plan.emit(queries, results)
     }
 
@@ -288,161 +321,10 @@ impl BatchExecutor {
             if g.terms.is_empty() {
                 Vec::new()
             } else {
-                searcher.run_resolved(scratch, &g.terms, &resolved[gi], k, mode)
+                searcher.run(scratch, &g.terms, Some(&resolved[gi]), k, mode)
             }
         });
         plan.emit(queries, slots)
-    }
-
-    /// Query-per-worker over the full (unsharded) index.
-    fn run_unsharded(
-        &self,
-        engine: &SearchEngine,
-        plan: &Plan,
-        k: usize,
-        mode: EvalMode,
-    ) -> Vec<Option<Vec<SerpResult>>> {
-        let index = engine.index();
-        let store = index.postings();
-        let interned: HashMap<&str, Option<TermId>> = plan
-            .distinct_terms()
-            .into_iter()
-            .map(|t| (t, store.term_id(t)))
-            .collect();
-        let resolved: Vec<Vec<TermId>> = plan
-            .groups
-            .iter()
-            .map(|g| {
-                g.terms
-                    .iter()
-                    .filter_map(|t| interned[t.as_str()])
-                    .collect()
-            })
-            .collect();
-        // Resolve the per-params tables once for the whole batch.
-        let params = engine.params();
-        let statics = engine.statics();
-        let impacts = engine.impacts();
-        self.for_each_group(plan, |gi, g, scratch| {
-            if g.terms.is_empty() {
-                Vec::new()
-            } else {
-                kernel::execute_resolved(
-                    index,
-                    params,
-                    statics,
-                    impacts,
-                    scratch,
-                    &g.terms,
-                    &resolved[gi],
-                    k,
-                    mode,
-                )
-            }
-        })
-    }
-
-    /// Shard-per-worker: each worker pins one shard and streams every
-    /// group through it, then a query-per-worker pass merges each
-    /// group's per-shard candidate heaps through the exact sharded
-    /// finalize tail.
-    fn run_sharded(
-        &self,
-        engine: &SearchEngine,
-        sharded: &ShardedIndex,
-        plan: &Plan,
-        k: usize,
-        mode: EvalMode,
-    ) -> Vec<Option<Vec<SerpResult>>> {
-        let index = engine.index();
-        let store = index.postings();
-        let shards = sharded.shards();
-        let params = engine.params();
-        let statics = engine.statics();
-        let impacts = engine.impacts();
-        let overfetch = kernel::overfetch(k);
-
-        let interned: HashMap<&str, Option<TermId>> = plan
-            .distinct_terms()
-            .into_iter()
-            .map(|t| (t, store.term_id(t)))
-            .collect();
-        let resolved: Vec<Vec<TermId>> = plan
-            .groups
-            .iter()
-            .map(|g| {
-                g.terms
-                    .iter()
-                    .filter_map(|t| interned[t.as_str()])
-                    .collect()
-            })
-            .collect();
-
-        // Phase 1 — shard-per-worker candidate gathering. Worker `si`
-        // owns shard `si` outright: one pinned shard view, one warm
-        // scratch, every group streamed through in plan order.
-        let gather_shard = |si: usize| -> ShardCandidates {
-            let mut scratch = QueryScratch::new();
-            let mut cands = Vec::with_capacity(plan.groups.len());
-            for (gi, g) in plan.groups.iter().enumerate() {
-                let mut out = Vec::new();
-                if !g.terms.is_empty() {
-                    kernel::gather_shard_candidates(
-                        store,
-                        &shards[si],
-                        params,
-                        statics,
-                        impacts,
-                        &mut scratch,
-                        &g.terms,
-                        Some(&resolved[gi]),
-                        overfetch,
-                        mode,
-                        &mut out,
-                    );
-                }
-                cands.push(out);
-            }
-            cands
-        };
-        let n_shards = shards.len();
-        let shard_cands: Vec<ShardCandidates> = if n_shards == 1 {
-            vec![gather_shard(0)]
-        } else {
-            let slots: Vec<OnceLock<ShardCandidates>> =
-                (0..n_shards).map(|_| OnceLock::new()).collect();
-            crossbeam::thread::scope(|scope| {
-                for (si, slot) in slots.iter().enumerate().skip(1) {
-                    scope.spawn(move || {
-                        let _ = slot.set(gather_shard(si));
-                    });
-                }
-                // Shard 0 streams on the calling thread.
-                let _ = slots[0].set(gather_shard(0));
-            })
-            .expect("shard batch worker panicked");
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().expect("shard worker set its slot"))
-                .collect()
-        };
-
-        // Phase 2 — query-per-worker merge + finalize over the
-        // per-(query, shard) heaps.
-        self.for_each_group(plan, |gi, g, scratch| {
-            if g.terms.is_empty() {
-                Vec::new()
-            } else {
-                kernel::finalize_merged(
-                    index,
-                    params,
-                    scratch,
-                    &g.terms,
-                    k,
-                    shard_cands.iter().map(|per_shard| per_shard[gi].as_slice()),
-                )
-            }
-        })
     }
 
     /// The query-per-worker schedule: workers claim groups from a
@@ -468,7 +350,7 @@ impl BatchExecutor {
         }
         let slots: Vec<OnceLock<Vec<SerpResult>>> = (0..n).map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
                     let mut scratch = QueryScratch::new();
@@ -481,8 +363,7 @@ impl BatchExecutor {
                     }
                 });
             }
-        })
-        .expect("batch worker panicked");
+        });
         slots.into_iter().map(|s| s.into_inner()).collect()
     }
 }
@@ -522,20 +403,6 @@ mod tests {
             "",                          // degenerate: no terms
             "best smartphones camera battery battery",
             "zzzzunknownterm",
-        ];
-        assert_batch_matches(&engine, &queries, 10);
-    }
-
-    #[test]
-    fn batch_matches_per_query_on_sharded_engine() {
-        let world = World::generate(&WorldConfig::small(), 4040);
-        let engine = SearchEngine::build_sharded(&world, RankingParams::google(), 3);
-        let queries = [
-            "best smartphones 2025",
-            "top 10 hotels for students",
-            "review laptops battery battery",
-            "best",
-            "best smartphones 2025",
         ];
         assert_batch_matches(&engine, &queries, 10);
     }

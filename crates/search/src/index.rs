@@ -52,6 +52,25 @@ pub struct DocMeta {
     pub title: String,
 }
 
+impl DocMeta {
+    /// The borrowed field view [`SearchIndex::doc_fields`] returns.
+    pub(crate) fn fields(&self) -> DocFields<'_> {
+        DocFields {
+            page: self.page,
+            url: std::borrow::Cow::Borrowed(&self.url),
+            host: &self.host,
+            host_id: self.host_id,
+            authority: self.authority,
+            age_days: self.age_days,
+            source_type: self.source_type,
+            token_len: self.token_len,
+            title_len: self.title_len,
+            title: &self.title,
+            body: &self.body,
+        }
+    }
+}
+
 /// The per-document static score factors for one ranking
 /// parameterization: `(1 + authority_weight·authority)` and
 /// `(1 + freshness_weight·exp(−age/half_life))`, kept as *two* factors
@@ -410,22 +429,7 @@ impl SearchIndex {
     #[inline]
     pub fn doc_fields(&self, doc: DocNum) -> DocFields<'_> {
         match &self.docs {
-            DocStore::Raw(v) => {
-                let m = &v[doc as usize];
-                DocFields {
-                    page: m.page,
-                    url: std::borrow::Cow::Borrowed(m.url.as_str()),
-                    host: &m.host,
-                    host_id: m.host_id,
-                    authority: m.authority,
-                    age_days: m.age_days,
-                    source_type: m.source_type,
-                    token_len: m.token_len,
-                    title_len: m.title_len,
-                    title: &m.title,
-                    body: &m.body,
-                }
-            }
+            DocStore::Raw(v) => v[doc as usize].fields(),
             DocStore::Compact(c) => c.fields(doc),
         }
     }

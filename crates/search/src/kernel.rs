@@ -31,8 +31,8 @@
 //!   few queries have warmed its capacities, a search allocates only
 //!   the returned SERP itself.
 //! * **Generation-stamped slots.** Accumulator slots and host-crowding
-//!   counters are dense arrays indexed by document number (relative to
-//!   the view's range) and interned host id. Instead of clearing them
+//!   counters are dense arrays indexed by document number and
+//!   interned host id. Instead of clearing them
 //!   between queries, each slot carries the generation that last wrote
 //!   it; stale slots are treated as empty.
 //!
@@ -45,14 +45,13 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use crate::bm25::window_bonus;
-use crate::index::{DocMeta, ScoreTable, SearchIndex};
+use crate::docstore::DocFields;
+use crate::index::{ScoreTable, SearchIndex};
 use crate::postings::{DocNum, PostingsStore, TermId, BLOCK_LEN};
 use crate::query::RankingParams;
 use crate::serp::{extract_snippet, SerpResult};
-use crate::shard::{IndexShard, ShardedIndex};
 
 /// Which evaluation strategy the kernel uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,141 +73,42 @@ pub(crate) fn overfetch(k: usize) -> usize {
     (k * 4).max(k + 8)
 }
 
-/// The heap-threshold broadcast shared by concurrently evaluating
-/// shards: a monotonically tightening lower bound on the score a
-/// document must *strictly* beat to enter the merged overfetch pool.
-///
-/// Stored as the raw bits of a positive `f64` in an atomic `u64` — for
-/// positive IEEE-754 doubles the bit patterns order exactly like the
-/// values, so `fetch_max` over bits is `max` over scores, lock-free and
-/// wait-free. Zero bits (`+0.0`) is the "nothing published yet"
-/// sentinel, read back as `-∞` (real match scores are strictly
-/// positive, so no published threshold is ever `0.0`).
-///
-/// Admissibility under races: a shard publishes a value only once it
-/// knows `overfetch` live documents scoring at least that much (a full
-/// heap's root, or the dense pass's cut τ), so a read value θ proves
-/// ≥ overfetch documents score ≥ θ somewhere. A candidate whose exact
-/// upper bound is `< θ` therefore has a true score *strictly* below
-/// those pooled documents — it can never reach the merged pool, no
-/// matter how stale or fresh the read was. Pruning decisions (and so
-/// `KernelStats`) depend on timing; merged SERPs do not.
-pub(crate) struct SharedTheta(AtomicU64);
-
-impl SharedTheta {
-    pub(crate) fn new() -> SharedTheta {
-        SharedTheta(AtomicU64::new(0))
-    }
-
-    /// The tightest threshold published so far, or `-∞`.
-    #[inline]
-    fn get(&self) -> f64 {
-        let bits = self.0.load(Ordering::Relaxed);
-        if bits == 0 {
-            f64::NEG_INFINITY
-        } else {
-            f64::from_bits(bits)
-        }
-    }
-
-    /// Publishes a proven pool threshold; keeps the maximum.
-    #[inline]
-    fn raise(&self, score: f64) {
-        if score > 0.0 {
-            self.0.fetch_max(score.to_bits(), Ordering::Relaxed);
-        }
-    }
+/// One read view the kernel gathers candidates from: a batch index's
+/// postings with this parameterization's tables, or one live segment's.
+pub(crate) struct View<'a> {
+    pub(crate) store: &'a PostingsStore,
+    pub(crate) statics: &'a [(f64, f64)],
+    pub(crate) impacts: &'a ScoreTable,
+    /// Per-document liveness filter (live segments only).
+    pub(crate) alive: Option<&'a [bool]>,
+    /// Pre-resolved term ids for this view's dictionary (batch
+    /// executor only; `None` probes the dictionary per occurrence).
+    pub(crate) resolved: Option<&'a [TermId]>,
 }
 
-/// One shard's read view of the postings: either the full global lists
-/// or a per-term subrange of them. Cursor positions (`TermCursor::next`)
-/// are relative to the view; [`ShardLists::base`] converts back to
-/// global posting indices for the impact-score table and the block
-/// table.
-#[derive(Clone, Copy)]
-pub(crate) struct ShardLists<'a> {
-    store: &'a PostingsStore,
-    shard: Option<&'a IndexShard>,
-}
-
-impl<'a> ShardLists<'a> {
-    pub(crate) fn full(store: &'a PostingsStore) -> ShardLists<'a> {
-        ShardLists { store, shard: None }
-    }
-
-    pub(crate) fn shard(store: &'a PostingsStore, shard: &'a IndexShard) -> ShardLists<'a> {
-        ShardLists {
-            store,
-            shard: Some(shard),
-        }
-    }
-
-    #[inline]
-    fn store(&self) -> &'a PostingsStore {
-        self.store
-    }
-
-    /// The view's navigation handle for one term: the raw layout
-    /// exposes the dense doc-number mirror directly (4 bytes per entry,
-    /// sliced to the shard's subrange); the compressed layout exposes
-    /// the global posting-index range `lo..hi`, which the cursor walks
-    /// by decoding one [`BLOCK_LEN`]-posting block at a time into its
-    /// scratch buffer. In neither case does navigation touch posting
-    /// structs; position data for scored documents comes from the
-    /// store's flat CSR arrays (raw) or varint streams (compressed).
-    #[inline]
-    fn view(&self, term: TermId) -> TermView<'a> {
-        if self.store.is_compressed() {
-            let (lo, hi) = match self.shard {
-                None => (0, self.store.doc_freq_by_id(term)),
-                Some(s) => s.ranges[term as usize],
-            };
-            TermView::Packed { lo, hi }
-        } else {
-            let docs = self.store.doc_ids_by_id(term);
-            match self.shard {
-                None => TermView::Raw(docs),
-                Some(s) => {
-                    let (a, b) = s.ranges[term as usize];
-                    TermView::Raw(&docs[a as usize..b as usize])
-                }
-            }
-        }
-    }
-
-    /// Global posting index of the view's first posting of `term`.
-    #[inline]
-    fn base(&self, term: TermId) -> usize {
-        match self.shard {
-            None => 0,
-            Some(s) => s.ranges[term as usize].0 as usize,
-        }
-    }
-
-    /// The view's document range `[begin, end)`.
-    #[inline]
-    fn doc_range(&self) -> (DocNum, DocNum) {
-        match self.shard {
-            None => (0, self.store.doc_count()),
-            Some(s) => (s.doc_begin, s.doc_end),
-        }
-    }
-}
-
-/// One term's navigation view: a raw doc-id slice, or a compressed
-/// list's global posting-index range (see [`ShardLists::view`]).
+/// One term's navigation handle: the raw layout exposes the dense
+/// doc-number mirror directly (4 bytes per entry); the compressed
+/// layout exposes the list's length, which the cursor walks by decoding
+/// one [`BLOCK_LEN`]-posting block at a time into its scratch buffer.
+/// In neither case does navigation touch posting structs; position data
+/// for scored documents comes from the store's flat CSR arrays (raw) or
+/// varint streams (compressed).
 #[derive(Clone, Copy)]
 enum TermView<'a> {
-    /// Dense doc-number mirror of the view's postings (raw layout).
+    /// Dense doc-number mirror of the list (raw layout).
     Raw(&'a [DocNum]),
-    /// Global posting indices `lo..hi` of a compressed list; documents
-    /// are decoded block-wise through the cursor's buffer.
-    Packed {
-        /// Global index of the view's first posting.
-        lo: u32,
-        /// Global index one past the view's last posting.
-        hi: u32,
-    },
+    /// Posting count of a compressed list; documents are decoded
+    /// block-wise through the cursor's buffer.
+    Packed(u32),
+}
+
+#[inline]
+fn view(store: &PostingsStore, term: TermId) -> TermView<'_> {
+    if store.is_compressed() {
+        TermView::Packed(store.doc_freq_by_id(term))
+    } else {
+        TermView::Raw(store.doc_ids_by_id(term))
+    }
 }
 
 /// One query-term occurrence's walk position in its posting list.
@@ -223,16 +123,12 @@ struct TermCursor {
     /// when the list is exhausted. Cached here so the merge's min
     /// passes read scratch memory instead of chasing into the postings.
     cur: DocNum,
-    /// Global posting index of the cursor's view slice start (0 for an
-    /// unsharded view) — `base + next` addresses the impact table and
-    /// the global block table.
-    base: u32,
-    /// *Global* block index currently decoded into `buf`, or `u32::MAX`
-    /// when nothing is decoded (compressed lists only). Compressed
-    /// blocks align with the global block table, so a seek decodes at
-    /// most the one block its target lands in.
+    /// Block index currently decoded into `buf`, or `u32::MAX` when
+    /// nothing is decoded (compressed lists only). Compressed blocks
+    /// align with the block table, so a seek decodes at most the one
+    /// block its target lands in.
     buf_blk: u32,
-    /// Lazily decoded document ids of global block `buf_blk`.
+    /// Lazily decoded document ids of block `buf_blk`.
     buf: [DocNum; BLOCK_LEN],
 }
 
@@ -240,9 +136,10 @@ struct TermCursor {
 /// pruning effectiveness telemetry for benches and tests.
 ///
 /// In [`EvalMode::Pruned`] every document matching at least one query
-/// term (in each shard or segment view the query ran over) is counted
-/// exactly once, in `docs_scored` or in `candidates_pruned`; in
-/// [`EvalMode::Exhaustive`] all of them land in `docs_scored`.
+/// term (in each live segment the query ran over, dead versions
+/// included) is counted exactly once, in `docs_scored` or in
+/// `candidates_pruned`; in [`EvalMode::Exhaustive`] all of them land in
+/// `docs_scored`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Documents whose full score was computed (every float op of the
@@ -259,9 +156,8 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Accumulates another counter set into this one — how per-shard
-    /// counters aggregate into a query total, and how serving workers
-    /// fold per-scratch counters into service-wide telemetry.
+    /// Accumulates another counter set into this one — how serving
+    /// workers fold per-scratch counters into service-wide telemetry.
     pub fn merge(&mut self, other: KernelStats) {
         self.docs_scored += other.docs_scored;
         self.candidates_pruned += other.candidates_pruned;
@@ -284,8 +180,7 @@ struct AccSlot {
 /// The dense pass's buffers (see [`run_dense`]).
 #[derive(Debug, Default)]
 struct DenseScratch {
-    /// Accumulator slots indexed by document number relative to the
-    /// view's range start, so a shard's scratch holds only its range.
+    /// Accumulator slots indexed by document number.
     slots: Vec<AccSlot>,
     /// Documents touched by this pass, in first-touch order.
     touched: Vec<DocNum>,
@@ -311,6 +206,9 @@ pub struct QueryScratch {
     cursors: Vec<TermCursor>,
     // Bounded selection heap: worst surviving candidate at the root.
     heap: Vec<(f64, DocNum)>,
+    // Live snapshots: the union of the per-segment heaps, in
+    // snapshot-global document numbers.
+    pool: Vec<(f64, DocNum)>,
     // Proximity sweep buffers: (position, local term index) pairs and
     // per-term window counts.
     tagged: Vec<(u32, u32)>,
@@ -324,10 +222,6 @@ pub struct QueryScratch {
     host_counts: Vec<u32>,
     host_stamp: Vec<u32>,
     generation: u32,
-    // Per-shard child scratches for sharded execution, grown to the
-    // shard count on first sharded query and reused afterwards (each
-    // worker's children warm up exactly like the parent).
-    children: Vec<QueryScratch>,
 }
 
 impl QueryScratch {
@@ -337,32 +231,14 @@ impl QueryScratch {
     }
 
     /// The pruning counters accumulated since the last
-    /// [`QueryScratch::take_stats`] — aggregated across the per-shard
-    /// child scratches, so sharded and unsharded execution report
-    /// through the same counters.
+    /// [`QueryScratch::take_stats`].
     pub fn stats(&self) -> KernelStats {
-        let mut total = self.stats;
-        for child in &self.children {
-            total.merge(child.stats());
-        }
-        total
+        self.stats
     }
 
-    /// Returns and resets the accumulated pruning counters (including
-    /// every per-shard child scratch's).
+    /// Returns and resets the accumulated pruning counters.
     pub fn take_stats(&mut self) -> KernelStats {
-        let mut total = std::mem::take(&mut self.stats);
-        for child in &mut self.children {
-            total.merge(child.take_stats());
-        }
-        total
-    }
-
-    /// Grows the per-shard child scratch pool to at least `n` entries.
-    fn ensure_children(&mut self, n: usize) {
-        while self.children.len() < n {
-            self.children.push(QueryScratch::new());
-        }
+        std::mem::take(&mut self.stats)
     }
 
     /// Advances the accumulator/crowding generation, resetting
@@ -382,19 +258,6 @@ impl QueryScratch {
 
 thread_local! {
     static THREAD_SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
-}
-
-/// Hardware threads available to this process, resolved once. Gates
-/// the sharded fan-out: spawning per-query scoped threads on a
-/// single-CPU host is pure overhead, so the dispatcher falls back to
-/// the (byte-identical) serial path there.
-pub(crate) fn hardware_threads() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
 }
 
 /// Process-wide count of [`with_thread_scratch`] re-entrancy
@@ -552,8 +415,8 @@ fn min_cover_span(tagged: &[(u32, u32)], counts: &mut Vec<u32>, k: usize) -> u32
 
 /// The immutable context every scoring call needs.
 struct ScoreCtx<'a> {
-    lists: ShardLists<'a>,
-    /// Precomputed per-posting BM25 contributions (global indices).
+    store: &'a PostingsStore,
+    /// Precomputed per-posting BM25 contributions.
     impacts: &'a ScoreTable,
     params: &'a RankingParams,
     statics: &'a [(f64, f64)],
@@ -603,58 +466,62 @@ impl ScoreCtx<'_> {
 const SEEK_PROBE: usize = 8;
 
 /// Lands `c` on posting index `i`, refreshing the cached doc number.
-/// `docs` is the cursor's view of the dense doc-number mirror.
+/// `docs` is the list's dense doc-number mirror.
 #[inline]
 fn land(c: &mut TermCursor, docs: &[DocNum], i: usize) {
     c.next = i as u32;
     c.cur = docs.get(i).copied().unwrap_or(DocNum::MAX);
 }
 
-/// Lands `c` on view index `i` of a compressed list covering global
-/// postings `lo..hi`, decoding the destination block into the cursor's
-/// buffer if it is not already there.
+/// Parks `c` one past the last of a compressed list's `len` postings.
 #[inline]
-fn land_packed(store: &PostingsStore, c: &mut TermCursor, lo: u32, hi: u32, i: usize) {
-    let g = lo as usize + i;
-    if g >= hi as usize {
-        c.next = hi - lo;
-        c.cur = DocNum::MAX;
+fn exhaust(c: &mut TermCursor, len: u32) {
+    c.next = len;
+    c.cur = DocNum::MAX;
+}
+
+/// Lands `c` on posting index `i` of a compressed list of `len`
+/// postings, decoding the destination block into the cursor's buffer
+/// if it is not already there.
+#[inline]
+fn land_packed(store: &PostingsStore, c: &mut TermCursor, len: u32, i: usize) {
+    if i >= len as usize {
+        exhaust(c, len);
         return;
     }
-    let blk = (g / BLOCK_LEN) as u32;
+    let blk = (i / BLOCK_LEN) as u32;
     if blk != c.buf_blk {
         c.buf_blk = blk;
         store.decode_docs_block(c.term, blk, &mut c.buf);
     }
     c.next = i as u32;
-    c.cur = c.buf[g % BLOCK_LEN];
+    c.cur = c.buf[i % BLOCK_LEN];
 }
 
-/// Lands `c` on view index `i` through either layout's view.
+/// Lands `c` on posting index `i` through either layout's view.
 #[inline]
-fn land_view(lists: &ShardLists<'_>, c: &mut TermCursor, i: usize) {
-    match lists.view(c.term) {
+fn land_view(store: &PostingsStore, c: &mut TermCursor, i: usize) {
+    match view(store, c.term) {
         TermView::Raw(docs) => land(c, docs, i),
-        TermView::Packed { lo, hi } => land_packed(lists.store(), c, lo, hi, i),
+        TermView::Packed(len) => land_packed(store, c, len, i),
     }
 }
 
 /// Advances `c` to its first posting with doc ≥ `target`: a short
-/// linear probe for small gaps, then whole-block skips via the *global*
-/// block table's `last_doc` pointers and a binary search only inside
-/// the destination block, clipped to the view. Cursor indices are
-/// relative to the view. On the raw layout all memory touched is the
+/// linear probe for small gaps, then whole-block skips via the block
+/// table's `last_doc` pointers and a binary search only inside the
+/// destination block. On the raw layout all memory touched is the
 /// 4-byte-per-posting doc mirror (plus the block table) — never the
 /// posting structs. On the compressed layout the probe stays inside the
-/// currently decoded block, the skip walks the same global table
+/// currently decoded block, the skip walks the same block table
 /// (compressed blocks align with it exactly), and at most one
 /// destination block is decoded.
-fn seek(lists: &ShardLists<'_>, c: &mut TermCursor, target: DocNum) {
+fn seek(store: &PostingsStore, c: &mut TermCursor, target: DocNum) {
     if c.cur >= target {
         return;
     }
     // `c.cur < target ≤ MAX` implies the cursor sits on a real posting.
-    match lists.view(c.term) {
+    match view(store, c.term) {
         TermView::Raw(docs) => {
             let mut i = c.next as usize + 1;
             let probe_end = (i + SEEK_PROBE).min(docs.len());
@@ -665,59 +532,53 @@ fn seek(lists: &ShardLists<'_>, c: &mut TermCursor, target: DocNum) {
                 land(c, docs, i);
                 return;
             }
-            // Global posting g = base + view index; a block straddling
-            // the view's end may hold later docs, so the search range is
-            // clipped to the view (landing past it exhausts the cursor).
-            let base = c.base as usize;
-            let view_end = base + docs.len();
-            let blocks = lists.store().blocks_by_id(c.term);
-            let mut blk = (base + i) / BLOCK_LEN;
+            let blocks = store.blocks_by_id(c.term);
+            let mut blk = i / BLOCK_LEN;
             while blocks[blk].last_doc < target {
                 blk += 1;
-                if blk * BLOCK_LEN >= view_end {
+                if blk == blocks.len() {
                     land(c, docs, docs.len());
                     return;
                 }
             }
-            let start = (blk * BLOCK_LEN).max(base + i) - base;
-            let end = ((blk + 1) * BLOCK_LEN).min(view_end) - base;
+            let start = (blk * BLOCK_LEN).max(i);
+            let end = ((blk + 1) * BLOCK_LEN).min(docs.len());
             let within = docs[start..end].partition_point(|&d| d < target);
             land(c, docs, start + within);
         }
-        TermView::Packed { lo, hi } => seek_packed(lists.store(), c, lo, hi, target),
+        TermView::Packed(len) => seek_packed(store, c, len, target),
     }
 }
 
 /// The compressed-layout seek body: probe inside the decoded block,
-/// then walk the global block skip pointers and decode only the
-/// destination block.
-fn seek_packed(store: &PostingsStore, c: &mut TermCursor, lo: u32, hi: u32, target: DocNum) {
+/// then walk the block skip pointers and decode only the destination
+/// block.
+fn seek_packed(store: &PostingsStore, c: &mut TermCursor, len: u32, target: DocNum) {
     // The cursor sits on a real decoded posting (`c.cur < target`), so
     // `buf_blk` is valid and `g` starts inside or one past its block.
-    let mut g = lo as usize + c.next as usize + 1;
-    let blk_end = ((c.buf_blk as usize + 1) * BLOCK_LEN).min(hi as usize);
+    let n_all = len as usize;
+    let mut g = c.next as usize + 1;
+    let blk_end = ((c.buf_blk as usize + 1) * BLOCK_LEN).min(n_all);
     let probe_end = (g + SEEK_PROBE).min(blk_end);
     while g < probe_end && c.buf[g % BLOCK_LEN] < target {
         g += 1;
     }
     if g < probe_end {
-        c.next = (g - lo as usize) as u32;
+        c.next = g as u32;
         c.cur = c.buf[g % BLOCK_LEN];
         return;
     }
-    if g >= hi as usize {
-        c.next = hi - lo;
-        c.cur = DocNum::MAX;
+    if g >= n_all {
+        exhaust(c, len);
         return;
     }
-    // Walk the global skip pointers; compressed blocks align with them.
+    // Walk the skip pointers; compressed blocks align with them.
     let blocks = store.blocks_by_id(c.term);
     let mut blk = g / BLOCK_LEN;
     while blocks[blk].last_doc < target {
         blk += 1;
-        if blk == blocks.len() || blk * BLOCK_LEN >= hi as usize {
-            c.next = hi - lo;
-            c.cur = DocNum::MAX;
+        if blk == blocks.len() {
+            exhaust(c, len);
             return;
         }
     }
@@ -725,18 +586,16 @@ fn seek_packed(store: &PostingsStore, c: &mut TermCursor, lo: u32, hi: u32, targ
         c.buf_blk = blk as u32;
         store.decode_docs_block(c.term, blk as u32, &mut c.buf);
     }
-    let n = (store.doc_freq_by_id(c.term) as usize - blk * BLOCK_LEN).min(BLOCK_LEN);
-    let start = (blk * BLOCK_LEN).max(g);
-    let end = (blk * BLOCK_LEN + n).min(hi as usize);
-    let within = c.buf[start % BLOCK_LEN..start % BLOCK_LEN + (end - start)]
-        .partition_point(|&d| d < target);
+    let first = blk * BLOCK_LEN;
+    let end = (first + BLOCK_LEN).min(n_all);
+    let start = first.max(g);
+    let within = c.buf[start - first..end - first].partition_point(|&d| d < target);
     let found = start + within;
-    if found >= hi as usize {
-        c.next = hi - lo;
-        c.cur = DocNum::MAX;
+    if found >= n_all {
+        exhaust(c, len);
     } else {
-        c.next = (found - lo as usize) as u32;
-        c.cur = c.buf[found % BLOCK_LEN];
+        c.next = found as u32;
+        c.cur = c.buf[found - first];
     }
 }
 
@@ -781,12 +640,10 @@ fn proximity_score(
         if matched == slot.matched {
             break;
         }
-        seek(&ctx.lists, c, doc);
+        seek(ctx.store, c, doc);
         if c.cur == doc {
-            let at = c.base as usize + c.next as usize;
-            ctx.lists
-                .store()
-                .for_each_position(c.term, at, |pos| tagged.push((pos, matched)));
+            ctx.store
+                .for_each_position(c.term, c.next as usize, |pos| tagged.push((pos, matched)));
             matched += 1;
         }
     }
@@ -796,18 +653,17 @@ fn proximity_score(
 }
 
 /// Adds one cursor's view of its posting list into the accumulator:
-/// `slots[d - begin]` gains the posting's cached impact and one match,
+/// `slots[d]` gains the posting's cached impact and one match,
 /// starting from `0.0` on first touch (recorded in `touched`).
 fn accumulate(
     ctx: &ScoreCtx<'_>,
     c: &TermCursor,
-    begin: DocNum,
     stamp: u32,
     slots: &mut [AccSlot],
     touched: &mut Vec<DocNum>,
 ) {
     let mut add = |d: DocNum, impact: f64| {
-        let s = &mut slots[(d - begin) as usize];
+        let s = &mut slots[d as usize];
         if s.stamp != stamp {
             *s = AccSlot {
                 text: 0.0,
@@ -820,8 +676,7 @@ fn accumulate(
         s.matched += 1;
     };
     let term = c.term;
-    let base = c.base as usize;
-    match ctx.lists.view(term) {
+    match view(ctx.store, term) {
         TermView::Raw(docs) => {
             // Impact tables are dictionary-packed only for compressed
             // postings, so a raw list always has a raw impact slice.
@@ -829,28 +684,21 @@ fn accumulate(
                 .impacts
                 .raw_list(term)
                 .expect("raw postings carry raw impacts");
-            for (&d, &x) in docs.iter().zip(&v[base..base + docs.len()]) {
+            for (&d, &x) in docs.iter().zip(v) {
                 add(d, x);
             }
         }
-        TermView::Packed { lo, hi } => {
-            let (lo, hi) = (lo as usize, hi as usize);
+        TermView::Packed(len) => {
             let mut buf = [0; BLOCK_LEN];
             let mut imp = [0.0; BLOCK_LEN];
-            let mut g = lo;
-            while g < hi {
-                let blk = g / BLOCK_LEN;
-                let first = blk * BLOCK_LEN;
-                ctx.lists
-                    .store()
-                    .decode_docs_block(term, blk as u32, &mut buf);
-                let stop = hi.min(first + BLOCK_LEN);
-                let imp = &mut imp[..stop - g];
-                ctx.impacts.impacts_into(term, g, imp);
-                for (&d, &x) in buf[g - first..stop - first].iter().zip(imp.iter()) {
+            for first in (0..len as usize).step_by(BLOCK_LEN) {
+                let blk = (first / BLOCK_LEN) as u32;
+                let n = ctx.store.decode_docs_block(term, blk, &mut buf);
+                let imp = &mut imp[..n];
+                ctx.impacts.impacts_into(term, first, imp);
+                for (&d, &x) in buf[..n].iter().zip(imp.iter()) {
                     add(d, x);
                 }
-                g = stop;
             }
         }
     }
@@ -872,8 +720,8 @@ fn accumulate(
 ///    match, or positions not collected — both ends are the exact
 ///    score.
 /// 3. **Cut.** τ is the `overfetch`-th largest lower bound among
-///    documents that may enter the heap (tightened by a full carried
-///    heap's root or a shared threshold). A document with `ub < τ`
+///    documents that may enter the heap (tightened by the threshold
+///    `theta` carried in from earlier live segments). A document with `ub < τ`
 ///    ranks strictly below `overfetch` others and is dropped. The cut
 ///    runs while bracketing, against the τ of the documents seen so far
 ///    (a valid floor of the final one), and again after it.
@@ -882,6 +730,10 @@ fn accumulate(
 ///    forward in document order — first the survivors whose `lb`
 ///    reaches τ, which fill the heap, then the others, each dropped if
 ///    its `ub` falls strictly below the full heap's root by then.
+///
+/// `theta` is raised to every bound the pass proves `overfetch` live
+/// documents reach (the final τ, the full heap's root), so a later
+/// segment of the same query may prune against it.
 #[allow(clippy::too_many_arguments)]
 fn run_dense(
     ctx: &ScoreCtx<'_>,
@@ -894,7 +746,7 @@ fn run_dense(
     window_counts: &mut Vec<u32>,
     prune: bool,
     stats: &mut KernelStats,
-    shared: Option<&SharedTheta>,
+    theta: &mut f64,
 ) {
     let DenseScratch {
         slots,
@@ -904,33 +756,23 @@ fn run_dense(
         pending,
         maybe,
     } = dense;
-    let (begin, end) = ctx.lists.doc_range();
-    let span = (end - begin) as usize;
+    let span = ctx.store.doc_count() as usize;
     if slots.len() < span {
         slots.resize(span, AccSlot::default());
     }
     touched.clear();
     for c in cursors.iter() {
-        accumulate(ctx, c, begin, stamp, slots, touched);
+        accumulate(ctx, c, stamp, slots, touched);
     }
 
-    // A floor every pool member provably reaches: a full carried heap's
-    // root (serial shards) or the shared broadcast.
-    let mut floor = f64::NEG_INFINITY;
-    if prune {
-        if heap.len() == overfetch {
-            floor = heap[0].0;
-        }
-        if let Some(s) = shared {
-            floor = floor.max(s.get());
-        }
-    }
+    // A floor every pool member provably reaches: the carried threshold.
+    let floor = if prune { *theta } else { f64::NEG_INFINITY };
     let bonus = ctx.params.proximity_bonus;
     let (low, high) = (bonus.min(0.0), bonus.max(0.0));
     kept.clear();
     lbs.clear();
     for &d in touched.iter() {
-        let s = slots[(d - begin) as usize];
+        let s = slots[d as usize];
         let (lb, ub) = if ctx.collect_positions && s.matched >= 2 {
             let x = ctx.blend(s.text + low, d, s.matched);
             let y = ctx.blend(s.text + high, d, s.matched);
@@ -961,9 +803,7 @@ fn run_dense(
     let mut tau = floor;
     if lbs.len() == overfetch {
         tau = tau.max(lbs[0]);
-        if let Some(s) = shared {
-            s.raise(lbs[0]);
-        }
+        *theta = theta.max(lbs[0]);
     }
 
     pending.clear();
@@ -971,7 +811,7 @@ fn run_dense(
     for &(d, lb, ub) in kept.iter() {
         if ub < tau {
             stats.candidates_pruned += 1;
-        } else if ctx.collect_positions && slots[(d - begin) as usize].matched >= 2 {
+        } else if ctx.collect_positions && slots[d as usize].matched >= 2 {
             if lb >= tau {
                 pending.push(d);
             } else {
@@ -986,7 +826,7 @@ fn run_dense(
     }
     pending.sort_unstable();
     for &d in pending.iter() {
-        let slot = slots[(d - begin) as usize];
+        let slot = slots[d as usize];
         let score = proximity_score(ctx, d, slot, cursors, tagged, window_counts);
         if ctx.is_live(d) {
             heap_push(heap, overfetch, (score, d));
@@ -996,14 +836,14 @@ fn run_dense(
     if !maybe.is_empty() {
         maybe.sort_unstable_by_key(|&(d, _)| d);
         for c in cursors.iter_mut() {
-            land_view(&ctx.lists, c, 0);
+            land_view(ctx.store, c, 0);
         }
         for &(d, ub) in maybe.iter() {
             if heap.len() == overfetch && ub < heap[0].0 {
                 stats.candidates_pruned += 1;
                 continue;
             }
-            let slot = slots[(d - begin) as usize];
+            let slot = slots[d as usize];
             let score = proximity_score(ctx, d, slot, cursors, tagged, window_counts);
             if ctx.is_live(d) {
                 heap_push(heap, overfetch, (score, d));
@@ -1011,40 +851,30 @@ fn run_dense(
             stats.docs_scored += 1;
         }
     }
-    if let Some(s) = shared {
-        if heap.len() == overfetch {
-            s.raise(heap[0].0);
-        }
+    if heap.len() == overfetch {
+        *theta = theta.max(heap[0].0);
     }
 }
 
-/// Fills one scratch's candidate heap with a shard view's top
-/// `overfetch` documents: cursor setup, coordination table, then the
-/// dense pass. The heap is left unsorted; callers order (and, for
-/// sharded execution, merge) it in [`finalize`].
-#[allow(clippy::too_many_arguments)]
+/// Fills the scratch's candidate heap with a view's top `overfetch`
+/// documents: cursor setup, coordination table, then the dense pass.
+/// The heap is left unsorted; [`finalize`] orders it.
 fn gather(
-    lists: ShardLists<'_>,
+    view: &View<'_>,
     params: &RankingParams,
-    statics: &[(f64, f64)],
-    impacts: &ScoreTable,
     scratch: &mut QueryScratch,
     terms: &[String],
-    resolved: Option<&[TermId]>,
     overfetch: usize,
     mode: EvalMode,
-    shared: Option<&SharedTheta>,
-    alive: Option<&[bool]>,
+    theta: &mut f64,
 ) {
-    let store = lists.store();
+    let store = view.store;
     // One generation per gather: the dense pass's accumulator slots are
     // valid for this gather only. (Bumping the shared generation more
     // often only invalidates stale stamps, never falsely validates
     // them.)
     scratch.bump_generation();
-    // The heap is NOT cleared here: callers own it. `execute` clears it
-    // per query; the serial sharded path deliberately carries it across
-    // shards so a full heap's root tightens later shards' cuts.
+    scratch.heap.clear();
     // Resolve each query-term occurrence to a cursor: one dictionary
     // probe per term — or zero, when the caller already interned the
     // batch's terms (`resolved` holds the ids of exactly the
@@ -1056,14 +886,13 @@ fn gather(
             term: id,
             next: 0,
             cur: DocNum::MAX,
-            base: lists.base(id) as u32,
             buf_blk: u32::MAX,
             buf: [0; BLOCK_LEN],
         };
-        land_view(&lists, &mut c, 0);
+        land_view(store, &mut c, 0);
         scratch.cursors.push(c);
     };
-    match resolved {
+    match view.resolved {
         Some(ids) => {
             for &id in ids {
                 push_cursor(scratch, id);
@@ -1107,13 +936,13 @@ fn gather(
     } = &mut *scratch;
 
     let ctx = ScoreCtx {
-        lists,
-        impacts,
+        store,
+        impacts: view.impacts,
         params,
-        statics,
+        statics: view.statics,
         coord,
         collect_positions: cursors.len() >= 2 && params.proximity_bonus != 0.0,
-        alive,
+        alive: view.alive,
     };
     run_dense(
         &ctx,
@@ -1126,45 +955,46 @@ fn gather(
         window_counts,
         mode == EvalMode::Pruned,
         stats,
-        shared,
+        theta,
     );
 }
 
-/// Orders the gathered candidates, truncates to the overfetch pool,
-/// applies host crowding and extracts snippets for the survivors —
-/// the exact tail of the unsharded path, shared by the sharded merge
-/// (the merged heap may hold up to `shards × overfetch` entries; the
-/// truncation is what restores the reference pool semantics).
-fn finalize(
-    index: &SearchIndex,
+/// Orders the candidates in the scratch's heap, truncates them to the
+/// overfetch pool, applies host crowding and extracts snippets for the
+/// survivors. `fields` reads a candidate's metadata (interned host id
+/// included, below `host_count`). A live snapshot's union of segment
+/// pools may hold up to `segments × overfetch` entries; the truncation
+/// is what restores the reference pool semantics.
+fn finalize<'a>(
     params: &RankingParams,
     scratch: &mut QueryScratch,
     terms: &[String],
     k: usize,
-    overfetch: usize,
+    host_count: u32,
+    fields: impl Fn(DocNum) -> DocFields<'a>,
 ) -> Vec<SerpResult> {
     // Order the surviving candidates: same comparator the reference
     // full sort uses.
     scratch
         .heap
         .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    scratch.heap.truncate(overfetch);
+    scratch.heap.truncate(overfetch(k));
 
     // Host crowding + truncation fused: walk the ranked candidates,
     // dropping any beyond `max_per_host` for its host, stopping at `k`.
     // Snippets are extracted only for documents that make the cut.
     scratch.bump_generation();
     let generation = scratch.generation;
-    let host_n = index.host_count() as usize;
+    let host_n = host_count as usize;
     if scratch.host_stamp.len() < host_n {
         scratch.host_stamp.resize(host_n, 0);
         scratch.host_counts.resize(host_n, 0);
     }
     let mut results = Vec::with_capacity(k.min(scratch.heap.len()));
     for &(score, doc) in scratch.heap.iter() {
-        // `doc_fields` works on both metadata layouts; the compressed
-        // index re-materializes only the URL, and only for survivors.
-        let meta = index.doc_fields(doc);
+        // The compressed index re-materializes only the URL, and only
+        // for the candidates walked here.
+        let meta = fields(doc);
         if params.max_per_host > 0 {
             let h = meta.host_id as usize;
             if scratch.host_stamp[h] != generation {
@@ -1193,9 +1023,14 @@ fn finalize(
     results
 }
 
-/// Executes one query over the full (unsharded) index and returns the
-/// final, host-crowded, truncated result list (snippets extracted only
-/// for the survivors).
+/// Executes one query over a batch index and returns the final,
+/// host-crowded, truncated result list (snippets extracted only for
+/// the survivors). `resolved` carries the batch executor's
+/// pre-resolved term ids — one dictionary probe per distinct term
+/// *per batch* instead of per query; they are the ids of exactly the
+/// occurrences present in the index, in query-term order, so the
+/// cursor sequence — and therefore every scored float — is the same
+/// either way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute(
     index: &SearchIndex,
@@ -1204,321 +1039,47 @@ pub(crate) fn execute(
     impacts: &ScoreTable,
     scratch: &mut QueryScratch,
     terms: &[String],
-    k: usize,
-    mode: EvalMode,
-) -> Vec<SerpResult> {
-    let overfetch = overfetch(k);
-    scratch.heap.clear();
-    gather(
-        ShardLists::full(index.postings()),
-        params,
-        statics,
-        impacts,
-        scratch,
-        terms,
-        None,
-        overfetch,
-        mode,
-        None,
-        None,
-    );
-    finalize(index, params, scratch, terms, k, overfetch)
-}
-
-/// [`execute`] with the batch executor's pre-resolved term ids: one
-/// dictionary probe per distinct term *per batch* instead of per
-/// query. `resolved` holds the ids of exactly the occurrences present
-/// in the index, in query-term order, so the cursor sequence — and
-/// therefore every scored float — is identical to [`execute`]'s.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_resolved(
-    index: &SearchIndex,
-    params: &RankingParams,
-    statics: &[(f64, f64)],
-    impacts: &ScoreTable,
-    scratch: &mut QueryScratch,
-    terms: &[String],
-    resolved: &[TermId],
-    k: usize,
-    mode: EvalMode,
-) -> Vec<SerpResult> {
-    let overfetch = overfetch(k);
-    scratch.heap.clear();
-    gather(
-        ShardLists::full(index.postings()),
-        params,
-        statics,
-        impacts,
-        scratch,
-        terms,
-        Some(resolved),
-        overfetch,
-        mode,
-        None,
-        None,
-    );
-    finalize(index, params, scratch, terms, k, overfetch)
-}
-
-/// One shard's candidate gather for the batch executor's
-/// shard-per-worker schedule: fills `out` with the shard's bounded
-/// top-`overfetch` heap for this query (unsorted, exactly what the
-/// parallel fan-out's child heaps hold). No cross-shard threshold is
-/// broadcast — each worker is at a different query at any instant —
-/// which can only *reduce* pruning, never change the merged pool, so
-/// [`finalize_merged`] over these parts is byte-identical to
-/// [`execute_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gather_shard_candidates(
-    store: &PostingsStore,
-    shard: &IndexShard,
-    params: &RankingParams,
-    statics: &[(f64, f64)],
-    impacts: &ScoreTable,
-    scratch: &mut QueryScratch,
-    terms: &[String],
     resolved: Option<&[TermId]>,
-    overfetch: usize,
+    k: usize,
     mode: EvalMode,
-    out: &mut Vec<(f64, DocNum)>,
-) {
-    scratch.heap.clear();
-    gather(
-        ShardLists::shard(store, shard),
-        params,
+) -> Vec<SerpResult> {
+    let view = View {
+        store: index.postings(),
         statics,
         impacts,
+        alive: None,
+        resolved,
+    };
+    let mut theta = f64::NEG_INFINITY;
+    gather(
+        &view,
+        params,
         scratch,
         terms,
-        resolved,
-        overfetch,
+        overfetch(k),
         mode,
-        None,
-        None,
+        &mut theta,
     );
-    out.clear();
-    out.extend_from_slice(&scratch.heap);
-}
-
-/// The sharded-merge tail for the batch executor: concatenates the
-/// per-shard candidate heaps of one query and runs the exact
-/// [`finalize`] sort + overfetch truncation + host crowding. The sort
-/// is over a total order, so part order is irrelevant — the output is
-/// byte-identical to the per-query sharded merge.
-pub(crate) fn finalize_merged<'a>(
-    index: &SearchIndex,
-    params: &RankingParams,
-    scratch: &mut QueryScratch,
-    terms: &[String],
-    k: usize,
-    parts: impl Iterator<Item = &'a [(f64, DocNum)]>,
-) -> Vec<SerpResult> {
-    let overfetch = overfetch(k);
-    scratch.heap.clear();
-    for part in parts {
-        scratch.heap.extend_from_slice(part);
-    }
-    finalize(index, params, scratch, terms, k, overfetch)
-}
-
-/// Executes one query over a document-partitioned [`ShardedIndex`].
-///
-/// With `parallel`, each shard gathers its own top-`overfetch`
-/// candidates on its own child scratch over scoped threads, the heaps
-/// are merged, and the exact unsharded tail — sort by (score bits,
-/// doc id), truncate to the overfetch pool, host-crowd, snippet — runs
-/// on the union. Exactness: each shard's heap holds its local top
-/// `overfetch` by the global total order, so the union is a superset
-/// of the global top-`overfetch` pool — any document of the global
-/// pool beats at least `global_rank ≤ overfetch` documents overall,
-/// hence at most `overfetch − 1` within its own shard. Sorting the
-/// union and truncating to `overfetch` therefore reproduces the global
-/// pool exactly, and the shared crowding walk does the rest. In the
-/// pruning modes the shards tighten each other's thresholds through a
-/// [`SharedTheta`] broadcast; the resulting `KernelStats` depend on
-/// thread timing (SERPs never do).
-///
-/// Without `parallel`, the shards — contiguous doc-id ranges visited
-/// in order — accumulate into a single heap whose root, once full,
-/// tightens each later shard's cut: outputs *and* counters are
-/// deterministic. Scored documents run the same float sequence in every
-/// configuration, so SERPs are byte-identical for every shard count
-/// and either dispatch (differentially tested in
-/// `tests/differential_search.rs`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_sharded(
-    sharded: &ShardedIndex,
-    params: &RankingParams,
-    statics: &[(f64, f64)],
-    impacts: &ScoreTable,
-    scratch: &mut QueryScratch,
-    terms: &[String],
-    k: usize,
-    mode: EvalMode,
-    parallel: bool,
-) -> Vec<SerpResult> {
-    let index = sharded.index();
-    let shards = sharded.shards();
-    let n = shards.len();
-    let overfetch = overfetch(k);
-
-    let store = index.postings();
-    if parallel && n > 1 {
-        scratch.ensure_children(n);
-        let theta = SharedTheta::new();
-        let shared = (mode == EvalMode::Pruned).then_some(&theta);
-        let (first_child, rest) = scratch.children.split_first_mut().expect("n >= 1 children");
-        crossbeam::thread::scope(|scope| {
-            for (child, shard) in rest.iter_mut().zip(&shards[1..]) {
-                scope.spawn(move || {
-                    child.heap.clear();
-                    gather(
-                        ShardLists::shard(store, shard),
-                        params,
-                        statics,
-                        impacts,
-                        child,
-                        terms,
-                        None,
-                        overfetch,
-                        mode,
-                        shared,
-                        None,
-                    );
-                });
-            }
-            // The first shard runs on the calling thread while the
-            // spawned shards work.
-            first_child.heap.clear();
-            gather(
-                ShardLists::shard(store, &shards[0]),
-                params,
-                statics,
-                impacts,
-                first_child,
-                terms,
-                None,
-                overfetch,
-                mode,
-                shared,
-                None,
-            );
-        })
-        .expect("shard gather panicked");
-
-        // Merge: concatenate the per-shard heaps into the parent heap;
-        // `finalize` sorts and truncates the union back to the exact
-        // global overfetch pool.
-        scratch.heap.clear();
-        for child in &mut scratch.children[..n] {
-            scratch.heap.extend_from_slice(&child.heap);
-            child.heap.clear();
-        }
-    } else {
-        // Serial sharded execution accumulates into ONE heap carried
-        // across shards (the bounded heap selects the same top
-        // `overfetch` whatever the push order). No shared-θ broadcast
-        // is needed — a full carried heap's root *is* a global bound —
-        // and the heap never exceeds `overfetch` entries.
-        scratch.heap.clear();
-        for shard in shards {
-            gather(
-                ShardLists::shard(store, shard),
-                params,
-                statics,
-                impacts,
-                scratch,
-                terms,
-                None,
-                overfetch,
-                mode,
-                None,
-                None,
-            );
-        }
-    }
-    finalize(index, params, scratch, terms, k, overfetch)
+    finalize(params, scratch, terms, k, index.host_count(), |doc| {
+        index.doc_fields(doc)
+    })
 }
 
 /// One live-index segment's read view for a snapshot query: its own
 /// postings store, score/static tables built against the
-/// *snapshot-global* collection statistics, the per-local-doc liveness
-/// bitmap, and the map from segment-local document numbers to
-/// snapshot-global ones (ascending — documents within a segment are
+/// *snapshot-global* collection statistics and the per-local-doc
+/// liveness bitmap, plus the map from segment-local document numbers
+/// to snapshot-global ones (ascending — documents within a segment are
 /// stored in page-id order, the same order the global numbering uses).
 pub(crate) struct SegmentRun<'a> {
-    pub(crate) store: &'a PostingsStore,
-    pub(crate) statics: &'a [(f64, f64)],
-    pub(crate) impacts: &'a ScoreTable,
-    pub(crate) alive: Option<&'a [bool]>,
+    pub(crate) view: View<'a>,
     pub(crate) global_of: &'a [DocNum],
-    /// Pre-resolved term ids for this segment's dictionary (batch
-    /// executor only; `None` probes the dictionary per occurrence).
-    pub(crate) resolved: Option<&'a [TermId]>,
 }
 
-/// The [`finalize`] tail for live snapshots: identical sort, overfetch
-/// truncation, host crowding and snippet extraction, but document
-/// metadata and interned host ids come from the snapshot (via
-/// `host_ids` and `meta_of`) instead of a [`SearchIndex`].
-#[allow(clippy::too_many_arguments)]
-fn finalize_live<'a>(
-    params: &RankingParams,
-    scratch: &mut QueryScratch,
-    terms: &[String],
-    k: usize,
-    overfetch: usize,
-    host_ids: &[u32],
-    host_count: u32,
-    meta_of: &dyn Fn(DocNum) -> &'a DocMeta,
-) -> Vec<SerpResult> {
-    scratch
-        .heap
-        .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    scratch.heap.truncate(overfetch);
-
-    scratch.bump_generation();
-    let generation = scratch.generation;
-    let host_n = host_count as usize;
-    if scratch.host_stamp.len() < host_n {
-        scratch.host_stamp.resize(host_n, 0);
-        scratch.host_counts.resize(host_n, 0);
-    }
-    let mut results = Vec::with_capacity(k.min(scratch.heap.len()));
-    for &(score, doc) in scratch.heap.iter() {
-        let meta = meta_of(doc);
-        if params.max_per_host > 0 {
-            let h = host_ids[doc as usize] as usize;
-            if scratch.host_stamp[h] != generation {
-                scratch.host_stamp[h] = generation;
-                scratch.host_counts[h] = 0;
-            }
-            scratch.host_counts[h] += 1;
-            if scratch.host_counts[h] as usize > params.max_per_host {
-                continue;
-            }
-        }
-        results.push(SerpResult {
-            page: meta.page,
-            url: meta.url.clone(),
-            host: meta.host.clone(),
-            score,
-            title: meta.title.clone(),
-            snippet: extract_snippet(&meta.body, terms, params.snippet_width),
-            source_type: meta.source_type,
-            age_days: meta.age_days,
-        });
-        if results.len() == k {
-            break;
-        }
-    }
-    results
-}
-
-/// Executes one query over a live-index snapshot: the kernel runs
-/// per segment (newest first or oldest first — order does not affect
-/// output), candidates are remapped to snapshot-global document
-/// numbers, and the union goes through the exact sharded-merge tail.
+/// Executes one query over a live-index snapshot: the kernel runs per
+/// segment, candidates are remapped to snapshot-global document
+/// numbers, and the union goes through the same [`finalize`] as a
+/// batch index, with metadata read through `fields`.
 ///
 /// Exactness against a batch build of the same live document set
 /// (DESIGN.md §3 "Live index" gives the full argument):
@@ -1527,8 +1088,8 @@ fn finalize_live<'a>(
 ///   global page-id order, so a segment's bounded heap — tie-broken by
 ///   local doc number — holds exactly its live documents' global
 ///   top-`overfetch` prefix; the union over segments is a superset of
-///   the global overfetch pool, and the shared sort + truncate
-///   restores it exactly (the PR 5 sharded-merge argument, verbatim);
+///   the global overfetch pool, and the sort + truncate restores it
+///   exactly;
 /// * each segment's impact/static tables are built against the
 ///   *snapshot-global* statistics (live doc count, exact integer token
 ///   total, per-term union document frequencies), so a live document's
@@ -1539,58 +1100,36 @@ fn finalize_live<'a>(
 ///   (read amplification the telemetry reports honestly) but can never
 ///   enter a pool or raise a threshold.
 ///
-/// In the pruning modes, a [`SharedTheta`] carries the tightening
-/// threshold across the (serially executed) segments: a published value
-/// proves `overfetch` live documents score at least that much globally,
-/// so later segments may prune against it — admissible for the same
-/// reason as the cross-shard broadcast.
+/// In [`EvalMode::Pruned`] a threshold θ is carried across the
+/// segments: a raised θ proves `overfetch` live documents score at
+/// least that much, so later segments may prune documents strictly
+/// below it without changing the union's top `overfetch`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_live<'a>(
     params: &RankingParams,
     segments: &[SegmentRun<'_>],
-    host_ids: &[u32],
     host_count: u32,
-    meta_of: &dyn Fn(DocNum) -> &'a DocMeta,
+    fields: impl Fn(DocNum) -> DocFields<'a>,
     scratch: &mut QueryScratch,
     terms: &[String],
     k: usize,
     mode: EvalMode,
 ) -> Vec<SerpResult> {
     let overfetch = overfetch(k);
-    scratch.heap.clear();
-    let theta = SharedTheta::new();
-    let shared = (mode == EvalMode::Pruned).then_some(&theta);
-    scratch.ensure_children(1);
+    let mut theta = f64::NEG_INFINITY;
+    scratch.pool.clear();
     for seg in segments {
-        {
-            let child = &mut scratch.children[0];
-            child.heap.clear();
-            gather(
-                ShardLists::full(seg.store),
-                params,
-                seg.statics,
-                seg.impacts,
-                child,
-                terms,
-                seg.resolved,
-                overfetch,
-                mode,
-                shared,
-                seg.alive,
-            );
-        }
-        // Remap the segment's candidates to snapshot-global document
-        // numbers and append to the union pool (indexing sidesteps a
-        // simultaneous children/heap borrow; the loop is ≤ overfetch
-        // long).
-        for i in 0..scratch.children[0].heap.len() {
-            let (score, local) = scratch.children[0].heap[i];
-            scratch.heap.push((score, seg.global_of[local as usize]));
-        }
+        gather(
+            &seg.view, params, scratch, terms, overfetch, mode, &mut theta,
+        );
+        let QueryScratch { heap, pool, .. } = &mut *scratch;
+        pool.extend(
+            heap.iter()
+                .map(|&(score, local)| (score, seg.global_of[local as usize])),
+        );
     }
-    finalize_live(
-        params, scratch, terms, k, overfetch, host_ids, host_count, meta_of,
-    )
+    std::mem::swap(&mut scratch.heap, &mut scratch.pool);
+    finalize(params, scratch, terms, k, host_count, fields)
 }
 
 #[cfg(test)]
@@ -1707,13 +1246,11 @@ mod tests {
                     term: id,
                     next: 0,
                     cur: DocNum::MAX,
-                    base: 0,
                     buf_blk: u32::MAX,
                     buf: [0; BLOCK_LEN],
                 };
-                let lists = ShardLists::full(store);
-                land_view(&lists, &mut c, start as usize);
-                seek(&lists, &mut c, target);
+                land_view(store, &mut c, start as usize);
+                seek(store, &mut c, target);
                 c.next as usize
             };
             // Every posting is findable from the start of the list.
@@ -1781,23 +1318,89 @@ mod tests {
 
     /// Every document matching at least one query term is counted
     /// exactly once — scored or pruned in `Pruned`, scored in
-    /// `Exhaustive` — on both layouts, sharded serially and in
-    /// parallel, for duplicate-term, single-term, 70-term and
-    /// unmatched queries at several pool depths.
+    /// `Exhaustive` — on both layouts and across the segments of a live
+    /// snapshot (dead versions included), for duplicate-term,
+    /// single-term, 70-term and unmatched queries at several pool
+    /// depths.
     #[test]
     fn every_matching_document_is_scored_or_pruned_once() {
+        use crate::live::{LiveDoc, LiveIndex, LiveIndexConfig, LiveSearcher};
         use crate::query::{RankingParams, SearchEngine};
-        use crate::shard::ShardedIndex;
         use shift_textkit::analyze;
         use std::collections::BTreeSet;
         use std::sync::Arc;
+
+        /// Runs every query at several depths in both modes and checks
+        /// the counters against the matching documents of `stores`.
+        fn check(
+            stores: &[&PostingsStore],
+            search: impl Fn(&mut QueryScratch, &str, usize, EvalMode),
+            queries: &[&str],
+        ) {
+            let mut scratch = QueryScratch::new();
+            for &q in queries {
+                let matching: u64 = stores
+                    .iter()
+                    .map(|store| {
+                        let mut docs = BTreeSet::new();
+                        for term in analyze(q) {
+                            if let Some(id) = store.term_id(&term) {
+                                store.for_each_doc(id, |_, d| {
+                                    docs.insert(d);
+                                });
+                            }
+                        }
+                        docs.len() as u64
+                    })
+                    .sum();
+                for k in [1usize, 10, 60] {
+                    search(&mut scratch, q, k, EvalMode::Pruned);
+                    let p = scratch.take_stats();
+                    assert_eq!(
+                        p.docs_scored + p.candidates_pruned,
+                        matching,
+                        "{q:.40} k={k}: {p:?}"
+                    );
+                    search(&mut scratch, q, k, EvalMode::Exhaustive);
+                    let e = scratch.take_stats();
+                    assert_eq!(
+                        (e.docs_scored, e.candidates_pruned),
+                        (matching, 0),
+                        "{q:.40} k={k}"
+                    );
+                }
+            }
+        }
 
         let world = World::generate(&WorldConfig::small(), 7);
         let params = RankingParams::ai_retrieval();
         let raw = SearchEngine::build(&world, params.clone());
         let packed = SearchEngine::build_compressed(&world, params.clone());
-        let view = Arc::new(ShardedIndex::build(raw.index_handle(), 3));
-        let sharded = SearchEngine::with_sharded_index(view, params);
+
+        // A live snapshot of the same pages in two flushed segments and
+        // a memtable run, with rewritten (shadowed) and deleted
+        // (tombstoned) pages.
+        let pages = world.pages();
+        let mut live = LiveIndex::new(LiveIndexConfig::standard(7));
+        for page in &pages[..pages.len() / 2] {
+            live.upsert(LiveDoc::from_page(&world, page));
+        }
+        live.flush();
+        for page in &pages[pages.len() / 2..] {
+            live.upsert(LiveDoc::from_page(&world, page));
+        }
+        live.flush();
+        for page in pages.iter().step_by(5) {
+            live.upsert(LiveDoc::from_page(&world, page));
+        }
+        for page in pages.iter().skip(1).step_by(11) {
+            live.delete(page.id);
+        }
+        let snapshot = live.snapshot();
+        assert!(snapshot.segment_count() >= 2);
+        assert!(snapshot.stored_docs() > snapshot.doc_count() as usize);
+        let searcher = LiveSearcher::new(Arc::new(snapshot), params);
+
         let words = [
             "best", "laptops", "battery", "review", "hotels", "2025", "camera",
         ];
@@ -1811,91 +1414,24 @@ mod tests {
             "xylophonic quuxations",
             long.as_str(),
         ];
-        for engine in [&raw, &packed, &sharded] {
-            let store = engine.index().postings();
-            let mut scratch = QueryScratch::new();
-            for q in queries {
-                let mut matching = BTreeSet::new();
-                for term in analyze(q) {
-                    if let Some(id) = store.term_id(&term) {
-                        store.for_each_doc(id, |_, d| {
-                            matching.insert(d);
-                        });
-                    }
-                }
-                let matching = matching.len() as u64;
-                for k in [1usize, 10, 60] {
-                    for parallel in [false, true] {
-                        let _ = if parallel {
-                            engine.search_with_mode(&mut scratch, q, k, EvalMode::Pruned)
-                        } else {
-                            engine.search_with_mode_serial(&mut scratch, q, k, EvalMode::Pruned)
-                        };
-                        let p = scratch.take_stats();
-                        assert_eq!(
-                            p.docs_scored + p.candidates_pruned,
-                            matching,
-                            "{q:.40} k={k} parallel={parallel}: {p:?}"
-                        );
-                    }
-                    let _ = engine.search_with_mode(&mut scratch, q, k, EvalMode::Exhaustive);
-                    let e = scratch.take_stats();
-                    assert_eq!(
-                        (e.docs_scored, e.candidates_pruned),
-                        (matching, 0),
-                        "{q:.40} k={k}"
-                    );
-                }
-            }
+        for engine in [&raw, &packed] {
+            check(
+                &[engine.index().postings()],
+                |scratch, q, k, mode| {
+                    let _ = engine.search_with_mode(scratch, q, k, mode);
+                },
+                &queries,
+            );
         }
-    }
-
-    /// Forces the crossbeam fan-out regardless of the host's CPU count
-    /// (the public dispatcher downgrades to serial on single-CPU
-    /// hosts, which would otherwise leave the parallel branch
-    /// untested there) and checks it against the unsharded kernel
-    /// byte-for-byte in both evaluation modes.
-    #[test]
-    fn parallel_fanout_matches_unsharded_bytes() {
-        use crate::query::{RankingParams, SearchEngine};
-        use crate::shard::ShardedIndex;
-        use shift_textkit::analyze;
-        use std::sync::Arc;
-
-        let world = World::generate(&WorldConfig::small(), 4040);
-        let unsharded = SearchEngine::build(&world, RankingParams::google());
-        let view = Arc::new(ShardedIndex::build(unsharded.index_handle(), 3));
-        let engine = SearchEngine::with_sharded_index(Arc::clone(&view), RankingParams::google());
-        let mut scratch = QueryScratch::new();
-        let queries = [
-            "best smartphones 2025",
-            "top 10 hotels for students",
-            "review laptops battery battery",
-            "buy espresso machines",
-            "best",
-        ];
-        for q in queries {
-            let terms = analyze(q);
-            let want = unsharded.search_with(&mut scratch, q, 10);
-            for mode in [EvalMode::Pruned, EvalMode::Exhaustive] {
-                let got = execute_sharded(
-                    &view,
-                    engine.params(),
-                    engine.statics(),
-                    engine.impacts(),
-                    &mut scratch,
-                    &terms,
-                    10,
-                    mode,
-                    true, // force the scoped-thread branch
-                );
-                assert_eq!(got.len(), want.results.len(), "{q} ({mode:?})");
-                for (g, w) in got.iter().zip(&want.results) {
-                    assert_eq!(g.url, w.url, "{q} ({mode:?})");
-                    assert_eq!(g.score.to_bits(), w.score.to_bits(), "{q} ({mode:?})");
-                    assert_eq!(g.snippet, w.snippet, "{q} ({mode:?})");
-                }
-            }
-        }
+        let stores: Vec<&PostingsStore> = (0..searcher.segment_count())
+            .map(|si| searcher.segment_store(si))
+            .collect();
+        check(
+            &stores,
+            |scratch, q, k, mode| {
+                let _ = searcher.search_with_mode(scratch, q, k, mode);
+            },
+            &queries,
+        );
     }
 }

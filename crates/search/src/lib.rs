@@ -16,11 +16,13 @@
 //! * [`kernel`] — the scoring kernel (dense accumulation with an exact
 //!   pool cut, and its exhaustive twin — both [`EvalMode`]s
 //!   byte-identical) and its reusable zero-allocation [`QueryScratch`].
+//!   One executor serves both the batch index and live snapshots; they
+//!   differ only in where candidates and document metadata come from.
 //! * [`serp`] — result assembly: score blending (relevance × authority ×
 //!   freshness), host-crowding limits, snippet extraction.
 //! * [`query`] — the user-facing [`SearchEngine`] handle, plus the frozen
 //!   term-at-a-time oracle in [`query::reference`].
-//! * [`batch`] — inverted parallelism for query sweeps: the
+//! * [`batch`] — parallelism across queries, not within one: the
 //!   [`BatchExecutor`] pins one immutable index reference per worker
 //!   and streams batches of queries through it (term interning, warm
 //!   scratches, term-grouped execution, in-batch dedup), returning
@@ -59,7 +61,6 @@ pub mod live;
 pub mod postings;
 pub mod query;
 pub mod serp;
-pub mod shard;
 pub mod sizing;
 
 pub use batch::BatchExecutor;
@@ -73,5 +74,4 @@ pub use live::{
 pub use postings::{PostingsStats, BLOCK_LEN};
 pub use query::{RankingParams, SearchEngine};
 pub use serp::{Serp, SerpResult};
-pub use shard::{ShardStats, ShardedIndex, ShardedIndexStats};
 pub use sizing::SizePair;

@@ -5,14 +5,14 @@
 //! replayed event sequence reproduces the exact same merge schedule —
 //! segment ids, widths, and contents — bit for bit. The merge itself is
 //! a pure function of its input segments; on multi-core hosts the
-//! per-input claim scans fan out over crossbeam scoped threads and are
+//! per-input claim scans fan out over scoped threads and are
 //! joined in input order, so the parallel and serial paths build
 //! byte-identical segments.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use crate::kernel::hardware_threads;
+use crate::batch::hardware_threads;
 
 use super::memtable::LiveDoc;
 use super::segment::Segment;
@@ -84,7 +84,7 @@ fn splitmix64(x: u64) -> u64 {
 /// run would have to keep its tombstones; the policy never does that.)
 pub(crate) fn merge_segments(id: u64, inputs: &[Arc<Segment>]) -> Segment {
     if hardware_threads() > 1 && inputs.len() > 1 {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = inputs
                 .iter()
                 .map(|seg| scope.spawn(move || claim_set(seg)))
@@ -97,7 +97,6 @@ pub(crate) fn merge_segments(id: u64, inputs: &[Arc<Segment>]) -> Segment {
                 .collect();
             resolve_and_build(id, inputs, &claims)
         })
-        .expect("merge scope")
     } else {
         let claims: Vec<HashSet<u32>> = inputs.iter().map(|s| claim_set(s)).collect();
         resolve_and_build(id, inputs, &claims)

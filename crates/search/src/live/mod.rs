@@ -14,10 +14,10 @@
 //!
 //! Reads go through [`LiveSnapshot`] / [`LiveSearcher`]: a snapshot
 //! resolves newest-first shadowing across runs, computes
-//! snapshot-global collection statistics, and serves queries with the
-//! same kernel and exact multi-run merge the sharded batch
-//! path uses — so a snapshot's SERPs are byte-identical to a batch
-//! index built over the same live page set (enforced by
+//! snapshot-global collection statistics, and serves queries through
+//! the same kernel executor as the batch index, merging the per-run
+//! candidate pools exactly — so a snapshot's SERPs are byte-identical
+//! to a batch index built over the same live page set (enforced by
 //! `tests/differential_live.rs`).
 
 pub mod compaction;

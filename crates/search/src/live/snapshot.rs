@@ -22,11 +22,12 @@ use std::sync::Arc;
 use shift_textkit::analyze;
 
 use crate::bm25::{idf, term_score_tf};
+use crate::docstore::DocFields;
 use crate::index::{DocMeta, ScoreTable, StaticScores};
-use crate::kernel::{self, EvalMode, QueryScratch, SegmentRun};
-use crate::postings::{DocNum, TermId};
+use crate::kernel::{self, EvalMode, QueryScratch, SegmentRun, View};
+use crate::postings::{DocNum, PostingsStore, TermId};
 use crate::query::RankingParams;
-use crate::serp::Serp;
+use crate::serp::{Serp, SerpResult};
 
 use super::segment::{Segment, SegmentStats};
 
@@ -193,6 +194,15 @@ impl LiveSnapshot {
         let (si, local) = self.winners[doc as usize];
         &self.segments[si as usize].metas()[local as usize]
     }
+
+    /// [`LiveSnapshot::meta`] as the kernel reads it, with the
+    /// snapshot-interned host id.
+    fn fields(&self, doc: DocNum) -> DocFields<'_> {
+        DocFields {
+            host_id: self.host_ids[doc as usize],
+            ..self.meta(doc).fields()
+        }
+    }
 }
 
 /// A ranking-parameterized reader over one snapshot: per-segment
@@ -311,32 +321,7 @@ impl LiveSearcher {
         if terms.is_empty() || k == 0 || self.snapshot.is_empty() {
             return serp;
         }
-        let snapshot = &*self.snapshot;
-        let runs: Vec<SegmentRun<'_>> = snapshot
-            .segments
-            .iter()
-            .enumerate()
-            .map(|(si, seg)| SegmentRun {
-                store: seg.store(),
-                statics: &self.statics[si],
-                impacts: &self.impacts[si],
-                alive: Some(&snapshot.alive[si]),
-                global_of: &snapshot.global_of[si],
-                resolved: None,
-            })
-            .collect();
-        let meta_of = |doc: DocNum| snapshot.meta(doc);
-        serp.results = kernel::execute_live(
-            &self.params,
-            &runs,
-            &snapshot.host_ids,
-            snapshot.host_count,
-            &meta_of,
-            scratch,
-            &terms,
-            k,
-            mode,
-        );
+        serp.results = self.run(scratch, &terms, None, k, mode);
         serp
     }
 
@@ -360,45 +345,44 @@ impl LiveSearcher {
 
     /// One segment's postings store — each segment has an independent
     /// term-id space, so the batch executor interns per segment.
-    pub(crate) fn segment_store(&self, si: usize) -> &crate::postings::PostingsStore {
+    pub(crate) fn segment_store(&self, si: usize) -> &PostingsStore {
         self.snapshot.segments[si].store()
     }
 
-    /// Executes one query whose terms the batch executor has already
-    /// analyzed and resolved per segment dictionary (`resolved[si]` =
-    /// the ids of exactly the occurrences present in segment `si`, in
-    /// query-term order). Byte-identical to
-    /// [`LiveSearcher::search_with_mode`] — same tables, same kernel,
-    /// the only difference is who probed the dictionaries.
-    pub(crate) fn run_resolved(
+    /// Executes one query over every segment. `resolved`, when the
+    /// batch executor has already analyzed and interned the terms,
+    /// holds per segment the ids of exactly the occurrences present in
+    /// that segment's dictionary, in query-term order — the same cursor
+    /// sequence the per-occurrence dictionary probe builds.
+    pub(crate) fn run(
         &self,
         scratch: &mut QueryScratch,
         terms: &[String],
-        resolved: &[Vec<TermId>],
+        resolved: Option<&[Vec<TermId>]>,
         k: usize,
         mode: EvalMode,
-    ) -> Vec<crate::serp::SerpResult> {
+    ) -> Vec<SerpResult> {
         let snapshot = &*self.snapshot;
         let runs: Vec<SegmentRun<'_>> = snapshot
             .segments
             .iter()
             .enumerate()
             .map(|(si, seg)| SegmentRun {
-                store: seg.store(),
-                statics: &self.statics[si],
-                impacts: &self.impacts[si],
-                alive: Some(&snapshot.alive[si]),
+                view: View {
+                    store: seg.store(),
+                    statics: &self.statics[si],
+                    impacts: &self.impacts[si],
+                    alive: Some(&snapshot.alive[si]),
+                    resolved: resolved.map(|r| r[si].as_slice()),
+                },
                 global_of: &snapshot.global_of[si],
-                resolved: Some(&resolved[si]),
             })
             .collect();
-        let meta_of = |doc: DocNum| snapshot.meta(doc);
         kernel::execute_live(
             &self.params,
             &runs,
-            &snapshot.host_ids,
             snapshot.host_count,
-            &meta_of,
+            |doc| snapshot.fields(doc),
             scratch,
             terms,
             k,

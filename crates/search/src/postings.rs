@@ -25,8 +25,8 @@
 //!   stream straight into encoded blocks at build time — the raw
 //!   representation is never materialized.
 //!
-//! Mode-agnostic reads go through [`PostingsStore::lower_bound`],
-//! [`PostingsStore::for_each_posting`] and friends; the raw slice
+//! Mode-agnostic reads go through [`PostingsStore::for_each_posting`]
+//! and friends; the raw slice
 //! accessors ([`PostingsStore::postings_by_id`] etc.) are raw-layout
 //! only and panic on a compressed store.
 
@@ -340,26 +340,6 @@ impl PostingsStore {
         } else {
             self.lists[id as usize].len() as u32
         }
-    }
-
-    /// Index of the first posting of `id` whose document is ≥ `doc`
-    /// (the list length when no such posting exists) — the layout-
-    /// agnostic equivalent of `partition_point` on the doc-id mirror.
-    /// On the compressed layout this walks the block table and
-    /// decodes at most one block.
-    pub fn lower_bound(&self, id: TermId, doc: DocNum) -> u32 {
-        if !self.compressed {
-            return self.doc_ids[id as usize].partition_point(|&d| d < doc) as u32;
-        }
-        let pl = &self.packed[id as usize];
-        let blocks = &self.blocks[id as usize];
-        let blk = blocks.partition_point(|b| b.last_doc < doc);
-        if blk == blocks.len() {
-            return pl.count;
-        }
-        let mut buf = [0u32; BLOCK_LEN];
-        let n = self.decode_docs_block(id, blk as u32, &mut buf);
-        (blk * BLOCK_LEN + buf[..n].partition_point(|&d| d < doc)) as u32
     }
 
     /// Decodes block `blk` of a compressed list's document ids into
@@ -769,20 +749,6 @@ mod tests {
                 let mut pp = Vec::new();
                 packed.for_each_position(pid, at, |p| pp.push(p));
                 assert_eq!(rp, pp, "positions of {term}[{at}]");
-            }
-        }
-    }
-
-    #[test]
-    fn lower_bound_matches_partition_point_on_both_layouts() {
-        let (raw, packed) = twin_stores(257);
-        for (term, rid) in raw.terms() {
-            let pid = packed.term_id(term).unwrap();
-            let ids = raw.doc_ids_by_id(rid);
-            for target in 0..260u32 {
-                let expect = ids.partition_point(|&d| d < target) as u32;
-                assert_eq!(raw.lower_bound(rid, target), expect);
-                assert_eq!(packed.lower_bound(pid, target), expect, "{term} @ {target}");
             }
         }
     }

@@ -14,7 +14,6 @@ use crate::bm25::Bm25Params;
 use crate::index::{ScoreTable, SearchIndex, StaticScores};
 use crate::kernel::{self, EvalMode, QueryScratch};
 use crate::serp::Serp;
-use crate::shard::ShardedIndex;
 
 /// Full ranking parameterization: relevance + priors + result shaping.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,10 +121,6 @@ impl Default for RankingParams {
 #[derive(Debug)]
 pub struct SearchEngine {
     index: Arc<SearchIndex>,
-    // Document-partitioned view of the same index; when present,
-    // queries run the per-shard gather + exact merge (byte-identical
-    // SERPs for every shard count, gated differentially).
-    sharded: Option<Arc<ShardedIndex>>,
     params: RankingParams,
     // This engine's handle into the index's per-params static-score
     // cache, resolved on first search. Engines sharing an index and a
@@ -139,13 +134,7 @@ pub struct SearchEngine {
 impl SearchEngine {
     /// Builds an index over `world` and wraps it with `params`.
     pub fn build(world: &World, params: RankingParams) -> SearchEngine {
-        SearchEngine {
-            index: Arc::new(SearchIndex::build(world)),
-            sharded: None,
-            params,
-            statics: OnceLock::new(),
-            impacts: OnceLock::new(),
-        }
+        SearchEngine::with_index(Arc::new(SearchIndex::build(world)), params)
     }
 
     /// Builds a *compressed* index over `world` (block-coded postings,
@@ -156,59 +145,15 @@ impl SearchEngine {
         SearchEngine::with_index(Arc::new(SearchIndex::build_compressed(world)), params)
     }
 
-    /// Builds a compressed index over `world`, partitions it into
-    /// `shard_count` document-range shards, and wraps it with `params`.
-    pub fn build_compressed_sharded(
-        world: &World,
-        params: RankingParams,
-        shard_count: usize,
-    ) -> SearchEngine {
-        let index = Arc::new(SearchIndex::build_compressed(world));
-        let sharded = Arc::new(ShardedIndex::build(Arc::clone(&index), shard_count));
-        SearchEngine::with_sharded_index(sharded, params)
-    }
-
     /// Wraps an existing shared index (lets several parameterizations share
     /// one index build).
     pub fn with_index(index: Arc<SearchIndex>, params: RankingParams) -> SearchEngine {
         SearchEngine {
             index,
-            sharded: None,
             params,
             statics: OnceLock::new(),
             impacts: OnceLock::new(),
         }
-    }
-
-    /// Builds an index over `world`, partitions it into `shard_count`
-    /// document-range shards, and wraps it with `params`.
-    pub fn build_sharded(world: &World, params: RankingParams, shard_count: usize) -> SearchEngine {
-        let index = Arc::new(SearchIndex::build(world));
-        let sharded = Arc::new(ShardedIndex::build(Arc::clone(&index), shard_count));
-        SearchEngine::with_sharded_index(sharded, params)
-    }
-
-    /// Wraps an existing shared sharded view (lets several
-    /// parameterizations — and several shard layouts — share one index
-    /// build).
-    pub fn with_sharded_index(sharded: Arc<ShardedIndex>, params: RankingParams) -> SearchEngine {
-        SearchEngine {
-            index: sharded.index_handle(),
-            sharded: Some(sharded),
-            params,
-            statics: OnceLock::new(),
-            impacts: OnceLock::new(),
-        }
-    }
-
-    /// Number of shards queries fan out over (1 when unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.sharded.as_ref().map_or(1, |s| s.shard_count())
-    }
-
-    /// The document-partitioned view, when this engine has one.
-    pub(crate) fn sharded(&self) -> Option<&Arc<ShardedIndex>> {
-        self.sharded.as_ref()
     }
 
     /// Clones the shared index handle.
@@ -267,64 +212,13 @@ impl SearchEngine {
 
     /// Executes a query with an explicit evaluation mode — the hook
     /// benches and differential tests use to compare the pruned kernel
-    /// against the exhaustive pass on identical inputs. On a sharded
-    /// engine the shards run concurrently over scoped threads when the
-    /// host has more than one hardware thread; on a single-CPU host
-    /// the dispatcher uses the serial path instead (byte-identical
-    /// SERPs, deterministic counters, no spawn overhead).
+    /// against the exhaustive pass on identical inputs.
     pub fn search_with_mode(
         &self,
         scratch: &mut QueryScratch,
         query: &str,
         k: usize,
         mode: EvalMode,
-    ) -> Serp {
-        self.run_query(scratch, query, k, mode, true)
-    }
-
-    /// Like [`SearchEngine::search_with_mode`], but a sharded engine
-    /// visits its shards serially in shard order, carrying the pruning
-    /// threshold forward. SERPs are byte-identical to the parallel
-    /// path; unlike it, the accumulated [`crate::KernelStats`] are also
-    /// deterministic — which is what benches and differential
-    /// assertions record.
-    pub fn search_with_mode_serial(
-        &self,
-        scratch: &mut QueryScratch,
-        query: &str,
-        k: usize,
-        mode: EvalMode,
-    ) -> Serp {
-        self.run_query(scratch, query, k, mode, false)
-    }
-
-    /// Executes a batch of queries and returns one SERP per query, in
-    /// submission order — byte-identical to calling
-    /// [`SearchEngine::search_with_mode`] per query (gated by
-    /// `tests/differential_batch.rs`).
-    ///
-    /// The inverse of per-query shard fan-out: instead of splitting one
-    /// query across threads, the default [`crate::BatchExecutor`] pins
-    /// one immutable index reference per worker and streams the batch
-    /// through it — per-query setup (table resolution, dictionary
-    /// probes) is amortized across the batch, and on a sharded engine
-    /// each worker owns a shard rather than each query fanning out.
-    pub fn search_batch<Q: AsRef<str>>(
-        &self,
-        queries: &[Q],
-        k: usize,
-        mode: EvalMode,
-    ) -> Vec<Serp> {
-        crate::batch::BatchExecutor::new().run(self, queries, k, mode)
-    }
-
-    fn run_query(
-        &self,
-        scratch: &mut QueryScratch,
-        query: &str,
-        k: usize,
-        mode: EvalMode,
-        parallel: bool,
     ) -> Serp {
         let terms = analyze(query);
         let mut serp = Serp {
@@ -334,30 +228,36 @@ impl SearchEngine {
         if terms.is_empty() || k == 0 || self.index.is_empty() {
             return serp;
         }
-        serp.results = match &self.sharded {
-            Some(sharded) => kernel::execute_sharded(
-                sharded,
-                &self.params,
-                self.statics(),
-                self.impacts(),
-                scratch,
-                &terms,
-                k,
-                mode,
-                parallel && kernel::hardware_threads() > 1,
-            ),
-            None => kernel::execute(
-                &self.index,
-                &self.params,
-                self.statics(),
-                self.impacts(),
-                scratch,
-                &terms,
-                k,
-                mode,
-            ),
-        };
+        serp.results = kernel::execute(
+            &self.index,
+            &self.params,
+            self.statics(),
+            self.impacts(),
+            scratch,
+            &terms,
+            None,
+            k,
+            mode,
+        );
         serp
+    }
+
+    /// Executes a batch of queries and returns one SERP per query, in
+    /// submission order — byte-identical to calling
+    /// [`SearchEngine::search_with_mode`] per query (gated by
+    /// `tests/differential_batch.rs`).
+    ///
+    /// The default [`crate::BatchExecutor`] pins one immutable index
+    /// reference per worker and streams the batch through it —
+    /// per-query setup (table resolution, dictionary probes) is
+    /// amortized across the batch.
+    pub fn search_batch<Q: AsRef<str>>(
+        &self,
+        queries: &[Q],
+        k: usize,
+        mode: EvalMode,
+    ) -> Vec<Serp> {
+        crate::batch::BatchExecutor::new().run(self, queries, k, mode)
     }
 }
 

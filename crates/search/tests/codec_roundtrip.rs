@@ -1,7 +1,6 @@
-//! Property-based round-trips for the compressed-postings codecs, plus
-//! the block-granular-seek differential: on any posting list, the
-//! compressed store's `lower_bound` must land on exactly the posting
-//! the raw store's `partition_point` finds.
+//! Property-based round-trips for the compressed-postings codecs: block
+//! encode/decode, whole-store twins and partial-block posting
+//! subranges must enumerate exactly what the raw layout holds.
 
 use proptest::prelude::*;
 use shift_search::codec;
@@ -129,32 +128,6 @@ proptest! {
         }
     }
 
-    /// Block-granular seek differential: for any target, the
-    /// compressed `lower_bound` (walk block summaries, decode one
-    /// block, binary-search inside) equals the raw `partition_point`
-    /// answer — so packed cursors land on the same posting the raw
-    /// kernel would.
-    #[test]
-    fn lower_bound_matches_partition_point(
-        docs in prop::collection::vec(0u32..4000, 1..300).prop_map(ascending),
-        targets in prop::collection::vec(0u32..4200, 1..40),
-    ) {
-        let (raw, packed) = twin_stores(&docs);
-        let id_r = raw.term_id("t").expect("term indexed");
-        let id_p = packed.term_id("t").expect("term indexed");
-        for target in targets {
-            let want = docs.partition_point(|&d| d < target) as u32;
-            prop_assert_eq!(raw.lower_bound(id_r, target), want);
-            prop_assert_eq!(packed.lower_bound(id_p, target), want);
-        }
-        // Seeks right at, before, and past the list tail.
-        let last = *docs.last().unwrap();
-        for target in [last, last.saturating_add(1)] {
-            let want = docs.partition_point(|&d| d < target) as u32;
-            prop_assert_eq!(packed.lower_bound(id_p, target), want);
-        }
-    }
-
     /// Partial-block subranges decode head and tail cuts exactly: any
     /// `[lo, hi)` of the list enumerates the same postings as the raw
     /// slice.
@@ -209,16 +182,4 @@ fn adversarial_edge_lists_roundtrip() {
             assert_eq!(&d[..chunk_docs.len()], chunk_docs);
         }
     }
-}
-
-/// `lower_bound` on an empty-term store and single-posting lists.
-#[test]
-fn lower_bound_edge_cases() {
-    let (raw, packed) = twin_stores(&[42]);
-    let id = packed.term_id("t").unwrap();
-    assert_eq!(packed.lower_bound(id, 0), 0);
-    assert_eq!(packed.lower_bound(id, 42), 0);
-    assert_eq!(packed.lower_bound(id, 43), 1);
-    let id_r = raw.term_id("t").unwrap();
-    assert_eq!(raw.lower_bound(id_r, 43), 1);
 }

@@ -2,8 +2,8 @@
 //! must be **byte-identical** to per-query execution — across batch
 //! sizes (1, 7, 64, 1000), shuffled submission orders, duplicate
 //! queries, mixed ranking parameterizations / k / evaluation modes,
-//! worker counts, grouping seeds, sharded engines, and live snapshots
-//! at arbitrary timeline cuts. Scores compare at the bit level.
+//! worker counts, grouping seeds, and live snapshots at arbitrary
+//! timeline cuts. Scores compare at the bit level.
 //!
 //! (The companion dedup property — N concurrent identical cache misses
 //! run the kernel exactly once and every waiter receives identical
@@ -15,9 +15,7 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 use shift_corpus::{EventKind, Timeline, TimelineConfig, World, WorldConfig};
 use shift_search::live::{LiveDoc, LiveIndex, LiveIndexConfig, LiveSearcher};
-use shift_search::{
-    BatchExecutor, EvalMode, QueryScratch, RankingParams, SearchEngine, Serp, ShardedIndex,
-};
+use shift_search::{BatchExecutor, EvalMode, QueryScratch, RankingParams, SearchEngine, Serp};
 
 /// Engines over two independent worlds × the two study
 /// parameterizations, plus the disabled-features and tie-dense stress
@@ -53,21 +51,6 @@ fn engines() -> &'static Vec<SearchEngine> {
         ties.bm25.b = 0.0;
         engines.push(SearchEngine::build(&world, ties));
         engines
-    })
-}
-
-/// Sharded views over engine 0's index: even, odd, and zero-match-shard
-/// partitions.
-fn sharded_engines() -> &'static Vec<SearchEngine> {
-    static SHARDED: OnceLock<Vec<SearchEngine>> = OnceLock::new();
-    SHARDED.get_or_init(|| {
-        [2usize, 3, 7]
-            .into_iter()
-            .map(|count| {
-                let view = ShardedIndex::build(engines()[0].index_handle(), count);
-                SearchEngine::with_sharded_index(Arc::new(view), engines()[0].params().clone())
-            })
-            .collect()
     })
 }
 
@@ -195,8 +178,7 @@ fn shuffle(queries: &mut [String], mut seed: u64) {
 /// The canonical batch-size ladder from the issue: a singleton, an odd
 /// partial group, a typical micro-batch, and a size that dwarfs the
 /// distinct-query pool (forcing heavy in-batch dedup) — on both study
-/// parameterizations and on the 3-shard executor's shard-per-worker
-/// schedule.
+/// parameterizations.
 #[test]
 fn batch_sizes_1_7_64_1000_match_per_query() {
     let pool = [
@@ -210,7 +192,7 @@ fn batch_sizes_1_7_64_1000_match_per_query() {
         "xylophonic quuxations", // unknown terms
         "",
     ];
-    for engine in [&engines()[0], &engines()[1], &sharded_engines()[1]] {
+    for engine in [&engines()[0], &engines()[1]] {
         for size in [1usize, 7, 64, 1000] {
             let queries: Vec<String> = (0..size)
                 .map(|i| {
@@ -313,20 +295,6 @@ proptest! {
         assert_batch_matches_per_query(&engines()[which], &queries, k, EvalMode::Pruned);
     }
 
-    /// Sharded engines run the batch shard-per-worker (each worker owns
-    /// one shard for the whole batch); the merged SERPs must match the
-    /// per-query sharded path byte-for-byte — which the kernel suite
-    /// already pins to the unsharded kernel and the oracle.
-    #[test]
-    fn sharded_batches_match_per_query(
-        queries in prop::collection::vec(query(), 1..16),
-        k in 0usize..25,
-        sharded_ix in 0usize..3,
-        exhaustive in prop_oneof![Just(true), Just(false)],
-    ) {
-        let mode = if exhaustive { EvalMode::Exhaustive } else { EvalMode::Pruned };
-        assert_batch_matches_per_query(&sharded_engines()[sharded_ix], &queries, k, mode);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -404,7 +372,7 @@ proptest! {
 }
 
 /// One batch of every edge input plus realistic templates, on every
-/// engine (the tie-dense one included), sharded engine and live cut,
+/// engine (the tie-dense one included) and live cut,
 /// in every mode, at shallow, default and the deepest persona pool
 /// depth (k = 60).
 #[test]
@@ -421,7 +389,7 @@ fn edge_inputs_batch_like_per_query() {
     let modes = [EvalMode::Pruned, EvalMode::Exhaustive];
     for k in [1usize, 10, 60] {
         for mode in modes {
-            for engine in engines().iter().chain(sharded_engines()) {
+            for engine in engines() {
                 assert_batch_matches_per_query(engine, &queries, k, mode);
             }
             for (_, searchers) in live_searchers() {
@@ -444,7 +412,6 @@ fn batching_never_falls_back_on_scratch_allocation() {
     let before = shift_search::scratch_fallbacks();
     let queries: Vec<String> = (0..64).map(|i| format!("best laptops {i}")).collect();
     let _ = engines()[0].search_batch(&queries, 10, EvalMode::Pruned);
-    let _ = sharded_engines()[0].search_batch(&queries, 10, EvalMode::Pruned);
     assert_eq!(
         shift_search::scratch_fallbacks(),
         before,

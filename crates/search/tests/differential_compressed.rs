@@ -3,15 +3,15 @@
 //! packed impacts, dictionary-encoded doc metadata) must return SERPs
 //! byte-identical to the raw-layout engine over the same world and
 //! parameterization — and to the frozen reference oracle — for every
-//! query, k, evaluation mode and shard count. Scores are compared at
-//! the bit level, not with a tolerance.
+//! query, k and evaluation mode. Scores are compared at the bit level,
+//! not with a tolerance.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use shift_corpus::{World, WorldConfig};
 use shift_search::query::reference;
-use shift_search::{EvalMode, QueryScratch, RankingParams, SearchEngine, Serp, ShardedIndex};
+use shift_search::{EvalMode, QueryScratch, RankingParams, SearchEngine, Serp};
 
 /// Raw/compressed engine twins over two worlds × the two study
 /// parameterizations, plus the tie-dense stress parameterization
@@ -45,30 +45,6 @@ fn twins() -> &'static Vec<(SearchEngine, SearchEngine)> {
             SearchEngine::build_compressed(&world, ties),
         ));
         twins
-    })
-}
-
-/// Sharded views over each compressed index: the unsharded degenerate
-/// (1), even and odd partitions, and a count that leaves some shards
-/// without matches for rare terms.
-fn sharded_compressed() -> &'static Vec<Vec<SearchEngine>> {
-    static SHARDED: OnceLock<Vec<Vec<SearchEngine>>> = OnceLock::new();
-    SHARDED.get_or_init(|| {
-        twins()
-            .iter()
-            .map(|(_, compressed)| {
-                [1usize, 2, 3, 7]
-                    .into_iter()
-                    .map(|count| {
-                        let view = ShardedIndex::build(compressed.index_handle(), count);
-                        SearchEngine::with_sharded_index(
-                            Arc::new(view),
-                            compressed.params().clone(),
-                        )
-                    })
-                    .collect()
-            })
-            .collect()
     })
 }
 
@@ -229,49 +205,14 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Sharding a compressed index is invisible: every shard count,
-    /// both fan-out disciplines and both modes reproduce the raw
-    /// unsharded pruned SERP byte-for-byte. Shard boundaries cut
-    /// through the middle of packed blocks, so this exercises the
-    /// partial-block subrange path on every shard edge.
-    #[test]
-    fn sharded_compressed_matches_raw(q in query(), k in 0usize..25, which in 0usize..5) {
-        let base = twins()[which].0.search(&q, k);
-        for sharded in &sharded_compressed()[which] {
-            let mut scratch = QueryScratch::new();
-            let parallel = sharded.search_with(&mut scratch, &q, k);
-            let serial = sharded.search_with_mode_serial(&mut scratch, &q, k, EvalMode::Pruned);
-            let exhaustive = sharded.search_with_mode(&mut scratch, &q, k, EvalMode::Exhaustive);
-            assert_serp_identical(&parallel, &base);
-            assert_serp_identical(&serial, &base);
-            assert_serp_identical(&exhaustive, &base);
-        }
-    }
-}
-
 /// Every edge input on every twin at shallow, default and the deepest
-/// persona pool depth, unsharded and over every compressed shard count
-/// and fan-out discipline.
+/// persona pool depth.
 #[test]
 fn edge_inputs_match_raw_and_oracle() {
     for which in 0..twins().len() {
         for q in edge_queries() {
             for k in [1usize, 10, 60] {
                 assert_compressed_matches_raw(which, &q, k);
-                let base = twins()[which].0.search(&q, k);
-                for sharded in &sharded_compressed()[which] {
-                    let mut scratch = QueryScratch::new();
-                    for serp in [
-                        sharded.search_with(&mut scratch, &q, k),
-                        sharded.search_with_mode_serial(&mut scratch, &q, k, EvalMode::Pruned),
-                        sharded.search_with_mode(&mut scratch, &q, k, EvalMode::Exhaustive),
-                    ] {
-                        assert_serp_identical(&serp, &base);
-                    }
-                }
             }
         }
     }
@@ -312,21 +253,6 @@ fn paper_scale_compressed_matches_raw() {
         "expected a real size win, got ratio {:.3}",
         stats.ratio()
     );
-}
-
-/// More shards than documents on the compressed index: trailing shards
-/// own empty ranges and must merge away without a trace.
-#[test]
-fn compressed_empty_shards_merge_away() {
-    let (raw, compressed) = &twins()[0];
-    let docs = compressed.index().postings().doc_count() as usize;
-    let view = ShardedIndex::build(compressed.index_handle(), docs + 5);
-    let sharded = SearchEngine::with_sharded_index(Arc::new(view), compressed.params().clone());
-    for q in ["best laptops for students", "review", "the of and"] {
-        for k in [1usize, 10, 100] {
-            assert_serp_identical(&sharded.search(q, k), &raw.search(q, k));
-        }
-    }
 }
 
 /// The doc-metadata dictionary round-trips every field: raw and

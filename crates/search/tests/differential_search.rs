@@ -5,12 +5,12 @@
 //! on every world, parameterization, query and k — scores compared at
 //! the bit level, not with a tolerance.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use shift_corpus::{World, WorldConfig};
 use shift_search::query::reference;
-use shift_search::{EvalMode, QueryScratch, RankingParams, SearchEngine, Serp, ShardedIndex};
+use shift_search::{EvalMode, QueryScratch, RankingParams, SearchEngine, Serp};
 
 /// Engines over two independent worlds × the two study
 /// parameterizations, plus two stress parameterizations for the
@@ -58,36 +58,6 @@ fn engines() -> &'static Vec<SearchEngine> {
     })
 }
 
-/// Shard counts the sharded differential tests sweep: the unsharded
-/// degenerate (1), even and odd partitions, a count that leaves some
-/// shards without matches for rare terms (7), and whatever this
-/// machine's parallelism is.
-fn shard_counts() -> Vec<usize> {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    vec![1, 2, 3, 7, cpus]
-}
-
-/// For each engine in [`engines`], sharded views over the *same* index
-/// at every count in [`shard_counts`] — same params, same statics, so
-/// any output difference is the sharding's fault.
-fn sharded_engines() -> &'static Vec<Vec<SearchEngine>> {
-    static SHARDED: OnceLock<Vec<Vec<SearchEngine>>> = OnceLock::new();
-    SHARDED.get_or_init(|| {
-        engines()
-            .iter()
-            .map(|engine| {
-                shard_counts()
-                    .into_iter()
-                    .map(|count| {
-                        let view = ShardedIndex::build(engine.index_handle(), count);
-                        SearchEngine::with_sharded_index(Arc::new(view), engine.params().clone())
-                    })
-                    .collect()
-            })
-            .collect()
-    })
-}
-
 /// Full structural equality with bit-exact scores.
 fn assert_serp_identical(kernel: &Serp, reference: &Serp) {
     assert_eq!(kernel.query, reference.query);
@@ -122,27 +92,6 @@ fn assert_all_paths_identical(engine: &SearchEngine, q: &str, k: usize) {
     let oracle = reference::search(engine, q, k);
     assert_serp_identical(&pruned, &oracle);
     assert_serp_identical(&exhaustive, &oracle);
-}
-
-/// Every shard count, both fan-out disciplines (parallel scoped
-/// threads and serial shard order) and both evaluation modes must
-/// reproduce the unsharded pruned SERP byte-for-byte.
-fn assert_sharded_identical(which: usize, q: &str, k: usize) {
-    let base = engines()[which].search(q, k);
-    for sharded in &sharded_engines()[which] {
-        let mut scratch = QueryScratch::new();
-        let parallel = sharded.search_with(&mut scratch, q, k);
-        let serial = sharded.search_with_mode_serial(&mut scratch, q, k, EvalMode::Pruned);
-        let exhaustive = sharded.search_with_mode(&mut scratch, q, k, EvalMode::Exhaustive);
-        let exhaustive_serial =
-            sharded.search_with_mode_serial(&mut scratch, q, k, EvalMode::Exhaustive);
-        let n = sharded.shard_count();
-        assert_serp_identical(&parallel, &base);
-        assert_serp_identical(&serial, &base);
-        assert_serp_identical(&exhaustive, &base);
-        assert_serp_identical(&exhaustive_serial, &base);
-        assert!(n >= 1);
-    }
 }
 
 /// Query strings mixing realistic templates (which hit many postings,
@@ -283,12 +232,11 @@ proptest! {
 
     /// The tie-dense engine at the deepest persona pool (k = 60, so a
     /// 240-deep overfetch): equal-score clusters straddle the pool cut
-    /// on multi-term queries too, and every path and shard count must
-    /// keep the `score desc, doc asc` order bit-for-bit.
+    /// on multi-term queries too, and every path must keep the
+    /// `score desc, doc asc` order bit-for-bit.
     #[test]
     fn tie_clusters_at_a_sixty_deep_pool(q in query()) {
         assert_all_paths_identical(&engines()[5], &q, 60);
-        assert_sharded_identical(5, &q, 60);
     }
 
     /// A single scratch reused across an arbitrary query sequence never
@@ -305,107 +253,16 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Document-partitioned execution is invisible in the output: for
-    /// every shard count (even/odd partitions, counts leaving rare
-    /// terms with zero-match shards, this machine's parallelism), both
-    /// fan-out disciplines and both modes agree byte-for-byte with the
-    /// unsharded kernel — and with the reference oracle.
-    #[test]
-    fn sharded_matches_unsharded_and_oracle(q in query(), k in 0usize..25, which in 0usize..6) {
-        assert_sharded_identical(which, &q, k);
-        let oracle = reference::search(&engines()[which], &q, k);
-        let sharded = sharded_engines()[which].last().unwrap().search(&q, k);
-        assert_serp_identical(&sharded, &oracle);
-    }
-
-    /// k at or beyond the matching set: every shard degrades to an
-    /// exhaustive local scan and the merge must still be exact.
-    #[test]
-    fn sharded_k_at_or_beyond_matching_docs(q in query(), k in 500usize..2000, which in 0usize..6) {
-        assert_sharded_identical(which, &q, k);
-    }
-
-    /// The tie-dense engine under sharding: equal-score clusters span
-    /// the whole document space, so contiguous-range partitions cut
-    /// straight through them — the merged `score desc, doc asc` order
-    /// must reassemble every cluster bit-for-bit.
-    #[test]
-    fn sharded_tie_clusters_straddle_shard_boundaries(q in single_term_query(), k in 1usize..60) {
-        assert_sharded_identical(5, &q, k);
-    }
-}
-
 /// Every edge input on every engine, at shallow, default and the
-/// deepest persona pool depth, through every mode, shard count and
-/// fan-out discipline.
+/// deepest persona pool depth, through every mode.
 #[test]
 fn edge_inputs_match_on_every_path() {
     for which in 0..engines().len() {
         for q in edge_queries() {
             for k in [1usize, 10, 60] {
                 assert_all_paths_identical(&engines()[which], &q, k);
-                assert_sharded_identical(which, &q, k);
             }
         }
-    }
-}
-
-/// More shards than documents: the trailing shards own empty document
-/// ranges, gather nothing, and must merge away without a trace.
-#[test]
-fn empty_shards_merge_away() {
-    let engine = &engines()[0];
-    let docs = engine.index().postings().doc_count() as usize;
-    let view = ShardedIndex::build(engine.index_handle(), docs + 5);
-    let sharded = SearchEngine::with_sharded_index(Arc::new(view), engine.params().clone());
-    for q in [
-        "best laptops for students",
-        "best smartphones camera battery",
-        "review",
-        "the of and",
-    ] {
-        for k in [1usize, 10, 100] {
-            let base = engine.search(q, k);
-            assert_serp_identical(&sharded.search(q, k), &base);
-            let serial =
-                sharded.search_with_mode_serial(&mut QueryScratch::new(), q, k, EvalMode::Pruned);
-            assert_serp_identical(&serial, &base);
-        }
-    }
-}
-
-/// Sharded pruning still skips work: on the serial sharded path (whose
-/// counters are deterministic — the threshold flows forward through
-/// the shared broadcast in shard order) `docs_scored` stays strictly
-/// below the exhaustive count, for every shard count.
-#[test]
-fn sharded_pruning_scores_fewer_documents() {
-    let queries = [
-        "best laptops for students",
-        "best smartphones camera battery",
-        "top 10 hotels 2025",
-        "review espresso machines",
-    ];
-    let mut exhaustive_scratch = QueryScratch::new();
-    for q in queries {
-        let _ = engines()[0].search_with_mode(&mut exhaustive_scratch, q, 10, EvalMode::Exhaustive);
-    }
-    let exhaustive = exhaustive_scratch.take_stats();
-    for sharded in &sharded_engines()[0] {
-        let mut scratch = QueryScratch::new();
-        for q in queries {
-            let _ = sharded.search_with_mode_serial(&mut scratch, q, 10, EvalMode::Pruned);
-        }
-        let pruned = scratch.take_stats();
-        assert!(pruned.docs_scored > 0);
-        assert!(
-            pruned.docs_scored < exhaustive.docs_scored,
-            "{} shards: pruned {pruned:?} vs exhaustive {exhaustive:?}",
-            sharded.shard_count()
-        );
     }
 }
 

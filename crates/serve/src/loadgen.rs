@@ -30,7 +30,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::thread as cb_thread;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use shift_corpus::{Vertical, World};
 use shift_engines::{AnswerEngines, EngineKind, FaultInjector, FaultPlan};
@@ -322,7 +321,7 @@ fn run_closed(
         .collect();
     let chunk = requests.len().div_ceil(clients).max(1);
     let mut outcome = LoadOutcome::default();
-    let partials = cb_thread::scope(|s| {
+    let partials = std::thread::scope(|s| {
         let handles: Vec<_> = requests
             .chunks(chunk)
             .map(|slice| {
@@ -339,8 +338,7 @@ fn run_closed(
             .into_iter()
             .map(|h| h.join().expect("client thread"))
             .collect::<Vec<_>>()
-    })
-    .expect("load scope");
+    });
     for partial in partials {
         outcome.merge(partial);
     }

@@ -40,8 +40,7 @@ pub struct ServiceMetrics {
     // replica (outage, full queue, open breaker) and retried elsewhere.
     failovers: AtomicU64,
     // Retrieval-kernel counters, folded in per job from each worker's
-    // scratch (shard-aware: a scratch aggregates its per-shard
-    // children before reporting).
+    // scratch.
     docs_scored: AtomicU64,
     candidates_pruned: AtomicU64,
     scratch_fallbacks: AtomicU64,
@@ -178,8 +177,7 @@ impl ServiceMetrics {
     /// Fold one job's retrieval-kernel counters into the service totals.
     ///
     /// Workers call this with [`shift_engines::QueryScratch::take_stats`]
-    /// after each job, so sharded runs report the sum over every shard
-    /// the job touched.
+    /// after each job.
     pub fn record_kernel(&self, stats: KernelStats) {
         self.docs_scored
             .fetch_add(stats.docs_scored, Ordering::Relaxed);

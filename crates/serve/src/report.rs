@@ -73,8 +73,8 @@ pub struct MetricsSnapshot {
     /// SERP-cache counters from the engine stack (retrieval-level
     /// cache, below the answer cache).
     pub serp_cache: SerpCacheStats,
-    /// Retrieval-kernel work totals, summed across every shard of
-    /// every query the service ran.
+    /// Retrieval-kernel work totals, summed over every query the
+    /// service ran.
     pub kernel: KernelStats,
     /// Micro-batch shape of the worker pool's queue drains.
     pub batch: BatchServeStats,

@@ -38,7 +38,7 @@ cargo run --release --example run_replicated -- --gate
 echo "== retrieval kernel: unit suite (incl. live memtable/segment/WAL/compaction) =="
 cargo test -q -p shift-search --lib
 
-echo "== retrieval kernel: differential suite (kernel == reference, sharded == unsharded, edge inputs) =="
+echo "== retrieval kernel: differential suite (kernel == reference, pruned == exhaustive, edge inputs) =="
 cargo test -q -p shift-search --test differential_search
 
 echo "== retrieval kernel: SERP invariants + in-place snippet locator == lowercase-and-find =="
@@ -50,10 +50,10 @@ cargo test -q -p shift-search --test differential_live
 echo "== live index: WAL crash-cut recovery suite =="
 cargo test -q -p shift-search --test live_wal
 
-echo "== compressed postings: codec round-trips + block-granular seek differential =="
+echo "== compressed postings: codec round-trips + partial-block subranges =="
 cargo test -q -p shift-search --test codec_roundtrip
 
-echo "== compressed postings: differential suite (compressed == raw == oracle, sharded, metadata dict) =="
+echo "== compressed postings: differential suite (compressed == raw == oracle, metadata dict) =="
 cargo test -q -p shift-search --test differential_compressed
 
 echo "== batched execution: differential suite (batched == per-query, shuffled orders, live cuts) =="
@@ -62,7 +62,7 @@ cargo test -q -p shift-search --test differential_batch
 echo "== live index: churn-throughput gate (vs committed BENCH_serve.json) =="
 cargo run --release --example run_live -- --gate
 
-echo "== engine stack: SERP cache + sharded-stack identity =="
+echo "== engine stack: SERP cache + stack unit suite =="
 cargo test -q -p shift-engines serp_cache
 cargo test -q -p shift-engines stack
 
@@ -73,13 +73,13 @@ echo "== engine stack: answer invariants + build-time text tables == per-result 
 cargo test -q -p shift-engines --test proptest_engines
 cargo test -q -p shift-engines --test precomputed_text
 
-echo "== lint: clippy on the serving-path and foundation crates (all targets: lib, tests, benches, examples) =="
-cargo clippy -q -p shift-search -p shift-serve -p shift-engines -p shift-core -p shift-corpus --all-targets -- -D warnings
+echo "== lint: clippy on every workspace package except the compat/* shims (all targets: lib, tests, benches, examples) =="
+cargo clippy -q --workspace --exclude criterion --exclude crossbeam --exclude parking_lot --exclude proptest --exclude rand --all-targets -- -D warnings
 
-echo "== retrieval kernel: bench smoke (small world, byte-identity incl. shard, batch and compressed sweeps) =="
+echo "== retrieval kernel: bench smoke (small world, byte-identity incl. batch and compressed sweeps) =="
 cargo bench -p shift-bench --bench search_kernel -- --quick
 
-echo "== retrieval kernel: gate table (paper pruned, 100x sharded/batched/compressed q/s >= 80%, 100x compressed byte ratio <= 110% of committed BENCH_search.json) =="
+echo "== retrieval kernel: gate table (paper pruned, 100x batched/compressed q/s >= 80%, 100x compressed byte ratio <= 110% of committed BENCH_search.json) =="
 cargo bench -p shift-bench --bench search_kernel -- --gate
 
 echo "verify.sh: all checks passed"
