@@ -97,7 +97,7 @@ fn build_trials(
         // Keep only snippets that speak about at least one candidate (an
         // off-topic "best X" page retrieved by lexical accident is not
         // evidence), then truncate to the context window.
-        let mut evidence = answer.snippets;
+        let mut evidence = answer.snippets.to_vec();
         evidence.retain(|s| s.entities.iter().any(|(e, _)| candidates.contains(e)));
         evidence.truncate(EVIDENCE_WINDOW);
 

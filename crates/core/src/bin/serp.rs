@@ -84,7 +84,7 @@ fn main() {
     for kind in kinds {
         let answer = stack.answer(kind, &query, k, seed);
         println!("── {} ({} citations)", kind.name(), answer.citations.len());
-        for c in &answer.citations {
+        for c in answer.citations.iter() {
             println!(
                 "  [{:<6}] {:>5.0}d  {:<26} {}",
                 c.source_type.label(),

@@ -114,7 +114,7 @@ pub fn run(study: &Study) -> Fig3Result {
                 no_cite[ei] += 1;
                 continue;
             }
-            for c in &answer.citations {
+            for c in answer.citations.iter() {
                 // The paper classifies citations with GPT-4o; we classify
                 // with the typology classifier rather than reading the
                 // corpus ground truth — measurement error included.

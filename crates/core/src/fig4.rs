@@ -97,7 +97,7 @@ pub fn run(study: &Study) -> Fig4Result {
             let mut undatable = 0usize;
             for q in &queries {
                 let answer = stack.answer(kind, &q.text, k, seed);
-                for c in &answer.citations {
+                for c in answer.citations.iter() {
                     // Real extraction path: URL → page → rendered HTML →
                     // freshness pipeline.
                     let Some(pid) = world.page_by_url(&c.url) else {

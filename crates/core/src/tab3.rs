@@ -84,7 +84,7 @@ pub fn run(study: &Study) -> Tab3Result {
             study.config().top_k,
             base_seed.wrapping_add(run as u64),
         );
-        let mut evidence = answer.snippets;
+        let mut evidence = answer.snippets.to_vec();
         evidence.retain(|s| s.entities.iter().any(|(e, _)| candidates.contains(e)));
         // Each run sees a different slice of the relevant results — real
         // retrieval fluctuates run to run. Sample the window from the top

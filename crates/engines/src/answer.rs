@@ -1,5 +1,7 @@
 //! Answer artifacts: citations and the combined engine response.
 
+use std::sync::Arc;
+
 use shift_corpus::{PageId, SourceType};
 use shift_llm::Snippet;
 use shift_urlkit::registrable_domain;
@@ -43,20 +45,26 @@ impl Citation {
 }
 
 /// A complete response from one engine.
+///
+/// An answer is an immutable shared value: every field past `engine` is
+/// reference-counted, so a clone (an answer-cache hit, a memo hit) costs
+/// a few refcount bumps and allocates nothing. `Debug` prints exactly
+/// what owned `String`/`Vec` fields would. Code that perturbs the
+/// evidence takes its own copy with `snippets.to_vec()`.
 #[derive(Debug, Clone)]
 pub struct EngineAnswer {
     /// Which engine produced the answer.
     pub engine: EngineKind,
     /// The query as issued.
-    pub query: String,
+    pub query: Arc<str>,
     /// Cited sources, most prominent first. May be empty (Claude on
     /// informational/transactional queries).
-    pub citations: Vec<Citation>,
+    pub citations: Arc<[Citation]>,
     /// The evidence snippets the engine consumed (presentation order —
     /// this is what the §3 perturbation experiments shuffle).
-    pub snippets: Vec<Snippet>,
+    pub snippets: Arc<[Snippet]>,
     /// Brief synthesized answer text.
-    pub text: String,
+    pub text: Arc<str>,
 }
 
 impl EngineAnswer {
@@ -64,7 +72,7 @@ impl EngineAnswer {
     pub fn domains(&self) -> Vec<String> {
         let mut seen = std::collections::BTreeSet::new();
         let mut out = Vec::new();
-        for c in &self.citations {
+        for c in self.citations.iter() {
             if seen.insert(c.domain.clone()) {
                 out.push(c.domain.clone());
             }
@@ -75,7 +83,7 @@ impl EngineAnswer {
     /// Fraction of citations of each source type `[brand, earned, social]`.
     pub fn source_type_mix(&self) -> [f64; 3] {
         let mut counts = [0usize; 3];
-        for c in &self.citations {
+        for c in self.citations.iter() {
             counts[c.source_type.index()] += 1;
         }
         let total = self.citations.len().max(1) as f64;
@@ -119,14 +127,14 @@ mod tests {
     fn domains_dedupe_preserving_order() {
         let answer = EngineAnswer {
             engine: EngineKind::Gpt4o,
-            query: String::new(),
-            citations: vec![
+            query: "".into(),
+            citations: Arc::new([
                 citation("https://b.com/1", SourceType::Earned, 1.0),
                 citation("https://a.com/1", SourceType::Earned, 1.0),
                 citation("https://b.com/2", SourceType::Earned, 1.0),
-            ],
-            snippets: vec![],
-            text: String::new(),
+            ]),
+            snippets: Arc::new([]),
+            text: "".into(),
         };
         assert_eq!(answer.domains(), vec!["b.com", "a.com"]);
     }
@@ -135,15 +143,15 @@ mod tests {
     fn source_type_mix_fractions() {
         let answer = EngineAnswer {
             engine: EngineKind::Claude,
-            query: String::new(),
-            citations: vec![
+            query: "".into(),
+            citations: Arc::new([
                 citation("https://a.com/1", SourceType::Earned, 1.0),
                 citation("https://b.com/1", SourceType::Earned, 1.0),
                 citation("https://c.com/1", SourceType::Brand, 1.0),
                 citation("https://d.com/1", SourceType::Social, 1.0),
-            ],
-            snippets: vec![],
-            text: String::new(),
+            ]),
+            snippets: Arc::new([]),
+            text: "".into(),
         };
         let mix = answer.source_type_mix();
         assert!((mix[0] - 0.25).abs() < 1e-12);
@@ -155,10 +163,10 @@ mod tests {
     fn empty_answer_mix_is_zero() {
         let answer = EngineAnswer {
             engine: EngineKind::Claude,
-            query: String::new(),
-            citations: vec![],
-            snippets: vec![],
-            text: String::new(),
+            query: "".into(),
+            citations: Arc::new([]),
+            snippets: Arc::new([]),
+            text: "".into(),
         };
         assert_eq!(answer.source_type_mix(), [0.0, 0.0, 0.0]);
         assert!(answer.citation_ages().is_empty());

@@ -190,7 +190,11 @@ impl AnswerEngines {
     /// mechanism behind Table 3's citation-miss rates. When the window
     /// names nobody, the page's primary mention stands in (the page is
     /// still "about" its subject).
-    pub fn snippets_from_serp(&self, serp: &Serp) -> Vec<Snippet> {
+    ///
+    /// The snippets are collected straight into one shared slice, and
+    /// each snippet's entity list is sized exactly: an answer keeps its
+    /// evidence for as long as it stays in the answer cache.
+    pub fn snippets_from_serp(&self, serp: &Serp) -> Arc<[Snippet]> {
         let mut names: Vec<&str> = Vec::new();
         let mut shown: Vec<bool> = Vec::new();
         serp.results
@@ -205,18 +209,22 @@ impl AnswerEngines {
                 );
                 shown.resize(names.len(), false);
                 contains_lowercase(&r.snippet, &names, &mut shown);
-                let mut entities: Vec<(shift_corpus::EntityId, f64)> = page
-                    .mentions
-                    .iter()
-                    .zip(&shown)
-                    .filter(|(_, &shown)| shown)
-                    .map(|(m, _)| (m.entity, m.score))
-                    .collect();
-                if entities.is_empty() {
-                    if let Some(primary) = page.primary_mention() {
-                        entities.push((primary.entity, primary.score));
-                    }
-                }
+                let visible = shown.iter().filter(|&&s| s).count();
+                let entities: Vec<(shift_corpus::EntityId, f64)> = if visible == 0 {
+                    page.primary_mention()
+                        .map(|primary| vec![(primary.entity, primary.score)])
+                        .unwrap_or_default()
+                } else {
+                    let mut entities = Vec::with_capacity(visible);
+                    entities.extend(
+                        page.mentions
+                            .iter()
+                            .zip(&shown)
+                            .filter(|(_, &shown)| shown)
+                            .map(|(m, _)| (m.entity, m.score)),
+                    );
+                    entities
+                };
                 Snippet {
                     url: r.url.clone(),
                     text: r.snippet.clone(),
@@ -268,10 +276,10 @@ impl AnswerEngines {
         let snippets = self.snippets_from_serp(&serp);
         EngineAnswer {
             engine: EngineKind::Google,
-            query: query.to_string(),
+            query: query.into(),
             citations,
             snippets,
-            text: String::new(), // ten blue links, no synthesis
+            text: "".into(), // ten blue links, no synthesis
         }
     }
 
@@ -303,7 +311,7 @@ impl AnswerEngines {
             ((rng.next_u64() % 1000) as f64) < persona.off_consideration_citation_rate * 1000.0
         };
 
-        let citations = if cites {
+        let citations: Arc<[Citation]> = if cites {
             self.select_citations(
                 persona,
                 intent,
@@ -312,18 +320,19 @@ impl AnswerEngines {
                 k.min(persona.citations_k),
                 seed,
             )
+            .into()
         } else {
-            Vec::new()
+            Arc::new([])
         };
 
         let text = self.synthesize_text(kind, query, &snippets, seed);
 
         EngineAnswer {
             engine: kind,
-            query: query.to_string(),
+            query: query.into(),
             citations,
             snippets,
-            text,
+            text: text.into(),
         }
     }
 
@@ -631,7 +640,7 @@ mod tests {
             let a = stack.answer(kind, "Top 10 best laptops 2025", 10, 0);
             let cap = stack.persona(kind).max_per_domain;
             let mut counts: HashMap<&str, usize> = HashMap::new();
-            for c in &a.citations {
+            for c in a.citations.iter() {
                 *counts.entry(c.domain.as_str()).or_insert(0) += 1;
             }
             for (d, n) in counts {

@@ -61,7 +61,7 @@ fn answers_match_per_result_derivation() {
     for (i, query) in queries.iter().enumerate() {
         for kind in EngineKind::ALL {
             let answer = stack.answer(kind, query, 10, i as u64);
-            for snippet in &answer.snippets {
+            for snippet in answer.snippets.iter() {
                 // The attribution filter as it was: lowercase the snippet
                 // and each mentioned name, then `contains`.
                 let page = world.page(by_url[snippet.url.as_str()]);
@@ -81,7 +81,7 @@ fn answers_match_per_result_derivation() {
                     snippet.url
                 );
             }
-            for c in &answer.citations {
+            for c in answer.citations.iter() {
                 let expected = Citation::from_url(&c.url, c.page, c.source_type, c.age_days);
                 assert_eq!(Some(c), expected.as_ref(), "{kind:?} {query:?}");
             }

@@ -52,7 +52,7 @@ proptest! {
         let answer = stack.answer(kind, &q, 10, seed);
         prop_assert_eq!(answer.engine, kind);
         prop_assert!(answer.citations.len() <= 10);
-        for c in &answer.citations {
+        for c in answer.citations.iter() {
             let parsed = shift_urlkit::Url::parse(&c.url).expect("citation URL parses");
             let rd = shift_urlkit::registrable_domain(parsed.host());
             prop_assert_eq!(rd.as_deref(), Some(c.domain.as_str()));
@@ -82,7 +82,7 @@ proptest! {
             let cap = stack.persona(kind).max_per_domain;
             let answer = stack.answer(kind, &q, 10, seed);
             let mut counts = std::collections::HashMap::new();
-            for c in &answer.citations {
+            for c in answer.citations.iter() {
                 *counts.entry(c.domain.as_str()).or_insert(0usize) += 1;
             }
             for (d, n) in counts {
@@ -98,7 +98,7 @@ proptest! {
         let stack = stack();
         let world = stack.world();
         let answer = stack.answer(EngineKind::Gpt4o, &q, 10, seed);
-        for s in &answer.snippets {
+        for s in answer.snippets.iter() {
             if s.entities.len() > 1 {
                 // Multi-entity snippets must name every attributed entity.
                 let lower = s.text.to_lowercase();

@@ -6,6 +6,10 @@
 //! intrusive LRU list, so concurrent lookups on different shards never
 //! contend. Expiry is lazy: an entry past its TTL is treated as a miss
 //! (and reclaimed) the next time it is touched.
+//!
+//! An [`EngineAnswer`] is an immutable shared value, so a hit hands out
+//! a clone that shares the resident answer's query, text, citations and
+//! snippets: a few refcount bumps under the shard lock, no allocation.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -275,7 +279,8 @@ impl AnswerCache {
         self.len() == 0
     }
 
-    /// Look up a key, refreshing its recency on hit.
+    /// Look up a key, refreshing its recency on hit. A hit shares the
+    /// resident answer rather than copying it.
     pub fn get(&self, key: &CacheKey) -> Option<EngineAnswer> {
         if self.is_disabled() {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -395,14 +400,15 @@ impl AnswerCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn answer(text: &str) -> EngineAnswer {
         EngineAnswer {
             engine: EngineKind::Google,
-            query: text.to_string(),
-            citations: Vec::new(),
-            snippets: Vec::new(),
-            text: text.to_string(),
+            query: text.into(),
+            citations: Arc::new([]),
+            snippets: Arc::new([]),
+            text: text.into(),
         }
     }
 
@@ -448,7 +454,7 @@ mod tests {
         cache.insert(k.clone(), answer("v1"));
         cache.insert(k.clone(), answer("v2"));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(&k).unwrap().text, "v2");
+        assert_eq!(&*cache.get(&k).unwrap().text, "v2");
         assert_eq!(cache.stats().evictions, 0);
     }
 
@@ -527,7 +533,7 @@ mod tests {
         assert!(cache.get(&k).is_none());
         assert!(cache.get(&k).is_none());
         // …but the entry stays resident and stale-servable, bytes intact.
-        assert_eq!(cache.get_stale(&k).unwrap().text, "the cached bytes");
+        assert_eq!(&*cache.get_stale(&k).unwrap().text, "the cached bytes");
         let stats = cache.stats();
         assert_eq!(stats.stale_hits, 1);
         assert_eq!(stats.misses, 2);

@@ -5,7 +5,9 @@
 //! Life of a request:
 //!
 //! 1. [`AnswerService::submit`] builds the [`crate::CacheKey`]; a fresh
-//!    cache hit resolves immediately without touching the queue.
+//!    cache hit resolves immediately without touching the queue: the
+//!    returned [`PendingAnswer`] already holds the reply, whose answer
+//!    shares the cached one (no copy, no reply channel).
 //! 2. On a miss the request is `try_send`-ed onto the bounded job
 //!    channel. A full channel rejects with [`ServeError::Overloaded`] —
 //!    the service sheds load instead of queueing unboundedly.
@@ -23,9 +25,9 @@
 //!      background refresh — stale-while-revalidate), else the Google
 //!      organic SERP as a citation-only answer, tagging the served answer
 //!      with its [`Degradation`] level.
-//! 4. The caller blocks in [`PendingAnswer::wait`] with a deadline-capped
-//!    `recv_timeout`, so a stuck request costs the caller at most the
-//!    deadline.
+//! 4. For a miss, the caller blocks in [`PendingAnswer::wait`] with a
+//!    deadline-capped `recv_timeout`, so a stuck request costs the
+//!    caller at most the deadline.
 //!
 //! A request is counted exactly once no matter how many attempts it took:
 //! the `settled` flag arbitrates metrics ownership between worker and
@@ -131,26 +133,41 @@ pub(crate) const REFRESH_ATTEMPT: u32 = 0x5246_5253;
 ///
 /// Dropping a `PendingAnswer` abandons the request; the worker's reply is
 /// discarded (the cache still keeps the computed answer).
-pub struct PendingAnswer {
-    rx: Receiver<Reply>,
-    deadline: Instant,
-    metrics: Arc<ServiceMetrics>,
-    settled: Arc<AtomicBool>,
+pub struct PendingAnswer(Pending);
+
+enum Pending {
+    /// A fresh cache hit, served and counted at submit.
+    Ready(ServedAnswer),
+    /// A miss queued for a worker, which replies on `rx`.
+    InFlight {
+        rx: Receiver<Reply>,
+        deadline: Instant,
+        metrics: Arc<ServiceMetrics>,
+        settled: Arc<AtomicBool>,
+    },
 }
 
 impl PendingAnswer {
-    /// Block until the answer arrives or the deadline passes.
+    /// Block until the answer arrives or the deadline passes. A cache
+    /// hit returns at once.
     pub fn wait(self) -> Result<ServedAnswer, ServeError> {
-        let budget = self.deadline.saturating_duration_since(Instant::now());
-        match self.rx.recv_timeout(budget) {
-            Ok(reply) => reply,
-            Err(RecvTimeoutError::Timeout) => {
-                if !self.settled.swap(true, Ordering::AcqRel) {
-                    self.metrics.record_timed_out();
+        match self.0 {
+            Pending::Ready(served) => Ok(served),
+            Pending::InFlight {
+                rx,
+                deadline,
+                metrics,
+                settled,
+            } => match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(reply) => reply,
+                Err(RecvTimeoutError::Timeout) => {
+                    if !settled.swap(true, Ordering::AcqRel) {
+                        metrics.record_timed_out();
+                    }
+                    Err(ServeError::TimedOut)
                 }
-                Err(ServeError::TimedOut)
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(ServeError::WorkerLost),
+                Err(RecvTimeoutError::Disconnected) => Err(ServeError::WorkerLost),
+            },
         }
     }
 }
@@ -238,32 +255,25 @@ impl AnswerService {
     /// Submit a request without blocking on the answer.
     ///
     /// Returns [`ServeError::Overloaded`] when the admission queue is
-    /// full; a cache hit resolves the returned [`PendingAnswer`]
-    /// immediately.
+    /// full; a cache hit returns a [`PendingAnswer`] that already holds
+    /// its reply.
     pub fn submit(&self, request: Request) -> Result<PendingAnswer, ServeError> {
         let admitted = Instant::now();
-        let deadline = admitted + self.deadline;
         let key = CacheKey::new(request.engine, &request.query, request.top_k, request.seed);
-        let (reply_tx, reply_rx) = channel::bounded::<Reply>(1);
-        let settled = Arc::new(AtomicBool::new(false));
         if let Some(answer) = self.cache.get(&key) {
             let latency = admitted.elapsed();
-            settled.store(true, Ordering::Release);
             self.metrics
                 .record_served(request.engine, latency, true, Degradation::None);
-            let _ = reply_tx.send(Ok(ServedAnswer {
+            return Ok(PendingAnswer(Pending::Ready(ServedAnswer {
                 answer,
                 latency,
                 from_cache: true,
                 degradation: Degradation::None,
-            }));
-            return Ok(PendingAnswer {
-                rx: reply_rx,
-                deadline,
-                metrics: Arc::clone(&self.metrics),
-                settled,
-            });
+            })));
         }
+        let deadline = admitted + self.deadline;
+        let (reply_tx, reply_rx) = channel::bounded::<Reply>(1);
+        let settled = Arc::new(AtomicBool::new(false));
         let job = Job {
             request,
             key,
@@ -273,12 +283,12 @@ impl AnswerService {
             settled: Arc::clone(&settled),
         };
         match self.tx.try_send(job) {
-            Ok(()) => Ok(PendingAnswer {
+            Ok(()) => Ok(PendingAnswer(Pending::InFlight {
                 rx: reply_rx,
                 deadline,
                 metrics: Arc::clone(&self.metrics),
                 settled,
-            }),
+            })),
             Err(TrySendError::Full(_)) => {
                 self.metrics.record_overloaded();
                 Err(ServeError::Overloaded)
@@ -398,7 +408,8 @@ fn serve_job(ctx: &WorkerCtx, scratch: &mut QueryScratch, job: Job) {
             if degradation == Degradation::None {
                 // Cache only full-fidelity answers (even if the waiter
                 // gave up — the work is done either way). A degraded
-                // answer must not masquerade as the engine's.
+                // answer must not masquerade as the engine's. The cache
+                // and the reply share one answer.
                 ctx.cache.insert(job.key, answer.clone());
             }
             let latency = job.admitted.elapsed();

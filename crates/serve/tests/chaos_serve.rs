@@ -26,11 +26,11 @@ fn fingerprint(answer: &EngineAnswer) -> String {
     out.push_str(&answer.query);
     out.push('\x1f');
     out.push_str(&answer.text);
-    for c in &answer.citations {
+    for c in answer.citations.iter() {
         out.push('\x1f');
         out.push_str(&c.url);
     }
-    for s in &answer.snippets {
+    for s in answer.snippets.iter() {
         out.push('\x1f');
         out.push_str(&s.text);
     }

@@ -23,13 +23,13 @@ fn stack() -> Arc<AnswerEngines> {
 fn fingerprint(answer: &EngineAnswer) -> String {
     let mut parts = vec![
         answer.engine.slug().to_string(),
-        answer.query.clone(),
-        answer.text.clone(),
+        answer.query.to_string(),
+        answer.text.to_string(),
     ];
-    for c in &answer.citations {
+    for c in answer.citations.iter() {
         parts.push(c.url.clone());
     }
-    for s in &answer.snippets {
+    for s in answer.snippets.iter() {
         parts.push(s.text.clone());
     }
     parts.join("\x1f")

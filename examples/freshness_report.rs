@@ -32,7 +32,7 @@ fn main() {
         let mut undatable = 0usize;
 
         println!("{}:", kind.name());
-        for c in &answer.citations {
+        for c in answer.citations.iter() {
             // The real pipeline: URL → fetched HTML → extractor.
             let Some(pid) = world.page_by_url(&c.url) else {
                 undatable += 1;

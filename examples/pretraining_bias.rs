@@ -47,7 +47,7 @@ fn main() {
 
         // Retrieval through the GPT-4o persona, as in the paper's setup.
         let answer = engines.answer(EngineKind::Gpt4o, query, 10, 1);
-        let mut evidence = answer.snippets;
+        let mut evidence = answer.snippets.to_vec();
         evidence.retain(|s| s.entities.iter().any(|(e, _)| candidates.contains(e)));
         evidence.truncate(EVIDENCE_WINDOW);
 

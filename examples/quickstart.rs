@@ -31,7 +31,7 @@ fn main() {
     // 3. Google's organic top-10 is the reference.
     let google = engines.answer(EngineKind::Google, query, 10, 0);
     println!("Google Search cites:");
-    for c in &google.citations {
+    for c in google.citations.iter() {
         println!("  [{}] {:>4.0}d  {}", c.source_type, c.age_days, c.domain);
     }
 

@@ -16,11 +16,19 @@
 //! standard fault plan, resilience on vs. off; the resilient run must be
 //! at least twice as available.
 //!
+//! Last, it counts allocations: what one answer-cache hit allocates on
+//! the client thread, and what computing one cold answer allocates (the
+//! engine work a worker runs per miss). These are exact work counts,
+//! written to the `alloc` section; unlike the timings they do not move
+//! with the host's speed.
+//!
 //! `--chaos` runs only the chaos experiment and gates it against the
 //! committed `BENCH_serve.json`: if availability-with-resilience drops
 //! below the recorded number, the process exits non-zero.
 
-use std::collections::BTreeMap;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use navigating_shift::corpus::{World, WorldConfig};
@@ -28,8 +36,62 @@ use navigating_shift::engines::{AnswerEngines, EngineKind};
 use navigating_shift::freshness::json::{parse as json_parse, to_string as json_to_string, Value};
 use navigating_shift::serve::{
     run_chaos, run_load, AnswerService, ChaosConfig, ChaosReport, FaultPlan, LoadConfig, LoadMode,
-    MetricsSnapshot, ServeConfig, Workload,
+    MetricsSnapshot, Request, ServeConfig, Workload,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Counts this thread's allocations and requested bytes, then defers to
+/// the system allocator.
+struct Counting;
+
+thread_local! {
+    static COUNT: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn note(bytes: usize) {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = COUNT.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract. The counting beside it never
+// allocates: the thread-local is `const`-initialised and has no
+// destructor, so reaching it cannot re-enter the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Runs `f` and returns the allocations and bytes it made on this thread.
+fn counted(f: impl FnOnce()) -> (u64, u64) {
+    let (n0, b0) = COUNT.with(Cell::get);
+    f();
+    let (n1, b1) = COUNT.with(Cell::get);
+    (n1 - n0, b1 - b0)
+}
 
 const WORLD_SEED: u64 = 20251101;
 const WORKLOAD_SEED: u64 = 77;
@@ -110,6 +172,61 @@ fn chaos_json(config: &ChaosConfig, report: &ChaosReport) -> Value {
     );
     chaos.insert("plan".to_string(), Value::Object(plan));
     Value::Object(chaos)
+}
+
+/// Draws of the workload whose distinct requests the `alloc` section
+/// is measured over.
+const ALLOC_DRAWS: u64 = 500;
+
+/// The `alloc` section, measured on a fresh stack and service so it
+/// leaves the snapshot above untouched: `per_miss` and `per_hit` are
+/// mean allocations over the distinct requests of [`ALLOC_DRAWS`]
+/// workload draws, each first computed cold, then served as a hit.
+fn alloc_json(workload: &Workload) -> Value {
+    let mut rng = StdRng::seed_from_u64(LOAD_SEED);
+    let mut seen = HashSet::new();
+    let requests: Vec<Request> = (0..ALLOC_DRAWS)
+        .map(|i| workload.request_at(&mut rng, i, &EngineKind::ALL, 10))
+        .filter(|r| seen.insert((r.engine, r.query.clone())))
+        .collect();
+    let n = requests.len() as f64;
+    let world = Arc::new(World::generate(&WorldConfig::small(), WORLD_SEED));
+    let engines = Arc::new(AnswerEngines::build(world));
+
+    let mut miss = 0;
+    for r in &requests {
+        miss += counted(|| drop(engines.answer(r.engine, &r.query, r.top_k, r.seed))).0;
+    }
+    let service = AnswerService::start(engines, ServeConfig::with_workers(WORKERS));
+    for r in &requests {
+        service.answer(r.clone()).expect("warm-up answer");
+    }
+    let (mut hit, mut hit_bytes) = (0, 0);
+    for r in &requests {
+        let r = r.clone();
+        let (allocs, bytes) = counted(|| {
+            let served = service.answer(r).expect("cached answer");
+            assert!(served.from_cache, "a warmed request must hit the cache");
+        });
+        hit += allocs;
+        hit_bytes += bytes;
+    }
+    service.shutdown();
+    println!(
+        "alloc: {} distinct requests; {:.1} allocations per miss, {:.1} per hit ({:.0} B)",
+        requests.len(),
+        miss as f64 / n,
+        hit as f64 / n,
+        hit_bytes as f64 / n,
+    );
+    let mut alloc = BTreeMap::new();
+    alloc.insert("per_miss".to_string(), Value::Number(miss as f64 / n));
+    alloc.insert("per_hit".to_string(), Value::Number(hit as f64 / n));
+    alloc.insert(
+        "bytes_per_hit".to_string(),
+        Value::Number(hit_bytes as f64 / n),
+    );
+    Value::Object(alloc)
 }
 
 /// Gate mode: recompute chaos availability and fail if it dropped below
@@ -200,6 +317,7 @@ fn main() {
         "chaos".to_string(),
         chaos_json(&chaos_config, &chaos_report),
     );
+    root.insert("alloc".to_string(), alloc_json(&workload));
     // The churn benchmark (`run_live`) owns the "live" section and the
     // tier harness (`run_replicated`) owns "replicated"; carry the
     // committed ones over so a serve rerun doesn't drop them.

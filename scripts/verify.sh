@@ -20,6 +20,9 @@ cargo test -q --workspace --release
 echo "== serving layer: unit + integration =="
 cargo test -q -p shift-serve
 
+echo "== serving layer: a cache hit shares the cached answer (allocation count independent of answer size) =="
+cargo test -q -p shift-serve --test alloc_hit
+
 echo "== resilience: engines fault-injection suite =="
 cargo test -q -p shift-engines fault
 

@@ -32,7 +32,7 @@ fn citations_carry_consistent_typology_and_dates() {
     let stack = AnswerEngines::build(w.clone());
     let answer = stack.answer(EngineKind::Perplexity, "top 10 best smartphones", 10, 1);
     assert!(!answer.citations.is_empty());
-    for c in &answer.citations {
+    for c in answer.citations.iter() {
         // The ground-truth source type of a citation matches the domain's.
         let page = w.page(c.page);
         assert_eq!(
@@ -57,7 +57,7 @@ fn freshness_pipeline_agrees_with_world_ground_truth() {
     // trip Claude's citation reticence.
     let answer = stack.answer(EngineKind::Claude, "best electric cars 2025", 10, 2);
     let mut checked = 0;
-    for c in &answer.citations {
+    for c in answer.citations.iter() {
         let pid = w.page_by_url(&c.url).unwrap();
         let html = w.page_html(pid);
         if let Some(extracted) = extract_page_date(&html) {
