@@ -110,7 +110,7 @@ pub fn measure_visibility(
 
         for (qi, q) in queries.iter().enumerate() {
             let answer = stack.answer(kind, q, k, seed.wrapping_add(qi as u64));
-            if answer.citations.iter().any(|c| c.domain == e.brand_domain) {
+            if answer.citations.iter().any(|c| *c.domain == e.brand_domain) {
                 cited += 1;
             }
             // Position in the synthesized "top picks" sentence: the names

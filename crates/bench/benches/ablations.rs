@@ -134,9 +134,9 @@ fn ablate_freshness_boost(c: &mut Criterion) {
                 .search(q, 10)
                 .results
                 .iter()
-                .map(|r| r.host.clone())
+                .map(|r| r.host.to_string())
                 .collect();
-            let a: Vec<String> = serp.results.iter().map(|r| r.host.clone()).collect();
+            let a: Vec<String> = serp.results.iter().map(|r| r.host.to_string()).collect();
             overlaps.push(jaccard(&g, &a));
         }
         println!(
@@ -186,13 +186,13 @@ fn ablate_bm25(c: &mut Criterion) {
                 .search(q, 10)
                 .results
                 .iter()
-                .map(|r| r.url.clone())
+                .map(|r| r.url.to_string())
                 .collect();
             let alt: Vec<String> = variant
                 .search(q, 10)
                 .results
                 .iter()
-                .map(|r| r.url.clone())
+                .map(|r| r.url.to_string())
                 .collect();
             overlaps.push(jaccard(&base, &alt));
         }

@@ -97,8 +97,8 @@ mod tests {
     fn snippets(n: usize) -> Vec<Snippet> {
         (0..n)
             .map(|i| Snippet {
-                url: format!("https://e.com/{i}"),
-                text: format!("snippet {i}"),
+                url: format!("https://e.com/{i}").into(),
+                text: format!("snippet {i}").into(),
                 entities: vec![(EntityId(i as u32), 0.1 * i as f64)],
                 age_days: i as f64,
             })
@@ -110,8 +110,8 @@ mod tests {
         let ev = snippets(10);
         let shuffled = snippet_shuffle(&ev, 7);
         assert_eq!(shuffled.len(), ev.len());
-        let mut a: Vec<&str> = ev.iter().map(|s| s.url.as_str()).collect();
-        let mut b: Vec<&str> = shuffled.iter().map(|s| s.url.as_str()).collect();
+        let mut a: Vec<&str> = ev.iter().map(|s| &*s.url).collect();
+        let mut b: Vec<&str> = shuffled.iter().map(|s| &*s.url).collect();
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);

@@ -13,8 +13,8 @@ fn snippet_strategy() -> impl Strategy<Value = Snippet> {
         0.0..900.0f64,
     )
         .prop_map(|(slug, ents, age)| Snippet {
-            url: format!("https://{slug}.com/x"),
-            text: format!("about {slug}"),
+            url: format!("https://{slug}.com/x").into(),
+            text: format!("about {slug}").into(),
             entities: ents.into_iter().map(|(e, s)| (EntityId(e), s)).collect(),
             age_days: age,
         })
@@ -31,8 +31,8 @@ proptest! {
         let a = snippet_shuffle(&ev, seed);
         let b = snippet_shuffle(&ev, seed);
         prop_assert_eq!(&a, &b);
-        let mut orig: Vec<&str> = ev.iter().map(|s| s.url.as_str()).collect();
-        let mut shuf: Vec<&str> = a.iter().map(|s| s.url.as_str()).collect();
+        let mut orig: Vec<&str> = ev.iter().map(|s| &*s.url).collect();
+        let mut shuf: Vec<&str> = a.iter().map(|s| &*s.url).collect();
         orig.sort_unstable();
         shuf.sort_unstable();
         prop_assert_eq!(orig, shuf);

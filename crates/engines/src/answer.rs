@@ -8,13 +8,14 @@ use shift_urlkit::registrable_domain;
 
 use crate::persona::EngineKind;
 
-/// One cited source.
+/// One cited source. Its url and domain are shared strings: a citation
+/// of a search result shares the result's url and its page's domain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Citation {
     /// Full URL as cited.
-    pub url: String,
+    pub url: Arc<str>,
     /// Registrable domain of the citation.
-    pub domain: String,
+    pub domain: Arc<str>,
     /// The cited corpus page.
     pub page: PageId,
     /// Ground-truth typology of the hosting domain.
@@ -35,8 +36,8 @@ impl Citation {
         let parsed = shift_urlkit::Url::parse(url).ok()?;
         let domain = registrable_domain(parsed.host())?;
         Some(Citation {
-            url: url.to_string(),
-            domain,
+            url: url.into(),
+            domain: domain.into(),
             page,
             source_type,
             age_days,
@@ -73,8 +74,8 @@ impl EngineAnswer {
         let mut seen = std::collections::BTreeSet::new();
         let mut out = Vec::new();
         for c in self.citations.iter() {
-            if seen.insert(c.domain.clone()) {
-                out.push(c.domain.clone());
+            if seen.insert(&*c.domain) {
+                out.push(c.domain.to_string());
             }
         }
         out
@@ -111,7 +112,7 @@ mod tests {
     #[test]
     fn from_url_derives_domain() {
         let c = citation("https://www.rtings.com/tv/reviews", SourceType::Earned, 5.0);
-        assert_eq!(c.domain, "rtings.com");
+        assert_eq!(&*c.domain, "rtings.com");
     }
 
     #[test]

@@ -164,11 +164,11 @@ mod tests {
             query: query.to_string(),
             results: vec![shift_search::SerpResult {
                 page: shift_corpus::PageId(1),
-                url: url.to_string(),
-                host: "example.com".to_string(),
+                url: url.into(),
+                host: "example.com".into(),
                 score: 1.25,
-                title: "t".to_string(),
-                snippet: "s".to_string(),
+                title: "t".into(),
+                snippet: "s".into(),
                 source_type: shift_corpus::SourceType::Earned,
                 age_days: 3.0,
             }],
@@ -215,7 +215,7 @@ mod tests {
         for r in &results {
             assert!(Arc::ptr_eq(r, &results[0]));
         }
-        assert_eq!(results[0].results[0].url, "https://example.com/a");
+        assert_eq!(&*results[0].results[0].url, "https://example.com/a");
         assert_eq!(results[0].results[0].score.to_bits(), 1.25f64.to_bits());
     }
 
@@ -228,8 +228,8 @@ mod tests {
         // No flight open between the calls: both computed.
         assert_eq!(sf.stats().leaders, 2);
         assert_eq!(sf.stats().waiters, 0);
-        assert_eq!(a.results[0].url, "https://a.example/1");
-        assert_eq!(b.results[0].url, "https://a.example/2");
+        assert_eq!(&*a.results[0].url, "https://a.example/1");
+        assert_eq!(&*b.results[0].url, "https://a.example/2");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use shift_llm::{GroundingMode, Llm, LlmConfig, Snippet};
 use shift_metrics::bootstrap::SplitMix64;
 use shift_search::serp::contains_lowercase;
 use shift_search::{
-    with_thread_scratch, QueryScratch, RankingParams, SearchEngine, Serp, SerpResult,
+    with_thread_scratch, QueryScratch, RankingParams, SearchEngine, SearchIndex, Serp, SerpResult,
 };
 use shift_urlkit::{registrable_domain, Url};
 
@@ -50,7 +50,7 @@ pub struct AnswerEngines {
 /// personas' per-domain citation preference.
 #[derive(Clone)]
 struct CitedDomain {
-    name: String,
+    name: Arc<str>,
     hash: u64,
 }
 
@@ -139,6 +139,37 @@ impl AnswerEngines {
         })
     }
 
+    /// The retrieval an engine's answer reads, through the SERP cache:
+    /// Google's k-deep organic SERP; Gemini's pool grounds through
+    /// Google's own ranking; the other personas run their own retrieval
+    /// parameters. Every answer of `kind` for `query` shares the
+    /// returned SERP's strings while it stays cached.
+    pub fn retrieval_with(
+        &self,
+        scratch: &mut QueryScratch,
+        kind: EngineKind,
+        query: &str,
+        k: usize,
+    ) -> Arc<Serp> {
+        match kind {
+            EngineKind::Google => self.cached_serp(&self.google, scratch, query, k),
+            EngineKind::Gemini => {
+                self.cached_serp(&self.google, scratch, query, self.personas[&kind].pool_size)
+            }
+            _ => self.cached_serp(
+                &self.retrievers[&kind],
+                scratch,
+                query,
+                self.personas[&kind].pool_size,
+            ),
+        }
+    }
+
+    /// The index every engine retrieves from.
+    pub fn index(&self) -> &SearchIndex {
+        self.google.index()
+    }
+
     /// The world the stack runs over.
     pub fn world(&self) -> &World {
         &self.world
@@ -171,9 +202,7 @@ impl AnswerEngines {
     /// The registrable domain a citation of `page` carries, computed
     /// once at build; `None` where the page's URL has none.
     pub fn citation_domain(&self, page: PageId) -> Option<&str> {
-        self.page_domains[page.index()]
-            .as_ref()
-            .map(|d| d.name.as_str())
+        self.page_domains[page.index()].as_ref().map(|d| &*d.name)
     }
 
     /// The persona of a generative engine.
@@ -226,8 +255,8 @@ impl AnswerEngines {
                     entities
                 };
                 Snippet {
-                    url: r.url.clone(),
-                    text: r.snippet.clone(),
+                    url: Arc::clone(&r.url),
+                    text: Arc::clone(&r.snippet),
                     entities,
                     age_days: r.age_days,
                 }
@@ -264,7 +293,7 @@ impl AnswerEngines {
     }
 
     fn google_answer(&self, scratch: &mut QueryScratch, query: &str, k: usize) -> EngineAnswer {
-        let serp = self.cached_serp(&self.google, scratch, query, k);
+        let serp = self.retrieval_with(scratch, EngineKind::Google, query, k);
         let citations = serp
             .results
             .iter()
@@ -294,12 +323,7 @@ impl AnswerEngines {
         let persona = &self.personas[&kind];
         let intent = classify_intent(query);
 
-        // Retrieval: Gemini grounds through Google's own ranking; the
-        // others run their persona retrieval parameters.
-        let pool = match kind {
-            EngineKind::Gemini => self.cached_serp(&self.google, scratch, query, persona.pool_size),
-            _ => self.cached_serp(&self.retrievers[&kind], scratch, query, persona.pool_size),
-        };
+        let pool = self.retrieval_with(scratch, kind, query, k);
         let snippets = self.snippets_from_serp(&pool);
 
         // Citation suppression outside consideration intent (Claude).
@@ -458,7 +482,7 @@ fn page_domains(world: &World) -> Vec<Option<CitedDomain>> {
             }
             let cited = registrable_domain(url.host()).map(|name| CitedDomain {
                 hash: hash_str(&name),
-                name,
+                name: name.into(),
             });
             by_host.insert(url.host().to_string(), cited.clone());
             cited
@@ -467,11 +491,12 @@ fn page_domains(world: &World) -> Vec<Option<CitedDomain>> {
 }
 
 /// The citation of a result whose page cites as `domain`: what
-/// [`Citation::from_url`] builds from the result's URL.
+/// [`Citation::from_url`] builds from the result's URL, sharing the
+/// result's url and the page's domain string.
 fn citation(r: &SerpResult, domain: &CitedDomain) -> Citation {
     Citation {
-        url: r.url.clone(),
-        domain: domain.name.clone(),
+        url: Arc::clone(&r.url),
+        domain: Arc::clone(&domain.name),
         page: r.page,
         source_type: r.source_type,
         age_days: r.age_days,
@@ -641,7 +666,7 @@ mod tests {
             let cap = stack.persona(kind).max_per_domain;
             let mut counts: HashMap<&str, usize> = HashMap::new();
             for c in a.citations.iter() {
-                *counts.entry(c.domain.as_str()).or_insert(0) += 1;
+                *counts.entry(&*c.domain).or_insert(0) += 1;
             }
             for (d, n) in counts {
                 assert!(n <= cap, "{kind:?} cited {d} {n} times (cap {cap})");

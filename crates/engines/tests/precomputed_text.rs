@@ -40,7 +40,7 @@ fn citation_domains_match_from_url() {
         let expected = Citation::from_url(&page.url, page.id, SourceType::Earned, 0.0);
         assert_eq!(
             stack.citation_domain(page.id),
-            expected.as_ref().map(|c| c.domain.as_str()),
+            expected.as_ref().map(|c| &*c.domain),
             "{}",
             page.url
         );
@@ -64,7 +64,7 @@ fn answers_match_per_result_derivation() {
             for snippet in answer.snippets.iter() {
                 // The attribution filter as it was: lowercase the snippet
                 // and each mentioned name, then `contains`.
-                let page = world.page(by_url[snippet.url.as_str()]);
+                let page = world.page(by_url[&*snippet.url]);
                 let lower = snippet.text.to_lowercase();
                 let mut expected: Vec<_> = page
                     .mentions

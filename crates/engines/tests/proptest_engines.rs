@@ -55,7 +55,7 @@ proptest! {
         for c in answer.citations.iter() {
             let parsed = shift_urlkit::Url::parse(&c.url).expect("citation URL parses");
             let rd = shift_urlkit::registrable_domain(parsed.host());
-            prop_assert_eq!(rd.as_deref(), Some(c.domain.as_str()));
+            prop_assert_eq!(rd.as_deref(), Some(&*c.domain));
             prop_assert!(c.age_days >= 0.0);
         }
         let mix = answer.source_type_mix();
@@ -83,7 +83,7 @@ proptest! {
             let answer = stack.answer(kind, &q, 10, seed);
             let mut counts = std::collections::HashMap::new();
             for c in answer.citations.iter() {
-                *counts.entry(c.domain.as_str()).or_insert(0usize) += 1;
+                *counts.entry(&*c.domain).or_insert(0usize) += 1;
             }
             for (d, n) in counts {
                 prop_assert!(n <= cap, "{kind:?} cited {d} {n} times (cap {cap})");

@@ -109,13 +109,13 @@ mod tests {
         let evidence = vec![
             Snippet {
                 url: "https://a.com/1".into(),
-                text: String::new(),
+                text: "".into(),
                 entities: vec![(EntityId(1), 0.5), (EntityId(2), 0.6)],
                 age_days: 0.0,
             },
             Snippet {
                 url: "https://a.com/2".into(),
-                text: String::new(),
+                text: "".into(),
                 entities: vec![(EntityId(2), 0.7)],
                 age_days: 0.0,
             },

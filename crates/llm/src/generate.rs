@@ -1,5 +1,7 @@
 //! Listwise ranking generation: blending priors with retrieved evidence.
 
+use std::sync::Arc;
+
 use shift_corpus::EntityId;
 use shift_metrics::bootstrap::SplitMix64;
 
@@ -70,13 +72,15 @@ pub enum GroundingMode {
     Strict,
 }
 
-/// One retrieved evidence snippet, as the model sees it.
+/// One retrieved evidence snippet, as the model sees it. Its url and
+/// text are shared strings: a snippet built from a search result shares
+/// the result's, so cloning one allocates only its entity list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snippet {
     /// Source URL (becomes the citation).
-    pub url: String,
+    pub url: Arc<str>,
     /// Snippet text.
-    pub text: String,
+    pub text: Arc<str>,
     /// Entities the snippet speaks about, with the quality score the
     /// snippet's page observed for each.
     pub entities: Vec<(EntityId, f64)>,
@@ -254,8 +258,8 @@ mod tests {
 
     fn snippet(url: &str, entities: Vec<(EntityId, f64)>) -> Snippet {
         Snippet {
-            url: url.to_string(),
-            text: String::new(),
+            url: url.into(),
+            text: "".into(),
             entities,
             age_days: 10.0,
         }

@@ -155,7 +155,7 @@ mod tests {
     fn snippet(url: &str, entities: Vec<(EntityId, f64)>) -> Snippet {
         Snippet {
             url: url.into(),
-            text: String::new(),
+            text: "".into(),
             entities,
             age_days: 5.0,
         }

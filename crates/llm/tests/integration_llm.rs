@@ -21,8 +21,8 @@ fn evidence_for(world: &World, ids: &[EntityId]) -> Vec<Snippet> {
         for j in 0..3u64 {
             let jitter = ((i as u64 * 31 + j * 17) % 13) as f64 / 13.0 - 0.5;
             out.push(Snippet {
-                url: format!("https://evidence.com/{i}/{j}"),
-                text: String::new(),
+                url: format!("https://evidence.com/{i}/{j}").into(),
+                text: "".into(),
                 entities: vec![(e, (q + 0.3 * jitter).clamp(0.02, 0.98))],
                 age_days: 30.0,
             });

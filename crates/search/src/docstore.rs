@@ -1,17 +1,19 @@
 //! Document metadata storage: plain per-document structs or the
 //! dictionary-encoded columnar form used by compressed indexes.
 //!
-//! The raw layout ([`DocMeta`]) keeps one struct per document with owned
-//! `String`s for URL, host, title and body — convenient, but at millions
-//! of documents the per-string allocation headers and the host
-//! duplication dominate. The compact layout ([`CompactDocs`]) stores:
+//! The raw layout ([`DocMeta`]) keeps one struct per document with
+//! shared `Arc<str>` URL, host and title (each host's string is one
+//! allocation shared by all of its documents) and an owned body —
+//! convenient, but at millions of documents the per-string allocation
+//! headers dominate. The compact layout ([`CompactDocs`]) stores:
 //!
 //! * numeric columns (`page`, `host_id`, `authority`, `age_days`,
 //!   `source_type`, `token_len`, `title_len`) as flat arrays;
 //! * every title and body concatenated into one shared text arena,
 //!   addressed by a flat offset array (two spans per document);
-//! * hosts as a dictionary: the distinct host strings once, referenced
-//!   by the dense interned `host_id` each document already carries;
+//! * hosts as a dictionary: the distinct host strings once, as shared
+//!   `Arc<str>`s, referenced by the dense interned `host_id` each
+//!   document already carries;
 //! * URLs as a *front-coded* dictionary: the URLs sorted, split into
 //!   groups of [`URL_GROUP`], each group storing its first URL verbatim
 //!   and every subsequent entry as `(shared-prefix len, suffix)` —
@@ -19,11 +21,15 @@
 //!   removes most of their bytes. A per-document rank array maps doc
 //!   number → sorted position.
 //!
-//! Reads go through [`DocFields`], a borrowed view both layouts can
-//! produce; only the front-coded URL needs re-materialization (a
-//! `Cow::Owned` allocation) and only on the compact layout.
+//! Reads go through [`DocFields`], a view both layouts can produce. The
+//! raw layout lends its shared strings; the compact layout lends its
+//! host and materializes the URL (decoded from the front-coded
+//! dictionary) and the title (copied out of the arena) as new
+//! `Arc<str>`s — `Cow::Owned` — so a reader asks for the view only of
+//! documents whose strings it keeps.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use shift_corpus::{PageId, SourceType};
 
@@ -35,18 +41,19 @@ use crate::postings::DocNum;
 /// the rest as `(lcp, suffix)` against their predecessor.
 pub const URL_GROUP: usize = 16;
 
-/// A borrowed view of one document's metadata, produced by both the raw
-/// and the compact layout. Everything except the URL borrows directly
-/// from the store; the URL is borrowed on the raw layout and
-/// re-materialized (owned) on the compact layout.
+/// A view of one document's metadata, produced by both the raw and the
+/// compact layout. URL and title are the store's shared strings on the
+/// raw layout and materialized (owned) on the compact layout; host and
+/// body always borrow from the store. `into_owned()` on a `Cow` field
+/// yields the `Arc<str>` a result keeps: a refcount bump when borrowed.
 #[derive(Debug)]
 pub struct DocFields<'a> {
     /// The corpus page this document was built from.
     pub page: PageId,
     /// Canonical URL.
-    pub url: Cow<'a, str>,
+    pub url: Cow<'a, Arc<str>>,
     /// Host (used for host-crowding limits).
-    pub host: &'a str,
+    pub host: &'a Arc<str>,
     /// Dense interned host id.
     pub host_id: u32,
     /// Domain authority in `[0, 1]`.
@@ -60,7 +67,7 @@ pub struct DocFields<'a> {
     /// Title token count.
     pub title_len: u32,
     /// Raw title.
-    pub title: &'a str,
+    pub title: Cow<'a, Arc<str>>,
     /// Raw body text (for snippet extraction).
     pub body: &'a str,
 }
@@ -81,7 +88,7 @@ pub struct CompactDocs {
     /// `text[offs[2i]..offs[2i+1]]`, its body `text[offs[2i+1]..offs[2i+2]]`.
     text_offs: Vec<u32>,
     /// Distinct host strings, indexed by `host_id`.
-    hosts: Vec<String>,
+    hosts: Vec<Arc<str>>,
     /// Front-coded sorted URL dictionary payload.
     url_data: Vec<u8>,
     /// Byte offset of each group's start in `url_data`.
@@ -112,7 +119,7 @@ impl CompactDocs {
     /// Converts raw per-document metadata into the compact layout. The
     /// `hosts` dictionary must list the distinct host strings in
     /// `host_id` order (the build's first-seen interning order).
-    pub fn from_metas(metas: &[DocMeta], hosts: Vec<String>) -> CompactDocs {
+    pub fn from_metas(metas: &[DocMeta], hosts: Vec<Arc<str>>) -> CompactDocs {
         let n = metas.len();
         let raw_bytes = raw_doc_meta_bytes(metas);
         let mut text = String::new();
@@ -139,7 +146,7 @@ impl CompactDocs {
             url_group_offs.push(url_data.len() as u32);
             let mut prev: &str = "";
             for (j, &doc) in group.iter().enumerate() {
-                let url = metas[doc as usize].url.as_str();
+                let url = &*metas[doc as usize].url;
                 if j == 0 {
                     write_varint(&mut url_data, url.len() as u32);
                     url_data.extend_from_slice(url.as_bytes());
@@ -214,8 +221,14 @@ impl CompactDocs {
         url
     }
 
-    /// The full borrowed view of one document (URL is owned — see
-    /// [`DocFields`]).
+    /// The interned host id of one document.
+    #[inline]
+    pub(crate) fn host_id(&self, doc: DocNum) -> u32 {
+        self.host_ids[doc as usize]
+    }
+
+    /// The full view of one document: URL and title materialized as new
+    /// strings, the rest borrowed (see [`DocFields`]).
     pub fn fields(&self, doc: DocNum) -> DocFields<'_> {
         let i = doc as usize;
         let t0 = self.text_offs[2 * i] as usize;
@@ -223,7 +236,7 @@ impl CompactDocs {
         let t2 = self.text_offs[2 * i + 2] as usize;
         DocFields {
             page: self.pages[i],
-            url: Cow::Owned(self.url(doc)),
+            url: Cow::Owned(self.url(doc).into()),
             host: &self.hosts[self.host_ids[i] as usize],
             host_id: self.host_ids[i],
             authority: self.authorities[i],
@@ -231,7 +244,7 @@ impl CompactDocs {
             source_type: self.source_types[i],
             token_len: self.token_lens[i],
             title_len: self.title_lens[i],
-            title: &self.text[t0..t1],
+            title: Cow::Owned(self.text[t0..t1].into()),
             body: &self.text[t1..t2],
         }
     }
@@ -252,7 +265,7 @@ impl CompactDocs {
         let hosts: u64 = self
             .hosts
             .iter()
-            .map(|h| (h.len() + size_of::<String>()) as u64)
+            .map(|h| (h.len() + 2 * size_of::<usize>() + size_of::<Arc<str>>()) as u64)
             .sum();
         (self.pages.len() * size_of::<PageId>()
             + self.host_ids.len() * 4
@@ -294,8 +307,8 @@ mod tests {
     fn meta(i: u32, url: &str, host: &str, host_id: u32) -> DocMeta {
         DocMeta {
             page: PageId(i),
-            url: url.to_string(),
-            host: host.to_string(),
+            url: url.into(),
+            host: host.into(),
             host_id,
             authority: 0.25 + f64::from(i) * 0.01,
             age_days: f64::from(i) * 3.0,
@@ -303,12 +316,12 @@ mod tests {
             token_len: 100 + i,
             title_len: 5 + i,
             body: format!("body text number {i} with battery life details"),
-            title: format!("Title {i}"),
+            title: format!("Title {i}").into(),
         }
     }
 
-    fn sample(n: u32) -> (Vec<DocMeta>, Vec<String>) {
-        let hosts = vec!["a.example.com".to_string(), "b.example.org".to_string()];
+    fn sample(n: u32) -> (Vec<DocMeta>, Vec<Arc<str>>) {
+        let hosts: Vec<Arc<str>> = vec!["a.example.com".into(), "b.example.org".into()];
         let metas: Vec<DocMeta> = (0..n)
             .map(|i| {
                 let h = (i % 2) as usize;
@@ -331,14 +344,14 @@ mod tests {
         for (i, m) in metas.iter().enumerate() {
             let f = compact.fields(i as DocNum);
             assert_eq!(f.page, m.page);
-            assert_eq!(f.url.as_ref(), m.url);
-            assert_eq!(f.host, m.host);
+            assert_eq!(*f.url, m.url);
+            assert_eq!(*f.host, m.host);
             assert_eq!(f.host_id, m.host_id);
             assert_eq!(f.authority.to_bits(), m.authority.to_bits());
             assert_eq!(f.age_days.to_bits(), m.age_days.to_bits());
             assert_eq!(f.token_len, m.token_len);
             assert_eq!(f.title_len, m.title_len);
-            assert_eq!(f.title, m.title);
+            assert_eq!(*f.title, m.title);
             assert_eq!(f.body, m.body);
             assert_eq!(compact.token_len(i as DocNum), m.token_len);
         }
@@ -350,7 +363,7 @@ mod tests {
         let (metas, hosts) = sample(URL_GROUP as u32 * 3 + 5);
         let compact = CompactDocs::from_metas(&metas, hosts);
         for (i, m) in metas.iter().enumerate() {
-            assert_eq!(compact.url(i as DocNum), m.url, "doc {i}");
+            assert_eq!(compact.url(i as DocNum), *m.url, "doc {i}");
         }
     }
 

@@ -12,6 +12,7 @@
 //!   parameterization — what the kernel sums instead of re-evaluating
 //!   BM25.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -31,9 +32,10 @@ pub struct DocMeta {
     /// The corpus page this document was built from.
     pub page: PageId,
     /// Canonical URL.
-    pub url: String,
-    /// Host (used for host-crowding limits).
-    pub host: String,
+    pub url: Arc<str>,
+    /// Host (used for host-crowding limits), shared by every document
+    /// of the host.
+    pub host: Arc<str>,
     /// Dense interned host id (crowding counters index by this).
     pub host_id: u32,
     /// Domain authority in `[0, 1]`.
@@ -49,7 +51,7 @@ pub struct DocMeta {
     /// Raw body text (for snippet extraction).
     pub body: String,
     /// Raw title.
-    pub title: String,
+    pub title: Arc<str>,
 }
 
 impl DocMeta {
@@ -57,7 +59,7 @@ impl DocMeta {
     pub(crate) fn fields(&self) -> DocFields<'_> {
         DocFields {
             page: self.page,
-            url: std::borrow::Cow::Borrowed(&self.url),
+            url: Cow::Borrowed(&self.url),
             host: &self.host,
             host_id: self.host_id,
             authority: self.authority,
@@ -65,7 +67,7 @@ impl DocMeta {
             source_type: self.source_type,
             token_len: self.token_len,
             title_len: self.title_len,
-            title: &self.title,
+            title: Cow::Borrowed(&self.title),
             body: &self.body,
         }
     }
@@ -346,19 +348,25 @@ impl SearchIndex {
             PostingsStore::new()
         };
         let mut docs = Vec::with_capacity(world.pages().len());
+        // Hosts interned in first-seen order: one shared string per
+        // host id, which every document of the host (and the compact
+        // layout's dictionary) shares.
         let mut hosts: HashMap<&str, u32> = HashMap::new();
+        let mut host_names: Vec<Arc<str>> = Vec::new();
         for page in world.pages() {
             let doc: DocNum = docs.len() as DocNum;
             let title_terms = analyze(&page.title);
             let body_terms = analyze(&page.body);
             postings.add_document(doc, &title_terms, &body_terms);
             let domain = world.domain(page.domain);
-            let next_id = hosts.len() as u32;
-            let host_id = *hosts.entry(domain.host.as_str()).or_insert(next_id);
+            let host_id = *hosts.entry(domain.host.as_str()).or_insert_with(|| {
+                host_names.push(domain.host.as_str().into());
+                host_names.len() as u32 - 1
+            });
             docs.push(DocMeta {
                 page: page.id,
-                url: page.url.clone(),
-                host: domain.host.clone(),
+                url: page.url.as_str().into(),
+                host: Arc::clone(&host_names[host_id as usize]),
                 host_id,
                 authority: domain.authority,
                 age_days: page.age_days(world.now_day()) as f64,
@@ -366,18 +374,12 @@ impl SearchIndex {
                 token_len: (title_terms.len() + body_terms.len()) as u32,
                 title_len: title_terms.len() as u32,
                 body: page.body.clone(),
-                title: page.title.clone(),
+                title: page.title.as_str().into(),
             });
         }
         postings.finish();
-        let host_count = hosts.len() as u32;
+        let host_count = host_names.len() as u32;
         let docs = if compressed {
-            // Host dictionary in interned (first-seen) id order, so the
-            // compact layout resolves exactly the ids the build assigned.
-            let mut host_names = vec![String::new(); hosts.len()];
-            for (name, id) in hosts {
-                host_names[id as usize] = name.to_string();
-            }
             DocStore::Compact(Box::new(CompactDocs::from_metas(&docs, host_names)))
         } else {
             DocStore::Raw(docs)
@@ -424,13 +426,24 @@ impl SearchIndex {
         }
     }
 
-    /// A borrowed view of one document's metadata, available on both
-    /// layouts (the compressed layout re-materializes only the URL).
+    /// A view of one document's metadata, available on both layouts
+    /// (the compressed layout materializes URL and title; see
+    /// [`DocFields`]).
     #[inline]
     pub fn doc_fields(&self, doc: DocNum) -> DocFields<'_> {
         match &self.docs {
             DocStore::Raw(v) => v[doc as usize].fields(),
             DocStore::Compact(c) => c.fields(doc),
+        }
+    }
+
+    /// The interned host id of one document, available on both layouts
+    /// without materializing anything.
+    #[inline]
+    pub(crate) fn host_id(&self, doc: DocNum) -> u32 {
+        match &self.docs {
+            DocStore::Raw(v) => v[doc as usize].host_id,
+            DocStore::Compact(c) => c.host_id(doc),
         }
     }
 
@@ -732,8 +745,8 @@ mod tests {
         let idx = SearchIndex::build(&world);
         for doc in idx.docs().iter().take(50) {
             let page = world.page(doc.page);
-            assert_eq!(doc.url, page.url);
-            assert_eq!(doc.host, world.domain(page.domain).host);
+            assert_eq!(*doc.url, page.url);
+            assert_eq!(*doc.host, world.domain(page.domain).host);
             assert!(doc.age_days >= 0.0);
         }
     }
@@ -747,8 +760,8 @@ mod tests {
         for doc in idx.docs() {
             assert!(doc.host_id < n, "host id out of range");
             // Same id ⇔ same host string.
-            let host = seen.entry(doc.host_id).or_insert(doc.host.as_str());
-            assert_eq!(*host, doc.host);
+            let host = seen.entry(doc.host_id).or_insert(&*doc.host);
+            assert_eq!(*host, &*doc.host);
         }
     }
 

@@ -45,6 +45,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::bm25::window_bonus;
 use crate::docstore::DocFields;
@@ -222,6 +223,9 @@ pub struct QueryScratch {
     host_counts: Vec<u32>,
     host_stamp: Vec<u32>,
     generation: u32,
+    // Each survivor's snippet is composed here, then copied once into
+    // its result's shared string.
+    snippet: String,
 }
 
 impl QueryScratch {
@@ -959,19 +963,49 @@ fn gather(
     );
 }
 
+/// The document metadata [`finalize`] reads, in the document numbers
+/// of the candidates it orders: the batch index, or a live snapshot in
+/// snapshot-global numbers.
+pub(crate) trait DocSource {
+    /// Number of distinct hosts (host ids are dense below this).
+    fn host_count(&self) -> u32;
+
+    /// A document's interned host id, read for every walked candidate.
+    fn host_id(&self, doc: DocNum) -> u32;
+
+    /// A document's full metadata, read only for crowding survivors.
+    fn fields(&self, doc: DocNum) -> DocFields<'_>;
+}
+
+impl DocSource for SearchIndex {
+    fn host_count(&self) -> u32 {
+        SearchIndex::host_count(self)
+    }
+
+    fn host_id(&self, doc: DocNum) -> u32 {
+        SearchIndex::host_id(self, doc)
+    }
+
+    fn fields(&self, doc: DocNum) -> DocFields<'_> {
+        self.doc_fields(doc)
+    }
+}
+
 /// Orders the candidates in the scratch's heap, truncates them to the
-/// overfetch pool, applies host crowding and extracts snippets for the
-/// survivors. `fields` reads a candidate's metadata (interned host id
-/// included, below `host_count`). A live snapshot's union of segment
-/// pools may hold up to `segments × overfetch` entries; the truncation
-/// is what restores the reference pool semantics.
-fn finalize<'a>(
+/// overfetch pool, applies host crowding and builds the survivors'
+/// results. Crowding reads only each walked candidate's host id; the
+/// survivors' field views lend the store's shared strings (the
+/// compressed layout materializes url and title for them alone), and
+/// each snippet is composed in the scratch and copied once into its
+/// shared string. A live snapshot's union of segment pools may hold up
+/// to `segments × overfetch` entries; the truncation is what restores
+/// the reference pool semantics.
+fn finalize(
     params: &RankingParams,
     scratch: &mut QueryScratch,
     terms: &[String],
     k: usize,
-    host_count: u32,
-    fields: impl Fn(DocNum) -> DocFields<'a>,
+    docs: &impl DocSource,
 ) -> Vec<SerpResult> {
     // Order the surviving candidates: same comparator the reference
     // full sort uses.
@@ -985,18 +1019,15 @@ fn finalize<'a>(
     // Snippets are extracted only for documents that make the cut.
     scratch.bump_generation();
     let generation = scratch.generation;
-    let host_n = host_count as usize;
+    let host_n = docs.host_count() as usize;
     if scratch.host_stamp.len() < host_n {
         scratch.host_stamp.resize(host_n, 0);
         scratch.host_counts.resize(host_n, 0);
     }
     let mut results = Vec::with_capacity(k.min(scratch.heap.len()));
     for &(score, doc) in scratch.heap.iter() {
-        // The compressed index re-materializes only the URL, and only
-        // for the candidates walked here.
-        let meta = fields(doc);
         if params.max_per_host > 0 {
-            let h = meta.host_id as usize;
+            let h = docs.host_id(doc) as usize;
             if scratch.host_stamp[h] != generation {
                 scratch.host_stamp[h] = generation;
                 scratch.host_counts[h] = 0;
@@ -1006,13 +1037,15 @@ fn finalize<'a>(
                 continue;
             }
         }
+        let meta = docs.fields(doc);
+        extract_snippet(meta.body, terms, params.snippet_width, &mut scratch.snippet);
         results.push(SerpResult {
             page: meta.page,
             url: meta.url.into_owned(),
-            host: meta.host.to_string(),
+            host: Arc::clone(meta.host),
             score,
-            title: meta.title.to_string(),
-            snippet: extract_snippet(meta.body, terms, params.snippet_width),
+            title: meta.title.into_owned(),
+            snippet: scratch.snippet.as_str().into(),
             source_type: meta.source_type,
             age_days: meta.age_days,
         });
@@ -1060,9 +1093,7 @@ pub(crate) fn execute(
         mode,
         &mut theta,
     );
-    finalize(params, scratch, terms, k, index.host_count(), |doc| {
-        index.doc_fields(doc)
-    })
+    finalize(params, scratch, terms, k, index)
 }
 
 /// One live-index segment's read view for a snapshot query: its own
@@ -1079,7 +1110,7 @@ pub(crate) struct SegmentRun<'a> {
 /// Executes one query over a live-index snapshot: the kernel runs per
 /// segment, candidates are remapped to snapshot-global document
 /// numbers, and the union goes through the same [`finalize`] as a
-/// batch index, with metadata read through `fields`.
+/// batch index, with metadata read from `docs`.
 ///
 /// Exactness against a batch build of the same live document set
 /// (DESIGN.md §3 "Live index" gives the full argument):
@@ -1105,11 +1136,10 @@ pub(crate) struct SegmentRun<'a> {
 /// least that much, so later segments may prune documents strictly
 /// below it without changing the union's top `overfetch`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_live<'a>(
+pub(crate) fn execute_live(
     params: &RankingParams,
     segments: &[SegmentRun<'_>],
-    host_count: u32,
-    fields: impl Fn(DocNum) -> DocFields<'a>,
+    docs: &impl DocSource,
     scratch: &mut QueryScratch,
     terms: &[String],
     k: usize,
@@ -1129,7 +1159,7 @@ pub(crate) fn execute_live<'a>(
         );
     }
     std::mem::swap(&mut scratch.heap, &mut scratch.pool);
-    finalize(params, scratch, terms, k, host_count, fields)
+    finalize(params, scratch, terms, k, docs)
 }
 
 #[cfg(test)]

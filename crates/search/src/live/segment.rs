@@ -47,8 +47,8 @@ impl Segment {
             store.add_document(local as DocNum, &doc.title_terms, &doc.body_terms);
             metas.push(DocMeta {
                 page: doc.page,
-                url: doc.url.clone(),
-                host: doc.host.clone(),
+                url: doc.url.as_str().into(),
+                host: doc.host.as_str().into(),
                 host_id: 0,
                 authority: doc.authority,
                 age_days: doc.age_days,
@@ -56,7 +56,7 @@ impl Segment {
                 token_len: doc.token_len(),
                 title_len: doc.title_terms.len() as u32,
                 body: doc.body.clone(),
-                title: doc.title.clone(),
+                title: doc.title.as_str().into(),
             });
         }
         store.finish();

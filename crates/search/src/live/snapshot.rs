@@ -24,7 +24,7 @@ use shift_textkit::analyze;
 use crate::bm25::{idf, term_score_tf};
 use crate::docstore::DocFields;
 use crate::index::{DocMeta, ScoreTable, StaticScores};
-use crate::kernel::{self, EvalMode, QueryScratch, SegmentRun, View};
+use crate::kernel::{self, DocSource, EvalMode, QueryScratch, SegmentRun, View};
 use crate::postings::{DocNum, PostingsStore, TermId};
 use crate::query::RankingParams;
 use crate::serp::{Serp, SerpResult};
@@ -103,13 +103,13 @@ impl LiveSnapshot {
         // Host interning in global doc order — the same first-seen
         // order the batch build's host map would assign over the same
         // page sequence.
-        let mut hosts: HashMap<String, u32> = HashMap::new();
+        let mut hosts: HashMap<&str, u32> = HashMap::new();
         let mut host_ids = Vec::with_capacity(winners.len());
         let mut total_tokens: u64 = 0;
         for &(si, local) in &winners {
             let meta = &segments[si as usize].metas()[local as usize];
             let next = hosts.len() as u32;
-            let id = *hosts.entry(meta.host.clone()).or_insert(next);
+            let id = *hosts.entry(&*meta.host).or_insert(next);
             host_ids.push(id);
             total_tokens += u64::from(meta.token_len);
         }
@@ -194,9 +194,19 @@ impl LiveSnapshot {
         let (si, local) = self.winners[doc as usize];
         &self.segments[si as usize].metas()[local as usize]
     }
+}
 
-    /// [`LiveSnapshot::meta`] as the kernel reads it, with the
-    /// snapshot-interned host id.
+/// [`LiveSnapshot::meta`] as the kernel reads it, with the
+/// snapshot-interned host ids.
+impl DocSource for LiveSnapshot {
+    fn host_count(&self) -> u32 {
+        self.host_count
+    }
+
+    fn host_id(&self, doc: DocNum) -> u32 {
+        self.host_ids[doc as usize]
+    }
+
     fn fields(&self, doc: DocNum) -> DocFields<'_> {
         DocFields {
             host_id: self.host_ids[doc as usize],
@@ -378,16 +388,7 @@ impl LiveSearcher {
                 global_of: &snapshot.global_of[si],
             })
             .collect();
-        kernel::execute_live(
-            &self.params,
-            &runs,
-            snapshot.host_count,
-            |doc| snapshot.fields(doc),
-            scratch,
-            terms,
-            k,
-            mode,
-        )
+        kernel::execute_live(&self.params, &runs, snapshot, scratch, terms, k, mode)
     }
 
     /// Per-segment byte breakdowns with this searcher's impact-table

@@ -363,9 +363,7 @@ pub mod reference {
         let mut kept: Vec<(DocNum, f64)> = Vec::with_capacity(k.min(ranked.len()));
         for &(doc, score) in &ranked {
             if params.max_per_host > 0 {
-                let c = counts
-                    .entry(engine.index.doc(doc).host.as_str())
-                    .or_insert(0);
+                let c = counts.entry(&*engine.index.doc(doc).host).or_insert(0);
                 *c += 1;
                 if *c > params.max_per_host {
                     continue;
@@ -389,7 +387,7 @@ pub mod reference {
                     host: meta.host.clone(),
                     score,
                     title: meta.title.clone(),
-                    snippet: extract_snippet(&meta.body, &terms, params.snippet_width),
+                    snippet: extract_snippet(&meta.body, &terms, params.snippet_width).into(),
                     source_type: meta.source_type,
                     age_days: meta.age_days,
                 }
@@ -498,7 +496,7 @@ mod tests {
         let serp = engine.search("best smartphones camera battery", 10);
         let mut counts: HashMap<&str, usize> = HashMap::new();
         for r in &serp.results {
-            *counts.entry(r.host.as_str()).or_insert(0) += 1;
+            *counts.entry(&*r.host).or_insert(0) += 1;
         }
         for (host, n) in counts {
             assert!(n <= 2, "host {host} appears {n} times");

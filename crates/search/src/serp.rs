@@ -1,22 +1,30 @@
 //! SERP assembly: blending, host crowding, snippets.
 
+use std::sync::Arc;
+
 use shift_corpus::{PageId, SourceType};
 
 /// One search result.
+///
+/// Its text fields are immutable shared strings: url, host and title are
+/// the index's own (on the raw layout), and the evidence snippets and
+/// citations built from a result share its url and snippet, so cloning
+/// a result or a SERP allocates no text. `Debug` prints them exactly as
+/// `String`s.
 #[derive(Debug, Clone)]
 pub struct SerpResult {
     /// The result page.
     pub page: PageId,
     /// Result URL.
-    pub url: String,
+    pub url: Arc<str>,
     /// Host of the result.
-    pub host: String,
+    pub host: Arc<str>,
     /// Final blended score (descending over the SERP).
     pub score: f64,
     /// Page title.
-    pub title: String,
+    pub title: Arc<str>,
     /// Query-biased snippet.
-    pub snippet: String,
+    pub snippet: Arc<str>,
     /// Source typology of the hosting domain.
     pub source_type: SourceType,
     /// Page age in days at the reference date.
@@ -35,12 +43,12 @@ pub struct Serp {
 impl Serp {
     /// The result URLs in rank order.
     pub fn urls(&self) -> Vec<&str> {
-        self.results.iter().map(|r| r.url.as_str()).collect()
+        self.results.iter().map(|r| &*r.url).collect()
     }
 
     /// The result hosts in rank order (with duplicates).
     pub fn hosts(&self) -> Vec<&str> {
-        self.results.iter().map(|r| r.host.as_str()).collect()
+        self.results.iter().map(|r| &*r.host).collect()
     }
 }
 
@@ -50,21 +58,23 @@ pub fn apply_host_crowding(results: Vec<SerpResult>, max_per_host: usize) -> Vec
     if max_per_host == 0 {
         return results;
     }
-    let mut counts: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
+    let mut counts: std::collections::HashMap<Arc<str>, usize> = std::collections::HashMap::new();
     results
         .into_iter()
         .filter(|r| {
-            let c = counts.entry(r.host.clone()).or_insert(0);
+            let c = counts.entry(Arc::clone(&r.host)).or_insert(0);
             *c += 1;
             *c <= max_per_host
         })
         .collect()
 }
 
-/// Extracts a query-biased snippet: a window of `width` bytes around the
-/// first occurrence of any query term in the body (case-insensitive),
-/// falling back to the body prefix.
-pub fn extract_snippet(body: &str, query_terms: &[String], width: usize) -> String {
+/// Extracts a query-biased snippet into `out` (cleared first): a window
+/// of `width` bytes around the first occurrence of any query term in the
+/// body (case-insensitive), falling back to the body prefix. The kernel
+/// composes every snippet in one reused buffer and copies each once into
+/// the result's shared string.
+pub fn extract_snippet(body: &str, query_terms: &[String], width: usize, out: &mut String) {
     let center = find_lowercase(body, query_terms).unwrap_or(0);
     let half = width / 2;
     let mut start = center.saturating_sub(half);
@@ -75,20 +85,14 @@ pub fn extract_snippet(body: &str, query_terms: &[String], width: usize) -> Stri
     while end < body.len() && !body.is_char_boundary(end) {
         end += 1;
     }
-    // Exact capacity: a cached SERP keeps its snippets for its lifetime.
-    let text = body[start..end].trim();
-    let (before, after) = (start > 0, end < body.len());
-    let mut snippet = String::with_capacity(
-        text.len() + '…'.len_utf8() * (usize::from(before) + usize::from(after)),
-    );
-    if before {
-        snippet.push('…');
+    out.clear();
+    if start > 0 {
+        out.push('…');
     }
-    snippet.push_str(text);
-    if after {
-        snippet.push('…');
+    out.push_str(body[start..end].trim());
+    if end < body.len() {
+        out.push('…');
     }
-    snippet
 }
 
 /// The first match of any needle in `text.to_lowercase()`, as a char
@@ -294,11 +298,11 @@ mod tests {
     fn result(host: &str, score: f64) -> SerpResult {
         SerpResult {
             page: PageId(0),
-            url: format!("https://{host}/x"),
-            host: host.to_string(),
+            url: format!("https://{host}/x").into(),
+            host: host.into(),
             score,
-            title: String::new(),
-            snippet: String::new(),
+            title: "".into(),
+            snippet: "".into(),
             source_type: SourceType::Earned,
             age_days: 0.0,
         }
@@ -313,7 +317,7 @@ mod tests {
             result("b.com", 2.0),
         ];
         let limited = apply_host_crowding(results, 2);
-        let hosts: Vec<&str> = limited.iter().map(|r| r.host.as_str()).collect();
+        let hosts: Vec<&str> = limited.iter().map(|r| &*r.host).collect();
         assert_eq!(hosts, vec!["a.com", "a.com", "b.com"]);
     }
 
@@ -323,6 +327,12 @@ mod tests {
         assert_eq!(apply_host_crowding(results, 0).len(), 4);
     }
 
+    fn extract(body: &str, terms: &[String], width: usize) -> String {
+        let mut out = String::from("stale");
+        extract_snippet(body, terms, width, &mut out);
+        out
+    }
+
     #[test]
     fn snippet_centers_on_first_hit() {
         let body = format!(
@@ -330,7 +340,7 @@ mod tests {
             "x ".repeat(100),
             "y ".repeat(100)
         );
-        let s = extract_snippet(&body, &["battery".to_string()], 40);
+        let s = extract(&body, &["battery".to_string()], 40);
         assert!(s.contains("battery"));
         assert!(s.starts_with('…'));
         assert!(s.ends_with('…'));
@@ -338,17 +348,17 @@ mod tests {
 
     #[test]
     fn snippet_falls_back_to_prefix() {
-        let s = extract_snippet("plain text with nothing special", &["zzz".to_string()], 20);
+        let s = extract("plain text with nothing special", &["zzz".to_string()], 20);
         assert!(s.starts_with("plain"));
     }
 
     #[test]
     fn snippet_handles_short_bodies_and_unicode() {
-        let s = extract_snippet("très court", &["court".to_string()], 400);
+        let s = extract("très court", &["court".to_string()], 400);
         assert_eq!(s, "très court");
         // Term adjacent to multibyte characters must not panic, and the
         // window must land on the hit.
-        let s2 = extract_snippet("ééééé battery ééééé", &["battery".to_string()], 8);
+        let s2 = extract("ééééé battery ééééé", &["battery".to_string()], 8);
         assert!(s2.contains("batt"), "got {s2:?}");
     }
 
@@ -357,7 +367,7 @@ mod tests {
         // Each `İ` lowercases to three bytes from two, so the hit sits 40
         // bytes later in the lowercased body than in the body itself.
         let body = format!("{} battery {}", "İ".repeat(40), "x".repeat(200));
-        let s = extract_snippet(&body, &["battery".to_string()], 20);
+        let s = extract(&body, &["battery".to_string()], 20);
         assert!(s.contains("battery"), "got {s:?}");
         assert_eq!(find_lowercase(&body, &["battery"]), Some(81));
     }

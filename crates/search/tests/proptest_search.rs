@@ -123,7 +123,7 @@ proptest! {
         for pair in serp.results.windows(2) {
             prop_assert!(pair[0].score >= pair[1].score, "scores out of order");
         }
-        let mut urls: Vec<&str> = serp.results.iter().map(|r| r.url.as_str()).collect();
+        let mut urls: Vec<&str> = serp.results.iter().map(|r| &*r.url).collect();
         let n = urls.len();
         urls.sort_unstable();
         urls.dedup();
@@ -149,7 +149,7 @@ proptest! {
         let serp = google.search(&q, 20);
         let mut counts = std::collections::HashMap::new();
         for r in &serp.results {
-            *counts.entry(r.host.as_str()).or_insert(0usize) += 1;
+            *counts.entry(&*r.host).or_insert(0usize) += 1;
         }
         for (host, n) in counts {
             prop_assert!(n <= 2, "host {host} appears {n} times");

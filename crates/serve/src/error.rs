@@ -16,7 +16,9 @@ pub enum ServeError {
     TimedOut,
     /// The service is draining and no longer admits requests.
     ShuttingDown,
-    /// The assigned worker disappeared without replying (a worker panic).
+    /// The worker serving the request panicked. The worker catches the
+    /// panic, counts the request as failed and keeps serving; a waiter
+    /// also sees this if a worker vanishes without replying.
     WorkerLost,
     /// The engine failed every attempt the retry budget allowed, and no
     /// degradation path was configured to absorb the failure.
@@ -47,7 +49,7 @@ impl fmt::Display for ServeError {
             ServeError::Overloaded => f.write_str("request queue full (overloaded)"),
             ServeError::TimedOut => f.write_str("deadline elapsed before completion"),
             ServeError::ShuttingDown => f.write_str("service is shutting down"),
-            ServeError::WorkerLost => f.write_str("worker vanished before replying"),
+            ServeError::WorkerLost => f.write_str("worker panicked before replying"),
             ServeError::EngineFailed { engine } => {
                 write!(f, "engine {} failed after retries", engine.name())
             }

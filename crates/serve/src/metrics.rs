@@ -36,6 +36,7 @@ pub struct ServiceMetrics {
     breaker_rejections: AtomicU64,
     failed: AtomicU64,
     refreshes: AtomicU64,
+    worker_panics: AtomicU64,
     // Replicated-tier counter: requests the router abandoned on this
     // replica (outage, full queue, open breaker) and retried elsewhere.
     failovers: AtomicU64,
@@ -82,6 +83,7 @@ impl ServiceMetrics {
             breaker_rejections: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             refreshes: AtomicU64::new(0),
+            worker_panics: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             docs_scored: AtomicU64::new(0),
             candidates_pruned: AtomicU64::new(0),
@@ -161,6 +163,11 @@ impl ServiceMetrics {
     /// Record a completed stale-while-revalidate background refresh.
     pub fn record_refresh(&self) {
         self.refreshes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record a panic a worker caught while serving a job or a refresh.
+    pub fn record_worker_panic(&self) {
+        self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one request the router abandoned here and retried on
@@ -266,6 +273,7 @@ impl ServiceMetrics {
             breaker_rejections: self.breaker_rejections.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             refreshes: self.refreshes.load(Ordering::Relaxed),
+            worker_panics: self.worker_panics.load(Ordering::Relaxed),
             throughput_rps: if elapsed > 0.0 {
                 completed as f64 / elapsed
             } else {

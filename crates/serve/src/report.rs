@@ -60,6 +60,9 @@ pub struct MetricsSnapshot {
     pub failed: u64,
     /// Completed stale-while-revalidate background refreshes.
     pub refreshes: u64,
+    /// Panics workers caught while serving a job or a refresh; each
+    /// failed its request (counted in `failed`), and the worker lived on.
+    pub worker_panics: u64,
     /// Completed requests per second since the service started.
     pub throughput_rps: f64,
     /// Latency summary across all engines.
@@ -183,7 +186,7 @@ impl MetricsSnapshot {
         }
         out.push_str(&format!(
             "resilience: {} retries, {} engine failures, {} breaker rejections, \
-             {} stale / {} degraded serves, {} refreshes, {} failed\n",
+             {} stale / {} degraded serves, {} refreshes, {} failed, {} worker panics\n",
             self.retries,
             self.engine_failures,
             self.breaker_rejections,
@@ -191,6 +194,7 @@ impl MetricsSnapshot {
             self.served_degraded,
             self.refreshes,
             self.failed,
+            self.worker_panics,
         ));
         out.push_str(&format!(
             "{:<14} {:>7} {:>9} {:>9} {:>9} {:>9}\n",
@@ -311,6 +315,7 @@ impl MetricsSnapshot {
         );
         resilience.insert("failed".to_string(), num(self.failed as f64));
         resilience.insert("refreshes".to_string(), num(self.refreshes as f64));
+        resilience.insert("worker_panics".to_string(), num(self.worker_panics as f64));
         let mut root = BTreeMap::new();
         root.insert("elapsed_secs".to_string(), num(self.elapsed_secs));
         root.insert("completed".to_string(), num(self.completed as f64));
@@ -592,6 +597,7 @@ mod tests {
             breaker_rejections: 1,
             failed: 1,
             refreshes: 1,
+            worker_panics: 0,
             throughput_rps: 2.0 / 1.5,
             overall: EngineLatencySummary::of(&[3.0, 7.0]),
             engines: EngineKind::ALL

@@ -32,12 +32,17 @@
 //! A request is counted exactly once no matter how many attempts it took:
 //! the `settled` flag arbitrates metrics ownership between worker and
 //! waiter, and per-attempt events land in separate `retries` /
-//! `engine_failures` counters.
+//! `engine_failures` counters. A panic while serving a job or a refresh
+//! is caught: the worker counts it in `worker_panics`, fails the request
+//! with [`ServeError::WorkerLost`] (counted once, through the same flag),
+//! starts over with a fresh retrieval scratch and keeps serving, so the
+//! pool never shrinks.
 //!
 //! [`AnswerService::shutdown`] closes admission, lets the workers drain
 //! every queued job (and pending background refreshes), joins them, and
 //! returns the final metrics snapshot.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -376,22 +381,51 @@ fn worker_loop(ctx: &WorkerCtx, rx: &Receiver<Job>) {
         // Serve strictly in admission order: latency fairness, and the
         // order replies settle is exactly the unbatched order.
         for job in batch.drain(..) {
-            serve_job(ctx, &mut scratch, job);
+            let settled = Arc::clone(&job.settled);
+            let reply = job.reply.clone();
+            if !survive(ctx, &mut scratch, |scratch| serve_job(ctx, scratch, job)) {
+                // Exactly one record per request: the waiter may have
+                // claimed a timeout already.
+                if !settled.swap(true, Ordering::AcqRel) {
+                    ctx.metrics.record_failed();
+                }
+                let _ = reply.send(Err(ServeError::WorkerLost));
+            }
             ctx.metrics.record_kernel(scratch.take_stats());
         }
         // Foreground jobs take priority; between batches, work off at
         // most one pending stale-while-revalidate refresh.
         if let Ok(refresh) = ctx.refresh_rx.try_recv() {
-            run_refresh(ctx, &mut scratch, &refresh);
+            survive(ctx, &mut scratch, |scratch| {
+                run_refresh(ctx, scratch, &refresh)
+            });
             ctx.metrics.record_kernel(scratch.take_stats());
         }
     }
     // Admission is closed and the queue is drained: finish the refresh
     // backlog so stale entries enqueued late still get revalidated.
     while let Ok(refresh) = ctx.refresh_rx.try_recv() {
-        run_refresh(ctx, &mut scratch, &refresh);
+        survive(ctx, &mut scratch, |scratch| {
+            run_refresh(ctx, scratch, &refresh)
+        });
         ctx.metrics.record_kernel(scratch.take_stats());
     }
+}
+
+/// Runs one unit of a worker's work, catching a panic so the worker
+/// outlives it. Returns false after a panic, which is counted; the
+/// scratch it may have left half-updated is replaced by a fresh one.
+fn survive(
+    ctx: &WorkerCtx,
+    scratch: &mut QueryScratch,
+    work: impl FnOnce(&mut QueryScratch),
+) -> bool {
+    let ok = std::panic::catch_unwind(AssertUnwindSafe(|| work(scratch))).is_ok();
+    if !ok {
+        ctx.metrics.record_worker_panic();
+        *scratch = QueryScratch::new();
+    }
+    ok
 }
 
 fn serve_job(ctx: &WorkerCtx, scratch: &mut QueryScratch, job: Job) {
@@ -777,5 +811,61 @@ mod tests {
         assert_eq!(snap.breaker_rejections, 0);
         assert_eq!(snap.served_degraded, 0);
         assert_eq!(snap.failed, 0);
+    }
+
+    /// The stack, except that one marker query panics.
+    struct PanicsOn {
+        stack: Arc<AnswerEngines>,
+        marker: &'static str,
+    }
+
+    impl FallibleEngines for PanicsOn {
+        fn stack(&self) -> &AnswerEngines {
+            &self.stack
+        }
+
+        fn try_answer_with(
+            &self,
+            scratch: &mut QueryScratch,
+            kind: EngineKind,
+            query: &str,
+            k: usize,
+            seed: u64,
+            attempt: u32,
+        ) -> Result<EngineAnswer, EngineError> {
+            if query == self.marker {
+                panic!("injected panic on the marker query");
+            }
+            self.stack
+                .try_answer_with(scratch, kind, query, k, seed, attempt)
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_fails_its_request_once_and_the_worker_lives_on() {
+        let stack = engines();
+        let fallible = Arc::new(PanicsOn {
+            stack: Arc::clone(&stack),
+            marker: "panic marker",
+        });
+        let service = AnswerService::start_fallible(stack, fallible, ServeConfig::with_workers(1));
+        let err = service
+            .answer(Request::new(EngineKind::Gpt4o, "panic marker", 10, 1))
+            .expect_err("the marker query panics");
+        assert_eq!(err, ServeError::WorkerLost);
+        // The only worker survived its panic and serves the next request.
+        let next = service
+            .answer(Request::new(
+                EngineKind::Gpt4o,
+                "best phone under 500",
+                10,
+                1,
+            ))
+            .expect("the worker lives on");
+        assert_eq!(next.degradation, Degradation::None);
+        let snap = service.shutdown();
+        assert_eq!(snap.worker_panics, 1);
+        assert_eq!(snap.failed, 1);
+        assert_eq!(snap.completed, 1);
     }
 }

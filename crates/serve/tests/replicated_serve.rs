@@ -27,10 +27,10 @@ fn fingerprint(answer: &EngineAnswer) -> String {
         answer.text.to_string(),
     ];
     for c in answer.citations.iter() {
-        parts.push(c.url.clone());
+        parts.push(c.url.to_string());
     }
     for s in answer.snippets.iter() {
-        parts.push(s.text.clone());
+        parts.push(s.text.to_string());
     }
     parts.join("\x1f")
 }

@@ -69,7 +69,7 @@ fn main() {
                 if answer
                     .citations
                     .iter()
-                    .any(|c| c.domain == entity.brand_domain)
+                    .any(|c| *c.domain == entity.brand_domain)
                 {
                     cited += 1;
                 }

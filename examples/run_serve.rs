@@ -5,6 +5,7 @@
 //! ```sh
 //! cargo run --release --example run_serve             # full run, rewrites BENCH_serve.json
 //! cargo run --release --example run_serve -- --chaos  # chaos smoke + availability gate
+//! cargo run --release --example run_serve -- --alloc  # allocation-count gate
 //! ```
 //!
 //! The full run does two passes of the same 4-worker, 5-persona, Zipfian
@@ -25,6 +26,10 @@
 //! `--chaos` runs only the chaos experiment and gates it against the
 //! committed `BENCH_serve.json`: if availability-with-resilience drops
 //! below the recorded number, the process exits non-zero.
+//!
+//! `--alloc` recomputes only the `alloc` section and gates it against
+//! the committed one: the counts are deterministic, so the process exits
+//! non-zero if any of them exceeds its committed value at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -193,9 +198,11 @@ fn alloc_json(workload: &Workload) -> Value {
     let world = Arc::new(World::generate(&WorldConfig::small(), WORLD_SEED));
     let engines = Arc::new(AnswerEngines::build(world));
 
-    let mut miss = 0;
+    let (mut miss, mut miss_bytes) = (0, 0);
     for r in &requests {
-        miss += counted(|| drop(engines.answer(r.engine, &r.query, r.top_k, r.seed))).0;
+        let (allocs, bytes) = counted(|| drop(engines.answer(r.engine, &r.query, r.top_k, r.seed)));
+        miss += allocs;
+        miss_bytes += bytes;
     }
     let service = AnswerService::start(engines, ServeConfig::with_workers(WORKERS));
     for r in &requests {
@@ -213,20 +220,67 @@ fn alloc_json(workload: &Workload) -> Value {
     }
     service.shutdown();
     println!(
-        "alloc: {} distinct requests; {:.1} allocations per miss, {:.1} per hit ({:.0} B)",
+        "alloc: {} distinct requests; {:.1} allocations per miss ({:.0} B), {:.1} per hit ({:.0} B)",
         requests.len(),
         miss as f64 / n,
+        miss_bytes as f64 / n,
         hit as f64 / n,
         hit_bytes as f64 / n,
     );
-    let mut alloc = BTreeMap::new();
-    alloc.insert("per_miss".to_string(), Value::Number(miss as f64 / n));
-    alloc.insert("per_hit".to_string(), Value::Number(hit as f64 / n));
-    alloc.insert(
-        "bytes_per_hit".to_string(),
-        Value::Number(hit_bytes as f64 / n),
-    );
+    let alloc = [
+        ("per_miss", miss),
+        ("bytes_per_miss", miss_bytes),
+        ("per_hit", hit),
+        ("bytes_per_hit", hit_bytes),
+    ]
+    .into_iter()
+    .map(|(key, total)| (key.to_string(), Value::Number(total as f64 / n)))
+    .collect();
     Value::Object(alloc)
+}
+
+/// Keys of the `alloc` section [`gate_alloc`] holds to the committed
+/// values.
+const ALLOC_KEYS: [&str; 4] = ["per_hit", "bytes_per_hit", "per_miss", "bytes_per_miss"];
+
+/// Alloc gate mode: recompute the `alloc` section and fail if any count
+/// exceeds the committed one. The counts are exact and deterministic, so
+/// there is no tolerance: any rise is a real regression.
+fn gate_alloc(workload: &Workload) {
+    let committed = std::fs::read_to_string("BENCH_serve.json").expect("read BENCH_serve.json");
+    let parsed = json_parse(&committed).expect("BENCH_serve.json parses");
+    let measured = alloc_json(workload);
+    let mut failed = false;
+    println!(
+        "{:<16} {:>12} {:>12}  verdict",
+        "alloc", "measured", "committed"
+    );
+    for key in ALLOC_KEYS {
+        let fresh = match measured.get(key) {
+            Some(&Value::Number(v)) => v,
+            _ => unreachable!("alloc_json writes every gated key"),
+        };
+        let recorded = match parsed.get("alloc").and_then(|a| a.get(key)) {
+            Some(&Value::Number(v)) => v,
+            _ => {
+                println!("{key:<16} {fresh:>12.1} {:>12}  FAIL (not committed)", "-");
+                failed = true;
+                continue;
+            }
+        };
+        let ok = fresh <= recorded;
+        failed |= !ok;
+        println!(
+            "{key:<16} {fresh:>12.1} {recorded:>12.1}  {}",
+            if ok { "ok" } else { "FAIL" }
+        );
+    }
+    println!("measured alloc section: {}", json_to_string(&measured));
+    if failed {
+        eprintln!("alloc gate: an allocation count rose above committed BENCH_serve.json");
+        std::process::exit(1);
+    }
+    println!("alloc gate: OK");
 }
 
 /// Gate mode: recompute chaos availability and fail if it dropped below
@@ -260,6 +314,7 @@ fn gate_against_committed(report: &ChaosReport) {
 
 fn main() {
     let chaos_only = std::env::args().any(|a| a == "--chaos");
+    let alloc_only = std::env::args().any(|a| a == "--alloc");
     let world = Arc::new(World::generate(&WorldConfig::small(), WORLD_SEED));
     let engines = Arc::new(AnswerEngines::build(world));
 
@@ -269,12 +324,16 @@ fn main() {
         gate_against_committed(&report);
         return;
     }
+    let workload = Workload::mixed(&engines.world_handle(), WORKLOAD_SEED);
+    if alloc_only {
+        gate_alloc(&workload);
+        return;
+    }
 
     println!(
         "serving {REQUESTS} requests x2 over {WORKERS} workers, all 5 personas, \
          world seed {WORLD_SEED}\n"
     );
-    let workload = Workload::mixed(&engines.world_handle(), WORKLOAD_SEED);
     println!(
         "workload: {} distinct queries, Zipf(s = {})\n",
         workload.len(),

@@ -32,6 +32,9 @@ cargo test -q -p shift-serve --test chaos_serve
 echo "== resilience: chaos smoke + availability gate (vs committed BENCH_serve.json) =="
 cargo run --release --example run_serve -- --chaos
 
+echo "== serving layer: allocations per hit and per cold answer, gated exactly (vs committed BENCH_serve.json) =="
+cargo run --release --example run_serve -- --alloc
+
 echo "== replicated tier: routing/failover/open-loop suite =="
 cargo test -q -p shift-serve --test replicated_serve
 
@@ -75,6 +78,9 @@ cargo test -q -p shift-engines single_flight
 echo "== engine stack: answer invariants + build-time text tables == per-result derivation (paper scale) =="
 cargo test -q -p shift-engines --test proptest_engines
 cargo test -q -p shift-engines --test precomputed_text
+
+echo "== engine stack: result text shared from the index to the answer (pointer identity + allocations per cold answer) =="
+cargo test -q -p shift-engines --test shared_text
 
 echo "== lint: clippy on every workspace package except the compat/* shims (all targets: lib, tests, benches, examples) =="
 cargo clippy -q --workspace --exclude criterion --exclude crossbeam --exclude parking_lot --exclude proptest --exclude rand --all-targets -- -D warnings

@@ -22,7 +22,7 @@ fn search_results_resolve_to_world_pages() {
     assert!(!serp.results.is_empty());
     for r in &serp.results {
         let pid = w.page_by_url(&r.url).expect("SERP URL resolves to a page");
-        assert_eq!(w.page(pid).url, r.url);
+        assert_eq!(w.page(pid).url, *r.url);
     }
 }
 
