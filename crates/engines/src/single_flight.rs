@@ -27,11 +27,45 @@ use shift_search::Serp;
 
 use crate::serp_cache::SerpCacheKey;
 
-/// One in-progress computation: the published result slot and the
-/// condvar waiters sleep on until the leader publishes.
+/// One in-progress computation: the published outcome and the condvar
+/// waiters sleep on until the leader publishes.
 struct Flight {
-    result: Mutex<Option<Arc<Serp>>>,
+    outcome: Mutex<Outcome>,
     cv: Condvar,
+}
+
+/// What a flight's leader has published so far.
+enum Outcome {
+    /// The leader is still computing.
+    Pending,
+    /// The leader's result, shared by every waiter.
+    Done(Arc<Serp>),
+    /// The leader unwound out of its computation; waiters register
+    /// again, and one of them leads a fresh flight.
+    Abandoned,
+}
+
+/// A leader's obligation to land its flight: dropping it publishes the
+/// outcome, wakes the waiters and deregisters the key. It is dropped on
+/// the normal return and on unwinding alike, so a panicking `compute`
+/// publishes [`Outcome::Abandoned`] instead of stranding its waiters
+/// and leaking the key.
+struct Landing<'a> {
+    table: &'a SingleFlight,
+    key: &'a SerpCacheKey,
+    flight: Arc<Flight>,
+    outcome: Outcome,
+}
+
+impl Drop for Landing<'_> {
+    fn drop(&mut self) {
+        *lock(&self.flight.outcome) = std::mem::replace(&mut self.outcome, Outcome::Abandoned);
+        self.flight.cv.notify_all();
+        // Deregister: only the leader removes its key, and a new leader
+        // can register only after this removal, so the entry removed is
+        // always this flight's own.
+        lock(&self.table.flights).remove(self.key);
+    }
 }
 
 /// Monotonic counters describing collapse behaviour since construction.
@@ -39,7 +73,9 @@ struct Flight {
 pub struct SingleFlightStats {
     /// Computations actually run (one per flight).
     pub leaders: u64,
-    /// Requests that joined an open flight instead of computing.
+    /// Requests that joined an open flight instead of computing (a
+    /// waiter of an abandoned flight counts again when it registers
+    /// anew).
     pub waiters: u64,
 }
 
@@ -54,6 +90,12 @@ impl SingleFlightStats {
             self.waiters as f64 / total as f64
         }
     }
+}
+
+/// A caller's part in a flight.
+enum Role {
+    Leader(Arc<Flight>),
+    Waiter(Arc<Flight>),
 }
 
 /// The flight table: at most one in-progress computation per
@@ -86,55 +128,62 @@ impl SingleFlight {
     /// ever reaching this table); concurrent callers with the same key
     /// block until the leader publishes and share its result.
     ///
+    /// If `compute` panics, the panic propagates to the leader's caller
+    /// and the flight is abandoned: its waiters register again, one of
+    /// them computes as the new leader, and the key stays usable.
     /// `compute` must not re-enter [`SingleFlight::run`] with the same
-    /// key, and must not panic (a panicking leader would strand its
-    /// waiters; kernel runs in this workspace do not panic).
+    /// key.
     pub fn run(&self, key: &SerpCacheKey, compute: impl FnOnce() -> Arc<Serp>) -> Arc<Serp> {
-        enum Role {
-            Leader(Arc<Flight>),
-            Waiter(Arc<Flight>),
-        }
-        let role = {
-            let mut map = lock(&self.flights);
-            match map.get(key) {
-                Some(flight) => {
-                    // Count the waiter at registration time, *before*
-                    // blocking — so a leader (or test) can observe how
-                    // many callers have joined the flight.
-                    self.waiters.fetch_add(1, Ordering::Relaxed);
-                    Role::Waiter(Arc::clone(flight))
-                }
-                None => {
-                    let flight = Arc::new(Flight {
-                        result: Mutex::new(None),
-                        cv: Condvar::new(),
-                    });
-                    map.insert(key.clone(), Arc::clone(&flight));
-                    self.leaders.fetch_add(1, Ordering::Relaxed);
-                    Role::Leader(flight)
+        let flight = loop {
+            match self.register(key) {
+                Role::Leader(flight) => break flight,
+                Role::Waiter(flight) => {
+                    let mut outcome = lock(&flight.outcome);
+                    loop {
+                        match &*outcome {
+                            Outcome::Pending => {
+                                outcome = flight
+                                    .cv
+                                    .wait(outcome)
+                                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                            }
+                            Outcome::Done(serp) => return Arc::clone(serp),
+                            Outcome::Abandoned => break,
+                        }
+                    }
                 }
             }
         };
-        match role {
-            Role::Leader(flight) => {
-                let serp = compute();
-                *lock(&flight.result) = Some(Arc::clone(&serp));
-                flight.cv.notify_all();
-                // Deregister: only the leader removes its key, and a
-                // new leader can register only after this removal, so
-                // the entry removed is always this flight's own.
-                lock(&self.flights).remove(key);
-                serp
+        let mut landing = Landing {
+            table: self,
+            key,
+            flight,
+            outcome: Outcome::Abandoned,
+        };
+        let serp = compute();
+        landing.outcome = Outcome::Done(Arc::clone(&serp));
+        serp
+    }
+
+    /// Joins the open flight for `key`, or opens one and leads it.
+    fn register(&self, key: &SerpCacheKey) -> Role {
+        let mut map = lock(&self.flights);
+        match map.get(key) {
+            Some(flight) => {
+                // Count the waiter at registration time, *before*
+                // blocking — so a leader (or test) can observe how many
+                // callers have joined the flight.
+                self.waiters.fetch_add(1, Ordering::Relaxed);
+                Role::Waiter(Arc::clone(flight))
             }
-            Role::Waiter(flight) => {
-                let mut slot = lock(&flight.result);
-                while slot.is_none() {
-                    slot = flight
-                        .cv
-                        .wait(slot)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                }
-                slot.clone().expect("leader published before notify")
+            None => {
+                let flight = Arc::new(Flight {
+                    outcome: Mutex::new(Outcome::Pending),
+                    cv: Condvar::new(),
+                });
+                map.insert(key.clone(), Arc::clone(&flight));
+                self.leaders.fetch_add(1, Ordering::Relaxed);
+                Role::Leader(flight)
             }
         }
     }
@@ -157,7 +206,9 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::sync::Barrier;
+    use std::time::Duration;
 
     fn serp(query: &str, url: &str) -> Arc<Serp> {
         Arc::new(Serp {
@@ -241,5 +292,68 @@ mod tests {
         let _ = sf.run(&b, || serp("beta", "https://b.example/1"));
         assert_eq!(sf.stats().leaders, 2);
         assert_eq!(sf.stats().waiters, 0);
+    }
+
+    #[test]
+    fn a_panicking_leader_hands_its_key_to_a_waiter() {
+        const WAITERS: usize = 4;
+        const PATIENCE: Duration = Duration::from_secs(20);
+        let sf = Arc::new(SingleFlight::new());
+        let key = SerpCacheKey::new("best laptops", 1, 10);
+        let leader = {
+            let (sf, key) = (Arc::clone(&sf), key.clone());
+            std::thread::spawn(move || {
+                sf.run(&key, || {
+                    // Panic only once every waiter has joined the flight.
+                    while sf.stats().waiters < WAITERS as u64 {
+                        std::thread::yield_now();
+                    }
+                    panic!("leader fails mid-computation");
+                })
+            })
+        };
+        while sf.stats().leaders == 0 {
+            std::thread::yield_now();
+        }
+        let (tx, rx) = mpsc::channel();
+        let waiters: Vec<_> = (0..WAITERS)
+            .map(|i| {
+                let (sf, key, tx) = (Arc::clone(&sf), key.clone(), tx.clone());
+                std::thread::spawn(move || {
+                    let url = format!("https://example.com/{i}");
+                    let _ = tx.send(sf.run(&key, || serp("best laptops", &url)));
+                })
+            })
+            .collect();
+        // A stranded waiter never sends: time out instead of hanging.
+        let served: Vec<Arc<Serp>> = (0..WAITERS)
+            .map(|_| {
+                rx.recv_timeout(PATIENCE)
+                    .expect("every waiter of a failed flight gets a result")
+            })
+            .collect();
+        for waiter in waiters {
+            waiter.join().expect("a waiter returns normally");
+        }
+        assert!(
+            leader.join().is_err(),
+            "the leader's panic reaches its caller"
+        );
+        assert!(served.iter().all(|s| s.results.len() == 1));
+        // The key is free again: a later caller leads its own flight.
+        let later = {
+            let (sf, key, tx) = (Arc::clone(&sf), key.clone(), tx.clone());
+            std::thread::spawn(move || {
+                let url = "https://example.com/later";
+                let _ = tx.send(sf.run(&key, || serp("best laptops", url)));
+            })
+        };
+        let got = rx
+            .recv_timeout(PATIENCE)
+            .expect("a later caller of the key gets a result");
+        later.join().unwrap();
+        assert_eq!(&*got.results[0].url, "https://example.com/later");
+        // The failed flight, at least one retried flight, the later one.
+        assert!(sf.stats().leaders >= 3);
     }
 }

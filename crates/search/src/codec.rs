@@ -215,7 +215,7 @@ pub fn decode_block_tfs(
 /// Appends one posting's position list to `out` (first position raw,
 /// then gaps as varints; positions are strictly increasing inside one
 /// posting so gaps are ≥ 1 and stored as `gap - 1`).
-pub fn encode_positions(out: &mut Vec<u8>, positions: &[u32]) {
+pub fn encode_positions<'a>(out: &mut Vec<u8>, positions: impl IntoIterator<Item = &'a u32>) {
     let mut prev = None;
     for &p in positions {
         match prev {

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use shift_corpus::{PageId, SourceType, World};
-use shift_textkit::analyze;
+use shift_textkit::{analyze_token, token_spans};
 
 use crate::bm25::{idf, term_score_tf, Bm25Params};
 use crate::docstore::{raw_doc_meta_bytes, CompactDocs, DocFields};
@@ -313,6 +313,29 @@ impl DocStore {
     }
 }
 
+/// Appends the analyzed tokens of `text` to `occurrences` as
+/// `(term, position)` pairs, positions continuing from the pairs
+/// already there. Each distinct raw token goes through
+/// [`analyze_token`] (and its term through [`PostingsStore::intern`])
+/// only on its first sight in `memo`, so term ids follow first
+/// occurrence in the world.
+fn push_occurrences<'w>(
+    text: &'w str,
+    memo: &mut HashMap<&'w str, Option<TermId>>,
+    postings: &mut PostingsStore,
+    occurrences: &mut Vec<(TermId, u32)>,
+) {
+    for (start, end) in token_spans(text) {
+        let raw = &text[start..end];
+        let term = *memo
+            .entry(raw)
+            .or_insert_with(|| analyze_token(raw).map(|term| postings.intern(&term)));
+        if let Some(id) = term {
+            occurrences.push((id, occurrences.len() as u32));
+        }
+    }
+}
+
 /// The inverted index over a generated world.
 #[derive(Debug)]
 pub struct SearchIndex {
@@ -353,11 +376,19 @@ impl SearchIndex {
         // layout's dictionary) shares.
         let mut hosts: HashMap<&str, u32> = HashMap::new();
         let mut host_names: Vec<Arc<str>> = Vec::new();
+        // Each distinct raw token is analyzed once per build; the world
+        // repeats a small vocabulary across every page.
+        let mut memo: HashMap<&str, Option<TermId>> = HashMap::new();
+        let mut occurrences: Vec<(TermId, u32)> = Vec::new();
         for page in world.pages() {
             let doc: DocNum = docs.len() as DocNum;
-            let title_terms = analyze(&page.title);
-            let body_terms = analyze(&page.body);
-            postings.add_document(doc, &title_terms, &body_terms);
+            occurrences.clear();
+            push_occurrences(&page.title, &mut memo, &mut postings, &mut occurrences);
+            let title_len = occurrences.len() as u32;
+            push_occurrences(&page.body, &mut memo, &mut postings, &mut occurrences);
+            let token_len = occurrences.len() as u32;
+            occurrences.sort_unstable();
+            postings.add_document_ids(doc, title_len, &occurrences);
             let domain = world.domain(page.domain);
             let host_id = *hosts.entry(domain.host.as_str()).or_insert_with(|| {
                 host_names.push(domain.host.as_str().into());
@@ -371,8 +402,8 @@ impl SearchIndex {
                 authority: domain.authority,
                 age_days: page.age_days(world.now_day()) as f64,
                 source_type: domain.source_type,
-                token_len: (title_terms.len() + body_terms.len()) as u32,
-                title_len: title_terms.len() as u32,
+                token_len,
+                title_len,
                 body: page.body.clone(),
                 title: page.title.as_str().into(),
             });

@@ -1,8 +1,9 @@
 //! Term dictionary and positional posting lists.
 //!
-//! Terms are interned to dense [`TermId`]s at index-build time: the
-//! dictionary maps each distinct term string to a `u32`, and posting
-//! lists live in a `Vec` indexed by that id. Query execution resolves
+//! Terms are interned to dense [`TermId`]s at index-build time, in
+//! order of first occurrence: the dictionary maps each distinct term
+//! string to a `u32`, and posting lists live in a `Vec` indexed by
+//! that id. Query execution resolves
 //! each query term with exactly one dictionary probe ([`PostingsStore::term_id`])
 //! and from then on works purely with integer ids — the scoring hot
 //! path never hashes a string.
@@ -146,42 +147,57 @@ impl PostingsStore {
         self.compressed
     }
 
-    /// Indexes one document given its analyzed title and body terms.
+    /// Indexes one document given its analyzed title and body terms,
+    /// interning each new term in order of occurrence (title first).
     /// Documents must be added in increasing `doc` order.
     pub fn add_document(&mut self, doc: DocNum, title_terms: &[String], body_terms: &[String]) {
-        debug_assert_eq!(doc, self.doc_count, "documents must be added densely");
-        self.doc_count += 1;
-        let doc_len = (title_terms.len() + body_terms.len()) as u32;
-        self.total_tokens += u64::from(doc_len);
+        let mut occurrences: Vec<(TermId, u32)> = title_terms
+            .iter()
+            .chain(body_terms)
+            .enumerate()
+            .map(|(pos, term)| (self.intern(term), pos as u32))
+            .collect();
+        occurrences.sort_unstable();
+        self.add_document_ids(doc, title_terms.len() as u32, &occurrences);
+    }
 
-        let mut local: HashMap<&str, Posting> = HashMap::new();
-        for (pos, term) in title_terms.iter().enumerate() {
-            let p = local.entry(term).or_insert_with(|| Posting {
-                doc,
-                title_tf: 0,
-                body_tf: 0,
-                positions: Vec::new(),
-            });
-            p.title_tf += 1;
-            p.positions.push(pos as u32);
-        }
-        let offset = title_terms.len() as u32;
-        for (pos, term) in body_terms.iter().enumerate() {
-            let p = local.entry(term).or_insert_with(|| Posting {
-                doc,
-                title_tf: 0,
-                body_tf: 0,
-                positions: Vec::new(),
-            });
-            p.body_tf += 1;
-            p.positions.push(offset + pos as u32);
-        }
-        for (term, posting) in local {
-            let id = self.intern(term);
+    /// Indexes one document given as its term occurrences: one
+    /// `(term, position)` pair per analyzed token, sorted by term and
+    /// then position. Positions `0..title_len` are title tokens, the
+    /// rest body tokens, so the document is `occurrences.len()` tokens
+    /// long. Each run of one term becomes that term's posting for
+    /// `doc`, on either layout. Documents must be added in increasing
+    /// `doc` order, over ids from [`PostingsStore::intern`].
+    pub(crate) fn add_document_ids(
+        &mut self,
+        doc: DocNum,
+        title_len: u32,
+        occurrences: &[(TermId, u32)],
+    ) {
+        debug_assert_eq!(doc, self.doc_count, "documents must be added densely");
+        debug_assert!(
+            occurrences.is_sorted_by(|a, b| a < b),
+            "occurrences must be sorted by term, then position, without repeats"
+        );
+        self.doc_count += 1;
+        self.total_tokens += occurrences.len() as u64;
+        for run in occurrences.chunk_by(|a, b| a.0 == b.0) {
+            let id = run[0].0;
+            let title_tf = run.partition_point(|&(_, pos)| pos < title_len) as u32;
+            let body_tf = run.len() as u32 - title_tf;
+            let positions = run.iter().map(|(_, pos)| pos);
             if self.compressed {
-                self.push_posting_packed(id, &posting);
+                self.push_posting_packed(id, doc, title_tf, body_tf, positions);
             } else {
-                self.push_posting(id, posting);
+                self.push_posting(
+                    id,
+                    Posting {
+                        doc,
+                        title_tf,
+                        body_tf,
+                        positions: positions.copied().collect(),
+                    },
+                );
             }
         }
     }
@@ -223,22 +239,25 @@ impl PostingsStore {
     /// immediately, doc/tf into the pending tail, block encoded when the
     /// tail reaches [`BLOCK_LEN`]. The block table is maintained
     /// identically to the raw path.
-    fn push_posting_packed(&mut self, id: TermId, posting: &Posting) {
+    fn push_posting_packed<'a>(
+        &mut self,
+        id: TermId,
+        doc: DocNum,
+        title_tf: u32,
+        body_tf: u32,
+        positions: impl ExactSizeIterator<Item = &'a u32>,
+    ) {
         let pl = &mut self.packed[id as usize];
-        Self::push_block_entry(
-            &mut self.blocks[id as usize],
-            pl.count as usize,
-            posting.doc,
-        );
+        Self::push_block_entry(&mut self.blocks[id as usize], pl.count as usize, doc);
         self.total_postings += 1;
-        self.total_positions += posting.positions.len() as u64;
+        self.total_positions += positions.len() as u64;
         pl.count += 1;
-        codec::encode_positions(&mut pl.pos_data, &posting.positions);
+        codec::encode_positions(&mut pl.pos_data, positions);
         pl.pos_offs.push(pl.pos_data.len() as u32);
         let tail = &mut self.tails[id as usize];
-        tail.docs.push(posting.doc);
-        tail.title_tfs.push(posting.title_tf);
-        tail.body_tfs.push(posting.body_tf);
+        tail.docs.push(doc);
+        tail.title_tfs.push(title_tf);
+        tail.body_tfs.push(body_tf);
         if tail.docs.len() == BLOCK_LEN {
             codec::encode_block(&mut pl.data, &tail.docs, &tail.title_tfs, &tail.body_tfs);
             pl.block_offs.push(pl.data.len() as u32);
@@ -260,8 +279,10 @@ impl PostingsStore {
         }
     }
 
-    /// Interns `term`, assigning the next dense id on first sight.
-    fn intern(&mut self, term: &str) -> TermId {
+    /// Interns `term`, assigning the next dense id on first sight, so
+    /// ids follow the order in which terms are first interned. A term
+    /// interned but never given a posting keeps an empty list.
+    pub(crate) fn intern(&mut self, term: &str) -> TermId {
         if let Some(&id) = self.dict.get(term) {
             return id;
         }
@@ -458,6 +479,11 @@ impl PostingsStore {
     /// Number of indexed documents.
     pub fn doc_count(&self) -> u32 {
         self.doc_count
+    }
+
+    /// Total tokens (title + body) over every indexed document.
+    pub fn total_tokens(&self) -> u64 {
+        self.total_tokens
     }
 
     /// Average document length in tokens (title + body).

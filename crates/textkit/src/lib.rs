@@ -3,7 +3,10 @@
 //! Text-processing primitives shared by the search engine, the LLM simulator
 //! and the classifiers:
 //!
-//! * [`mod@tokenize`] — Unicode-tolerant word tokenizer with lowercasing.
+//! * [`mod@tokenize`] — Unicode-tolerant word tokenizer: one allocation-free
+//!   span walker ([`token_spans`]) under lowercased tokens ([`tokenize`]),
+//!   per-token analysis ([`analyze_token`]) and whole-text analysis
+//!   ([`analyze`]).
 //! * [`mod@stem`] — a light suffix-stripping stemmer (a pragmatic Porter subset)
 //!   so that "laptops" and "laptop" index to the same term.
 //! * [`stopwords`] — the English stopword list applied at indexing time.
@@ -11,8 +14,11 @@
 //!   entity matching in citation analysis.
 //! * [`ngram`] — word n-gram extraction for co-occurrence statistics.
 //!
-//! Everything here is pure and allocation-conscious: tokenization borrows
-//! from the input where possible, and the stemmer mutates in place.
+//! Everything here is pure. Token spans borrow from the input and
+//! allocate nothing; lowercasing allocates one string per token, and the
+//! stemmer copies the word and allocates again for most suffix steps
+//! it applies. Callers that see the same token many times (the
+//! search index build) analyze each distinct token once.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,4 +33,4 @@ pub use distance::{jaro_winkler, levenshtein, normalized_levenshtein};
 pub use ngram::ngrams;
 pub use stem::stem;
 pub use stopwords::is_stopword;
-pub use tokenize::{analyze, tokenize, Token};
+pub use tokenize::{analyze, analyze_token, token_spans, tokenize, Token};

@@ -19,6 +19,37 @@ pub struct Token {
     pub end: usize,
 }
 
+/// Whether `c` continues a word: alphanumerics plus the joiners `-`
+/// and `'`.
+#[inline]
+fn is_word_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '-' || c == '\''
+}
+
+/// Walks the word tokens of `text` as byte spans `(start, end)`,
+/// without allocating: the one tokenizer under [`tokenize`],
+/// [`analyze`] and the search index build.
+///
+/// A token is a maximal run of alphanumerics, `-` and `'`, with the
+/// joiners trimmed from both edges; runs of joiners alone yield
+/// nothing. Spans index the original (not lowercased) text.
+///
+/// ```
+/// use shift_textkit::token_spans;
+/// let text = "Wi-Fi 7, -dash-";
+/// let raw: Vec<&str> = token_spans(text).map(|(s, e)| &text[s..e]).collect();
+/// assert_eq!(raw, vec!["Wi-Fi", "7", "dash"]);
+/// ```
+pub fn token_spans(text: &str) -> impl Iterator<Item = (usize, usize)> + '_ {
+    text.split(|c: char| !is_word_char(c))
+        .filter_map(move |run| {
+            // Trim joiners that ended up at the edges ("-fi-" → "fi").
+            let word = run.trim_matches(['-', '\'']);
+            let start = word.as_ptr() as usize - text.as_ptr() as usize;
+            (!word.is_empty()).then_some((start, start + word.len()))
+        })
+}
+
 /// Tokenizes `text` into lowercase word tokens with byte spans.
 ///
 /// ```
@@ -28,41 +59,30 @@ pub struct Token {
 /// assert_eq!(words, vec!["best", "wi-fi", "7", "routers"]);
 /// ```
 pub fn tokenize(text: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let mut start: Option<usize> = None;
-    let mut prev_end = 0usize;
+    token_spans(text)
+        .map(|(start, end)| Token {
+            text: text[start..end].to_lowercase(),
+            start,
+            end,
+        })
+        .collect()
+}
 
-    let flush = |tokens: &mut Vec<Token>, text: &str, s: usize, e: usize| {
-        // Trim joiner characters that ended up at the edges ("-fi-" → "fi").
-        let raw = &text[s..e];
-        let trimmed = raw.trim_matches(|c| c == '-' || c == '\'');
-        if trimmed.is_empty() {
-            return;
-        }
-        let offset = raw.find(trimmed).unwrap_or(0);
-        tokens.push(Token {
-            text: trimmed.to_lowercase(),
-            start: s + offset,
-            end: s + offset + trimmed.len(),
-        });
-    };
-
-    for (i, c) in text.char_indices() {
-        let is_word = c.is_alphanumeric() || c == '-' || c == '\'';
-        match (start, is_word) {
-            (None, true) => start = Some(i),
-            (Some(s), false) => {
-                flush(&mut tokens, text, s, i);
-                start = None;
-            }
-            _ => {}
-        }
-        prev_end = i + c.len_utf8();
+/// Analyzes one raw token (a [`token_spans`] slice): lowercase, drop
+/// it if it is a stopword, else stem it. `None` for a stopword.
+///
+/// ```
+/// use shift_textkit::analyze_token;
+/// assert_eq!(analyze_token("Laptops"), Some("laptop".to_string()));
+/// assert_eq!(analyze_token("The"), None);
+/// ```
+pub fn analyze_token(raw: &str) -> Option<String> {
+    let lower = raw.to_lowercase();
+    if is_stopword(&lower) {
+        None
+    } else {
+        Some(stem(&lower))
     }
-    if let Some(s) = start {
-        flush(&mut tokens, text, s, prev_end);
-    }
-    tokens
 }
 
 /// Full analysis pipeline: tokenize → drop stopwords → stem.
@@ -78,10 +98,8 @@ pub fn tokenize(text: &str) -> Vec<Token> {
 /// );
 /// ```
 pub fn analyze(text: &str) -> Vec<String> {
-    tokenize(text)
-        .into_iter()
-        .filter(|t| !is_stopword(&t.text))
-        .map(|t| stem(&t.text))
+    token_spans(text)
+        .filter_map(|(start, end)| analyze_token(&text[start..end]))
         .collect()
 }
 

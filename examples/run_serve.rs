@@ -18,10 +18,11 @@
 //! at least twice as available.
 //!
 //! Last, it counts allocations: what one answer-cache hit allocates on
-//! the client thread, and what computing one cold answer allocates (the
-//! engine work a worker runs per miss). These are exact work counts,
-//! written to the `alloc` section; unlike the timings they do not move
-//! with the host's speed.
+//! the client thread, what computing one cold answer allocates (the
+//! engine work a worker runs per miss), and what one
+//! `SearchIndex::build` of the world allocates. These are exact work
+//! counts, written to the `alloc` section; unlike the timings they do
+//! not move with the host's speed.
 //!
 //! `--chaos` runs only the chaos experiment and gates it against the
 //! committed `BENCH_serve.json`: if availability-with-resilience drops
@@ -39,6 +40,7 @@ use std::sync::Arc;
 use navigating_shift::corpus::{World, WorldConfig};
 use navigating_shift::engines::{AnswerEngines, EngineKind};
 use navigating_shift::freshness::json::{parse as json_parse, to_string as json_to_string, Value};
+use navigating_shift::search::SearchIndex;
 use navigating_shift::serve::{
     run_chaos, run_load, AnswerService, ChaosConfig, ChaosReport, FaultPlan, LoadConfig, LoadMode,
     MetricsSnapshot, Request, ServeConfig, Workload,
@@ -186,7 +188,8 @@ const ALLOC_DRAWS: u64 = 500;
 /// The `alloc` section, measured on a fresh stack and service so it
 /// leaves the snapshot above untouched: `per_miss` and `per_hit` are
 /// mean allocations over the distinct requests of [`ALLOC_DRAWS`]
-/// workload draws, each first computed cold, then served as a hit.
+/// workload draws, each first computed cold, then served as a hit;
+/// `per_index_build` is one `SearchIndex::build` of the world.
 fn alloc_json(workload: &Workload) -> Value {
     let mut rng = StdRng::seed_from_u64(LOAD_SEED);
     let mut seen = HashSet::new();
@@ -196,6 +199,7 @@ fn alloc_json(workload: &Workload) -> Value {
         .collect();
     let n = requests.len() as f64;
     let world = Arc::new(World::generate(&WorldConfig::small(), WORLD_SEED));
+    let (build, build_bytes) = counted(|| drop(SearchIndex::build(&world)));
     let engines = Arc::new(AnswerEngines::build(world));
 
     let (mut miss, mut miss_bytes) = (0, 0);
@@ -220,7 +224,8 @@ fn alloc_json(workload: &Workload) -> Value {
     }
     service.shutdown();
     println!(
-        "alloc: {} distinct requests; {:.1} allocations per miss ({:.0} B), {:.1} per hit ({:.0} B)",
+        "alloc: {} distinct requests; {:.1} allocations per miss ({:.0} B), {:.1} per hit ({:.0} B); \
+         {build} per index build ({build_bytes} B)",
         requests.len(),
         miss as f64 / n,
         miss_bytes as f64 / n,
@@ -228,20 +233,29 @@ fn alloc_json(workload: &Workload) -> Value {
         hit_bytes as f64 / n,
     );
     let alloc = [
-        ("per_miss", miss),
-        ("bytes_per_miss", miss_bytes),
-        ("per_hit", hit),
-        ("bytes_per_hit", hit_bytes),
+        ("per_miss", miss as f64 / n),
+        ("bytes_per_miss", miss_bytes as f64 / n),
+        ("per_hit", hit as f64 / n),
+        ("bytes_per_hit", hit_bytes as f64 / n),
+        ("per_index_build", build as f64),
+        ("bytes_per_index_build", build_bytes as f64),
     ]
     .into_iter()
-    .map(|(key, total)| (key.to_string(), Value::Number(total as f64 / n)))
+    .map(|(key, value)| (key.to_string(), Value::Number(value)))
     .collect();
     Value::Object(alloc)
 }
 
 /// Keys of the `alloc` section [`gate_alloc`] holds to the committed
 /// values.
-const ALLOC_KEYS: [&str; 4] = ["per_hit", "bytes_per_hit", "per_miss", "bytes_per_miss"];
+const ALLOC_KEYS: [&str; 6] = [
+    "per_hit",
+    "bytes_per_hit",
+    "per_miss",
+    "bytes_per_miss",
+    "per_index_build",
+    "bytes_per_index_build",
+];
 
 /// Alloc gate mode: recompute the `alloc` section and fail if any count
 /// exceeds the committed one. The counts are exact and deterministic, so
@@ -252,7 +266,7 @@ fn gate_alloc(workload: &Workload) {
     let measured = alloc_json(workload);
     let mut failed = false;
     println!(
-        "{:<16} {:>12} {:>12}  verdict",
+        "{:<22} {:>12} {:>12}  verdict",
         "alloc", "measured", "committed"
     );
     for key in ALLOC_KEYS {
@@ -263,7 +277,7 @@ fn gate_alloc(workload: &Workload) {
         let recorded = match parsed.get("alloc").and_then(|a| a.get(key)) {
             Some(&Value::Number(v)) => v,
             _ => {
-                println!("{key:<16} {fresh:>12.1} {:>12}  FAIL (not committed)", "-");
+                println!("{key:<22} {fresh:>12.1} {:>12}  FAIL (not committed)", "-");
                 failed = true;
                 continue;
             }
@@ -271,7 +285,7 @@ fn gate_alloc(workload: &Workload) {
         let ok = fresh <= recorded;
         failed |= !ok;
         println!(
-            "{key:<16} {fresh:>12.1} {recorded:>12.1}  {}",
+            "{key:<22} {fresh:>12.1} {recorded:>12.1}  {}",
             if ok { "ok" } else { "FAIL" }
         );
     }

@@ -32,7 +32,7 @@ cargo test -q -p shift-serve --test chaos_serve
 echo "== resilience: chaos smoke + availability gate (vs committed BENCH_serve.json) =="
 cargo run --release --example run_serve -- --chaos
 
-echo "== serving layer: allocations per hit and per cold answer, gated exactly (vs committed BENCH_serve.json) =="
+echo "== allocations per hit, per cold answer and per index build, gated exactly (vs committed BENCH_serve.json) =="
 cargo run --release --example run_serve -- --alloc
 
 echo "== replicated tier: routing/failover/open-loop suite =="
@@ -56,6 +56,9 @@ cargo test -q -p shift-search --test differential_live
 echo "== live index: WAL crash-cut recovery suite =="
 cargo test -q -p shift-search --test live_wal
 
+echo "== index build: memoized build == page-by-page add_document on both layouts, deterministic term ids, span walker == frozen tokenizer =="
+cargo test -q -p shift-search --test build_equivalence
+
 echo "== compressed postings: codec round-trips + partial-block subranges =="
 cargo test -q -p shift-search --test codec_roundtrip
 
@@ -72,7 +75,7 @@ echo "== engine stack: SERP cache + stack unit suite =="
 cargo test -q -p shift-engines serp_cache
 cargo test -q -p shift-engines stack
 
-echo "== engine stack: single-flight dedup (N concurrent misses compute once) =="
+echo "== engine stack: single-flight dedup (N concurrent misses compute once; a panicking leader hands its key on) =="
 cargo test -q -p shift-engines single_flight
 
 echo "== engine stack: answer invariants + build-time text tables == per-result derivation (paper scale) =="
