@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shift_search::Serp;
-use shift_textkit::analyze;
+use shift_textkit::{analyze_token, token_spans};
 
 /// Geometry of one [`SerpCache`].
 #[derive(Debug, Clone)]
@@ -64,8 +64,8 @@ impl SerpCacheConfig {
 /// requested depth.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SerpCacheKey {
-    /// Query text after [`analyze`] (the terms the kernel scores),
-    /// joined with single spaces.
+    /// Query text after [`shift_textkit::analyze`] (the terms the
+    /// kernel scores), joined with single spaces.
     pub normalized: String,
     /// [`shift_search::RankingParams::fingerprint`] of the engine the
     /// SERP came from.
@@ -76,10 +76,19 @@ pub struct SerpCacheKey {
 
 impl SerpCacheKey {
     /// Builds a key, normalizing `query` through the retrieval
-    /// analyzer.
+    /// analyzer: each [`analyze_token`] term is appended to one string,
+    /// the bytes of `analyze(query).join(" ")`.
     pub fn new(query: &str, params_fingerprint: u64, k: usize) -> SerpCacheKey {
+        let mut normalized = String::with_capacity(query.len());
+        let terms = token_spans(query).filter_map(|(start, end)| analyze_token(&query[start..end]));
+        for (i, term) in terms.enumerate() {
+            if i > 0 {
+                normalized.push(' ');
+            }
+            normalized.push_str(&term);
+        }
         SerpCacheKey {
-            normalized: analyze(query).join(" "),
+            normalized,
             params_fingerprint,
             k,
         }

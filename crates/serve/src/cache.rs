@@ -1,6 +1,8 @@
 //! Sharded, TTL-aware LRU answer cache.
 //!
-//! Keys normalize the query through [`shift_textkit::tokenize`], so
+//! Keys normalize the query through [`shift_textkit::normalize_query`]
+//! (the lowercased tokens of [`shift_textkit::tokenize`] joined with
+//! single spaces, written in one pass into one string), so
 //! `"Best Laptops  2025?"` and `"best laptops 2025"` share an entry. Each
 //! shard is an independent `parking_lot::Mutex` around a slab-backed
 //! intrusive LRU list, so concurrent lookups on different shards never
@@ -17,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use shift_engines::{EngineAnswer, EngineKind};
-use shift_textkit::tokenize;
+use shift_textkit::normalize_query;
 
 /// Geometry and policy of one [`AnswerCache`].
 #[derive(Debug, Clone)]
@@ -81,24 +83,21 @@ pub struct CacheKey {
     pub top_k: usize,
     /// Decode/persona seed the answer was produced with.
     pub seed: u64,
-    /// Query text after tokenization (lowercased, punctuation and
-    /// whitespace collapsed).
+    /// Query text after [`normalize_query`]: the lowercased tokens
+    /// joined with single spaces (punctuation and whitespace collapsed).
     pub normalized: String,
 }
 
 impl CacheKey {
-    /// Build a key, normalizing `query` through the shared tokenizer.
+    /// Build a key, normalizing `query` through [`normalize_query`]:
+    /// one allocation for an ASCII query, which is all a cache hit
+    /// allocates on the client thread.
     pub fn new(engine: EngineKind, query: &str, top_k: usize, seed: u64) -> CacheKey {
-        let normalized = tokenize(query)
-            .iter()
-            .map(|t| t.text.as_str())
-            .collect::<Vec<_>>()
-            .join(" ");
         CacheKey {
             engine,
             top_k,
             seed,
-            normalized,
+            normalized: normalize_query(query),
         }
     }
 

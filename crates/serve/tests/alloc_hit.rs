@@ -2,9 +2,11 @@
 //!
 //! A cached answer is an immutable shared value: a hit shares it instead
 //! of copying it, and answers from the caller's thread without a reply
-//! channel. So what a hit allocates must not depend on how much the
-//! answer holds. A counting global allocator counts the allocations made
-//! on the calling thread; worker threads never run a hit.
+//! channel. Its cache key's text is built in one string. So what a hit
+//! allocates must depend neither on how much the answer holds nor on how
+//! many tokens the query has. A counting global allocator counts the
+//! allocations made on the calling thread; worker threads never run a
+//! hit.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -78,11 +80,16 @@ fn service() -> &'static AnswerService {
     })
 }
 
-/// One served hit of `engine` on [`QUERY`], after a miss and a first hit
+/// One served hit of `engine` on `query`, after a miss and a first hit
 /// have warmed the cache entry and the engine's metrics.
-fn warm_hit(engine: EngineKind) -> (ServedAnswer, u64) {
+///
+/// Each test uses its own engines, so an engine's latency log holds
+/// only that test's answers: a first call finds it holding the miss
+/// and the first hit at capacity 4, so the counted hit's entry does not
+/// grow it.
+fn warm_hit(engine: EngineKind, query: &str) -> (ServedAnswer, u64) {
     let service = service();
-    let request = Request::new(engine, QUERY, 10, 7);
+    let request = Request::new(engine, query, 10, 7);
     for _ in 0..2 {
         service.answer(request.clone()).expect("warm-up answer");
     }
@@ -97,8 +104,8 @@ fn warm_hit(engine: EngineKind) -> (ServedAnswer, u64) {
 
 #[test]
 fn a_hit_allocates_the_same_whatever_the_answer_holds() {
-    let (gpt, gpt_allocs) = warm_hit(EngineKind::Gpt4o);
-    let (google, google_allocs) = warm_hit(EngineKind::Google);
+    let (gpt, gpt_allocs) = warm_hit(EngineKind::Gpt4o, QUERY);
+    let (google, google_allocs) = warm_hit(EngineKind::Google, QUERY);
     assert_eq!(gpt.answer.snippets.len(), 60);
     assert_eq!(google.answer.snippets.len(), 10);
     assert_eq!(
@@ -106,16 +113,36 @@ fn a_hit_allocates_the_same_whatever_the_answer_holds() {
         "a hit must not copy the answer: a 60-snippet hit made {gpt_allocs} allocations, \
          a 10-snippet hit {google_allocs}"
     );
+    // The key's one string, plus at most one amortized growth of the
+    // engine's latency log.
     assert!(
-        gpt_allocs <= 16,
-        "a hit made {gpt_allocs} allocations (at most 16 allowed)"
+        gpt_allocs <= 2,
+        "a hit made {gpt_allocs} allocations (at most 2 allowed)"
+    );
+}
+
+#[test]
+fn a_hit_allocates_the_same_whatever_the_query_length() {
+    let short = "SUVs";
+    let long = "Top 10 most reliable and affordable family SUVs for long road trips";
+    assert_eq!(shift_textkit::tokenize(short).len(), 1);
+    assert_eq!(shift_textkit::tokenize(long).len(), 12);
+    let (_, short_allocs) = warm_hit(EngineKind::Claude, short);
+    let (_, long_allocs) = warm_hit(EngineKind::Gemini, long);
+    assert_eq!(
+        short_allocs, long_allocs,
+        "a 1-token hit made {short_allocs} allocations, a 12-token hit {long_allocs}"
+    );
+    assert!(
+        short_allocs <= 2,
+        "a hit made {short_allocs} allocations (at most 2 allowed)"
     );
 }
 
 #[test]
 fn hits_share_the_cached_answer_and_match_a_direct_answer() {
-    let (first, _) = warm_hit(EngineKind::Perplexity);
-    let (second, _) = warm_hit(EngineKind::Perplexity);
+    let (first, _) = warm_hit(EngineKind::Perplexity, QUERY);
+    let (second, _) = warm_hit(EngineKind::Perplexity, QUERY);
     assert!(Arc::ptr_eq(&first.answer.snippets, &second.answer.snippets));
     assert!(Arc::ptr_eq(
         &first.answer.citations,

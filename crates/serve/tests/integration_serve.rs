@@ -150,9 +150,26 @@ fn warm_cache_beats_cold_cache() {
     service.shutdown();
 }
 
+/// Pins where key normalization is not idempotent: `İ` lowercases to
+/// `i` plus a combining dot above (U+0307), which is not a word
+/// character, so re-keying the normalized text splits the word.
+#[test]
+fn dotted_capital_i_key_is_not_idempotent() {
+    let key = CacheKey::new(EngineKind::Claude, "İstanbul hotels", 10, 7);
+    assert_eq!(key.normalized, "i\u{307}stanbul hotels");
+    let rekey = CacheKey::new(EngineKind::Claude, &key.normalized, 10, 7);
+    assert_eq!(rekey.normalized, "i stanbul hotels");
+    assert_ne!(key, rekey);
+}
+
 proptest! {
-    // Key normalization is idempotent: re-keying on the normalized text
-    // lands on the same cache entry, whatever the original spelling.
+    // Key normalization is idempotent on queries whose tokens lowercase
+    // to word characters only: re-keying on the normalized text lands on
+    // the same cache entry, whatever the original spelling. That covers
+    // ASCII and every character `\PC` draws here (ASCII plus é ß λ Ж 中
+    // 日 ✓ €), but not all of Unicode: a character whose lowercase adds
+    // a non-word character (`İ` → `i` + U+0307) re-keys to a split
+    // word, as `dotted_capital_i_key_is_not_idempotent` pins.
     #[test]
     fn cache_key_normalization_is_idempotent(raw in "\\PC{0,64}", top_k in 1usize..20) {
         let key = CacheKey::new(EngineKind::Claude, &raw, top_k, 7);

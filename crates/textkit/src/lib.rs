@@ -5,8 +5,9 @@
 //!
 //! * [`mod@tokenize`] — Unicode-tolerant word tokenizer: one allocation-free
 //!   span walker ([`token_spans`]) under lowercased tokens ([`tokenize`]),
-//!   per-token analysis ([`analyze_token`]) and whole-text analysis
-//!   ([`analyze`]).
+//!   the one-string normalized query ([`normalize_query`], the answer
+//!   cache's key text), per-token analysis ([`analyze_token`]) and
+//!   whole-text analysis ([`analyze`]).
 //! * [`mod@stem`] — a light suffix-stripping stemmer (a pragmatic Porter subset)
 //!   so that "laptops" and "laptop" index to the same term.
 //! * [`stopwords`] — the English stopword list applied at indexing time.
@@ -15,10 +16,13 @@
 //! * [`ngram`] — word n-gram extraction for co-occurrence statistics.
 //!
 //! Everything here is pure. Token spans borrow from the input and
-//! allocate nothing; lowercasing allocates one string per token, and the
-//! stemmer copies the word and allocates again for most suffix steps
-//! it applies. Callers that see the same token many times (the
-//! search index build) analyze each distinct token once.
+//! allocate nothing. [`tokenize`] and [`analyze_token`] allocate one
+//! lowercased string per token, and the stemmer copies the word and
+//! allocates again for most suffix steps it applies.
+//! [`normalize_query`] writes every token into one string, lowercasing
+//! ASCII tokens in place, so it allocates once plus once per non-ASCII
+//! token. Callers that see the same token many times (the search index
+//! build) analyze each distinct token once.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,4 +37,4 @@ pub use distance::{jaro_winkler, levenshtein, normalized_levenshtein};
 pub use ngram::ngrams;
 pub use stem::stem;
 pub use stopwords::is_stopword;
-pub use tokenize::{analyze, analyze_token, token_spans, tokenize, Token};
+pub use tokenize::{analyze, analyze_token, normalize_query, token_spans, tokenize, Token};

@@ -68,6 +68,38 @@ pub fn tokenize(text: &str) -> Vec<Token> {
         .collect()
 }
 
+/// The lowercased tokens of `query` joined with single spaces, built
+/// in one pass into one string: the bytes of
+/// `tokenize(query).map(|t| t.text).join(" ")`.
+///
+/// An ASCII token is copied and lowercased in place; any other token
+/// goes through [`str::to_lowercase`] on its own, exactly as
+/// [`tokenize`] lowercases it (so a word-final `Σ` still becomes `ς`).
+/// An all-ASCII query therefore allocates once.
+///
+/// ```
+/// use shift_textkit::normalize_query;
+/// assert_eq!(normalize_query("Best  Wi-Fi 7 routers?"), "best wi-fi 7 routers");
+/// assert_eq!(normalize_query("ΟΔΟΣ Café"), "οδο\u{3c2} café");
+/// ```
+pub fn normalize_query(query: &str) -> String {
+    let mut out = String::with_capacity(query.len());
+    for (start, end) in token_spans(query) {
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        let raw = &query[start..end];
+        if raw.is_ascii() {
+            let from = out.len();
+            out.push_str(raw);
+            out[from..].make_ascii_lowercase();
+        } else {
+            out.push_str(&raw.to_lowercase());
+        }
+    }
+    out
+}
+
 /// Analyzes one raw token (a [`token_spans`] slice): lowercase, drop
 /// it if it is a stopword, else stem it. `None` for a stopword.
 ///

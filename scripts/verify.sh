@@ -20,7 +20,7 @@ cargo test -q --workspace --release
 echo "== serving layer: unit + integration =="
 cargo test -q -p shift-serve
 
-echo "== serving layer: a cache hit shares the cached answer (allocation count independent of answer size) =="
+echo "== serving layer: a cache hit allocates only its key (count independent of the answer's size and the query's length) =="
 cargo test -q -p shift-serve --test alloc_hit
 
 echo "== resilience: engines fault-injection suite =="
@@ -58,6 +58,10 @@ cargo test -q -p shift-search --test live_wal
 
 echo "== index build: memoized build == page-by-page add_document on both layouts, deterministic term ids, span walker == frozen tokenizer =="
 cargo test -q -p shift-search --test build_equivalence
+
+echo "== cache keys: one-pass answer-cache key == joined tokens, SERP-cache key == joined analysis (non-ASCII case mappings) =="
+cargo test -q -p shift-textkit --test normalize_equivalence
+cargo test -q -p shift-engines --test serp_key_equivalence
 
 echo "== compressed postings: codec round-trips + partial-block subranges =="
 cargo test -q -p shift-search --test codec_roundtrip
