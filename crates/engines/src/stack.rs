@@ -8,7 +8,7 @@ use shift_classify::intent::QueryIntentLabel;
 use shift_corpus::{PageId, World};
 use shift_llm::{GroundingMode, Llm, LlmConfig, Snippet};
 use shift_metrics::bootstrap::SplitMix64;
-use shift_search::serp::contains_lowercase;
+use shift_search::serp::excerpt_contains_lowercase;
 use shift_search::{
     with_thread_scratch, QueryScratch, RankingParams, SearchEngine, SearchIndex, Serp, SerpResult,
 };
@@ -220,9 +220,10 @@ impl AnswerEngines {
     /// names nobody, the page's primary mention stands in (the page is
     /// still "about" its subject).
     ///
-    /// The snippets are collected straight into one shared slice, and
-    /// each snippet's entity list is sized exactly: an answer keeps its
-    /// evidence for as long as it stays in the answer cache.
+    /// The snippets are collected straight into one shared slice, each
+    /// shares its result's url and text window, and each entity list is
+    /// sized exactly: an answer keeps its evidence for as long as it
+    /// stays in the answer cache.
     pub fn snippets_from_serp(&self, serp: &Serp) -> Arc<[Snippet]> {
         let mut names: Vec<&str> = Vec::new();
         let mut shown: Vec<bool> = Vec::new();
@@ -237,7 +238,7 @@ impl AnswerEngines {
                         .map(|m| self.entity_names[m.entity.index()].as_str()),
                 );
                 shown.resize(names.len(), false);
-                contains_lowercase(&r.snippet, &names, &mut shown);
+                excerpt_contains_lowercase(&r.snippet, &names, &mut shown);
                 let visible = shown.iter().filter(|&&s| s).count();
                 let entities: Vec<(shift_corpus::EntityId, f64)> = if visible == 0 {
                     page.primary_mention()
@@ -256,7 +257,7 @@ impl AnswerEngines {
                 };
                 Snippet {
                     url: Arc::clone(&r.url),
-                    text: Arc::clone(&r.snippet),
+                    text: r.snippet.clone(),
                     entities,
                     age_days: r.age_days,
                 }

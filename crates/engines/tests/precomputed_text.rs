@@ -65,7 +65,7 @@ fn answers_match_per_result_derivation() {
                 // The attribution filter as it was: lowercase the snippet
                 // and each mentioned name, then `contains`.
                 let page = world.page(by_url[&*snippet.url]);
-                let lower = snippet.text.to_lowercase();
+                let lower = snippet.text.to_string().to_lowercase();
                 let mut expected: Vec<_> = page
                     .mentions
                     .iter()

@@ -101,7 +101,7 @@ proptest! {
         for s in answer.snippets.iter() {
             if s.entities.len() > 1 {
                 // Multi-entity snippets must name every attributed entity.
-                let lower = s.text.to_lowercase();
+                let lower = s.text.to_string().to_lowercase();
                 for (e, _) in &s.entities {
                     let name = world.entity(*e).name.to_lowercase();
                     prop_assert!(

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use shift_corpus::EntityId;
 use shift_metrics::bootstrap::SplitMix64;
+use shift_textkit::Excerpt;
 
 use crate::pretrain::Llm;
 
@@ -72,15 +73,16 @@ pub enum GroundingMode {
     Strict,
 }
 
-/// One retrieved evidence snippet, as the model sees it. Its url and
-/// text are shared strings: a snippet built from a search result shares
-/// the result's, so cloning one allocates only its entity list.
+/// One retrieved evidence snippet, as the model sees it. Its url is a
+/// shared string and its text a window of shared text: a snippet built
+/// from a search result shares the result's, so cloning one allocates
+/// only its entity list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snippet {
     /// Source URL (becomes the citation).
     pub url: Arc<str>,
     /// Snippet text.
-    pub text: Arc<str>,
+    pub text: Excerpt,
     /// Entities the snippet speaks about, with the quality score the
     /// snippet's page observed for each.
     pub entities: Vec<(EntityId, f64)>,

@@ -157,7 +157,6 @@ mod tests {
             doc: 0,
             title_tf,
             body_tf,
-            positions: vec![],
         }
     }
 

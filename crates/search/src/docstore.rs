@@ -23,10 +23,11 @@
 //!
 //! Reads go through [`DocFields`], a view both layouts can produce. The
 //! raw layout lends its shared strings; the compact layout lends its
-//! host and materializes the URL (decoded from the front-coded
-//! dictionary) and the title (copied out of the arena) as new
-//! `Arc<str>`s — `Cow::Owned` — so a reader asks for the view only of
-//! documents whose strings it keeps.
+//! host and its shared text arena (a snippet is a window of either
+//! layout's shared text) and materializes the URL (decoded from the
+//! front-coded dictionary) and the title (copied out of the arena) as
+//! new `Arc<str>`s — `Cow::Owned` — so a reader asks for the view only
+//! of documents whose strings it keeps.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -44,8 +45,9 @@ pub const URL_GROUP: usize = 16;
 /// A view of one document's metadata, produced by both the raw and the
 /// compact layout. URL and title are the store's shared strings on the
 /// raw layout and materialized (owned) on the compact layout; host and
-/// body always borrow from the store. `into_owned()` on a `Cow` field
-/// yields the `Arc<str>` a result keeps: a refcount bump when borrowed.
+/// body always borrow from the store, the body together with the shared
+/// text it lies in. `into_owned()` on a `Cow` field yields the
+/// `Arc<str>` a result keeps: a refcount bump when borrowed.
 #[derive(Debug)]
 pub struct DocFields<'a> {
     /// The corpus page this document was built from.
@@ -68,7 +70,12 @@ pub struct DocFields<'a> {
     pub title_len: u32,
     /// Raw title.
     pub title: Cow<'a, Arc<str>>,
-    /// Raw body text (for snippet extraction).
+    /// The shared text the body lies in: the document's own body on the
+    /// raw layout, the whole text arena on the compact one.
+    pub text: &'a Arc<str>,
+    /// Byte offset of the body in `text`.
+    pub body_start: usize,
+    /// Raw body text, `text[body_start..][..body.len()]`.
     pub body: &'a str,
 }
 
@@ -82,8 +89,9 @@ pub struct CompactDocs {
     source_types: Vec<SourceType>,
     token_lens: Vec<u32>,
     title_lens: Vec<u32>,
-    /// All titles and bodies, concatenated per document.
-    text: String,
+    /// All titles and bodies, concatenated per document; snippets share
+    /// it.
+    text: Arc<str>,
     /// `2n + 1` offsets into `text`: doc `i`'s title is
     /// `text[offs[2i]..offs[2i+1]]`, its body `text[offs[2i+1]..offs[2i+2]]`.
     text_offs: Vec<u32>,
@@ -168,7 +176,7 @@ impl CompactDocs {
             source_types: metas.iter().map(|m| m.source_type).collect(),
             token_lens: metas.iter().map(|m| m.token_len).collect(),
             title_lens: metas.iter().map(|m| m.title_len).collect(),
-            text,
+            text: text.into(),
             text_offs,
             hosts,
             url_data,
@@ -245,6 +253,8 @@ impl CompactDocs {
             token_len: self.token_lens[i],
             title_len: self.title_lens[i],
             title: Cow::Owned(self.text[t0..t1].into()),
+            text: &self.text,
+            body_start: t1,
             body: &self.text[t1..t2],
         }
     }
@@ -315,7 +325,7 @@ mod tests {
             source_type: SourceType::Earned,
             token_len: 100 + i,
             title_len: 5 + i,
-            body: format!("body text number {i} with battery life details"),
+            body: format!("body text number {i} with battery life details").into(),
             title: format!("Title {i}").into(),
         }
     }
@@ -352,7 +362,8 @@ mod tests {
             assert_eq!(f.token_len, m.token_len);
             assert_eq!(f.title_len, m.title_len);
             assert_eq!(*f.title, m.title);
-            assert_eq!(f.body, m.body);
+            assert_eq!(f.body, &*m.body);
+            assert_eq!(&f.text[f.body_start..][..f.body.len()], f.body);
             assert_eq!(compact.token_len(i as DocNum), m.token_len);
         }
     }

@@ -48,8 +48,8 @@ pub struct DocMeta {
     pub token_len: u32,
     /// Title token count (positions below this are title positions).
     pub title_len: u32,
-    /// Raw body text (for snippet extraction).
-    pub body: String,
+    /// Raw body text, shared by every snippet cut from it.
+    pub body: Arc<str>,
     /// Raw title.
     pub title: Arc<str>,
 }
@@ -68,6 +68,8 @@ impl DocMeta {
             token_len: self.token_len,
             title_len: self.title_len,
             title: Cow::Borrowed(&self.title),
+            text: &self.body,
+            body_start: 0,
             body: &self.body,
         }
     }
@@ -404,7 +406,7 @@ impl SearchIndex {
                 source_type: domain.source_type,
                 token_len,
                 title_len,
-                body: page.body.clone(),
+                body: page.body.as_str().into(),
                 title: page.title.as_str().into(),
             });
         }

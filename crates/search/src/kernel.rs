@@ -15,11 +15,11 @@
 //!   ub` on its final score (no proximity bonus vs. the full bonus,
 //!   both through the exact static and coordination multiplies), and
 //!   the pool cut τ is the `overfetch`-th largest `lb` among documents
-//!   that may enter the heap. A document with `ub < τ` ranks strictly
-//!   below `overfetch` others and is dropped without reading its
-//!   positions; every other document gets its exact score. `Exhaustive`
-//!   is the same pass with τ = −∞ (see DESIGN.md §3 "Dense
-//!   accumulation" for the exactness argument).
+//!   that may enter the heap, selected in one pass. A document with
+//!   `ub < τ` ranks strictly below `overfetch` others and is dropped
+//!   without reading its positions; every other document gets its exact
+//!   score. `Exhaustive` is the same pass with τ = −∞ (see DESIGN.md §3
+//!   "Dense accumulation" for the exactness argument).
 //! * **Bounded top-k selection.** Candidates feed a min-heap capped at
 //!   the overfetch size instead of sorting every matching document,
 //!   with the exact deterministic tie-break of the reference sort
@@ -29,7 +29,8 @@
 //!   coordination table, and the generation-stamped host-crowding
 //!   counters — lives in a reusable [`QueryScratch`]. After the first
 //!   few queries have warmed its capacities, a search allocates only
-//!   the returned SERP itself.
+//!   the returned SERP's result list: each result shares the index's
+//!   strings, and its snippet is a window of the index's body text.
 //! * **Generation-stamped slots.** Accumulator slots and host-crowding
 //!   counters are dense arrays indexed by document number and
 //!   interned host id. Instead of clearing them
@@ -185,11 +186,10 @@ struct DenseScratch {
     slots: Vec<AccSlot>,
     /// Documents touched by this pass, in first-touch order.
     touched: Vec<DocNum>,
-    /// Touched documents the running cut kept, with their `(lb, ub)`
-    /// final-score brackets.
-    kept: Vec<(DocNum, f64, f64)>,
-    /// Min-heap of the `overfetch` largest lower bounds among touched
-    /// documents that may enter the heap; a full heap's root is τ.
+    /// Touched documents with their `(lb, ub)` final-score brackets.
+    brackets: Vec<(DocNum, f64, f64)>,
+    /// The lower bounds of the touched documents that may enter the
+    /// heap; τ is selected from them.
     lbs: Vec<f64>,
     /// Survivors whose exact score needs their positions and whose
     /// lower bound reaches τ.
@@ -223,9 +223,6 @@ pub struct QueryScratch {
     host_counts: Vec<u32>,
     host_stamp: Vec<u32>,
     generation: u32,
-    // Each survivor's snippet is composed here, then copied once into
-    // its result's shared string.
-    snippet: String,
 }
 
 impl QueryScratch {
@@ -345,44 +342,6 @@ fn heap_push(heap: &mut Vec<(f64, DocNum)>, cap: usize, entry: (f64, DocNum)) {
             }
             heap.swap(i, worst);
             i = worst;
-        }
-    }
-}
-
-/// Pushes onto a min-heap of lower bounds capped at `cap`, keeping the
-/// `cap` largest (root = the smallest kept). Unlike [`heap_push`] it
-/// compares plain values with no document tie-break: the cut needs only
-/// the value, and this runs once per touched document.
-fn floor_push(heap: &mut Vec<f64>, cap: usize, x: f64) {
-    if heap.len() < cap {
-        heap.push(x);
-        let mut i = heap.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if heap[i] < heap[parent] {
-                heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    } else if x > heap[0] {
-        heap[0] = x;
-        let mut i = 0;
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut least = i;
-            if l < heap.len() && heap[l] < heap[least] {
-                least = l;
-            }
-            if r < heap.len() && heap[r] < heap[least] {
-                least = r;
-            }
-            if least == i {
-                break;
-            }
-            heap.swap(i, least);
-            i = least;
         }
     }
 }
@@ -725,10 +684,9 @@ fn accumulate(
 ///    score.
 /// 3. **Cut.** τ is the `overfetch`-th largest lower bound among
 ///    documents that may enter the heap (tightened by the threshold
-///    `theta` carried in from earlier live segments). A document with `ub < τ`
-///    ranks strictly below `overfetch` others and is dropped. The cut
-///    runs while bracketing, against the τ of the documents seen so far
-///    (a valid floor of the final one), and again after it.
+///    `theta` carried in from earlier live segments), selected once
+///    over all of them. A document with `ub < τ` ranks strictly below
+///    `overfetch` others and is dropped.
 /// 4. **Score.** Exact survivors go straight to the heap; the rest get
 ///    their positions read by [`proximity_score`], cursors walking
 ///    forward in document order — first the survivors whose `lb`
@@ -755,7 +713,7 @@ fn run_dense(
     let DenseScratch {
         slots,
         touched,
-        kept,
+        brackets,
         lbs,
         pending,
         maybe,
@@ -769,11 +727,9 @@ fn run_dense(
         accumulate(ctx, c, stamp, slots, touched);
     }
 
-    // A floor every pool member provably reaches: the carried threshold.
-    let floor = if prune { *theta } else { f64::NEG_INFINITY };
     let bonus = ctx.params.proximity_bonus;
     let (low, high) = (bonus.min(0.0), bonus.max(0.0));
-    kept.clear();
+    brackets.clear();
     lbs.clear();
     for &d in touched.iter() {
         let s = slots[d as usize];
@@ -785,34 +741,23 @@ fn run_dense(
             let exact = ctx.blend(s.text, d, s.matched);
             (exact, exact)
         };
-        if prune {
-            if ctx.is_live(d) {
-                floor_push(lbs, overfetch, lb);
-            }
-            // The running cut: a full `lbs` heap's root is a lower bound
-            // `overfetch` live documents reach, and `d` is not one of them
-            // when `ub` is below it.
-            let cut = if lbs.len() == overfetch {
-                floor.max(lbs[0])
-            } else {
-                floor
-            };
-            if ub < cut {
-                stats.candidates_pruned += 1;
-                continue;
-            }
+        if prune && ctx.is_live(d) {
+            lbs.push(lb);
         }
-        kept.push((d, lb, ub));
+        brackets.push((d, lb, ub));
     }
-    let mut tau = floor;
-    if lbs.len() == overfetch {
-        tau = tau.max(lbs[0]);
-        *theta = theta.max(lbs[0]);
+    // τ: the carried threshold, raised to the `overfetch`-th largest
+    // live lower bound when there are that many.
+    let mut tau = if prune { *theta } else { f64::NEG_INFINITY };
+    if lbs.len() >= overfetch {
+        let (_, &mut nth, _) = lbs.select_nth_unstable_by(overfetch - 1, |a, b| b.total_cmp(a));
+        tau = tau.max(nth);
+        *theta = theta.max(nth);
     }
 
     pending.clear();
     maybe.clear();
-    for &(d, lb, ub) in kept.iter() {
+    for &(d, lb, ub) in brackets.iter() {
         if ub < tau {
             stats.candidates_pruned += 1;
         } else if ctx.collect_positions && slots[d as usize].matched >= 2 {
@@ -996,10 +941,10 @@ impl DocSource for SearchIndex {
 /// results. Crowding reads only each walked candidate's host id; the
 /// survivors' field views lend the store's shared strings (the
 /// compressed layout materializes url and title for them alone), and
-/// each snippet is composed in the scratch and copied once into its
-/// shared string. A live snapshot's union of segment pools may hold up
-/// to `segments × overfetch` entries; the truncation is what restores
-/// the reference pool semantics.
+/// each snippet is a window of the store's shared body text. A live
+/// snapshot's union of segment pools may hold up to `segments ×
+/// overfetch` entries; the truncation is what restores the reference
+/// pool semantics.
 fn finalize(
     params: &RankingParams,
     scratch: &mut QueryScratch,
@@ -1038,14 +983,14 @@ fn finalize(
             }
         }
         let meta = docs.fields(doc);
-        extract_snippet(meta.body, terms, params.snippet_width, &mut scratch.snippet);
+        let body = meta.body_start..meta.body_start + meta.body.len();
         results.push(SerpResult {
             page: meta.page,
             url: meta.url.into_owned(),
             host: Arc::clone(meta.host),
             score,
             title: meta.title.into_owned(),
-            snippet: scratch.snippet.as_str().into(),
+            snippet: extract_snippet(meta.text, body, terms, params.snippet_width),
             source_type: meta.source_type,
             age_days: meta.age_days,
         });

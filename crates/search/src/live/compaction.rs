@@ -194,7 +194,7 @@ mod tests {
             merged.tombstones().is_empty(),
             "prefix merge drops tombstones"
         );
-        assert_eq!(merged.docs()[0].body, "v1 of one");
+        assert_eq!(&*merged.docs()[0].body, "v1 of one");
     }
 
     #[test]

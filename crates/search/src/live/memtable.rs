@@ -2,6 +2,7 @@
 //! and tombstones, ordered by page id.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use shift_corpus::{Page, PageId, SourceType, World};
 use shift_textkit::analyze;
@@ -25,8 +26,9 @@ pub struct LiveDoc {
     pub source_type: SourceType,
     /// Raw title.
     pub title: String,
-    /// Raw body text.
-    pub body: String,
+    /// Raw body text, shared by the segment metadata and every snippet
+    /// cut from this version.
+    pub body: Arc<str>,
     /// Analyzed title terms (`analyze(&title)`).
     pub(crate) title_terms: Vec<String>,
     /// Analyzed body terms (`analyze(&body)`).
@@ -59,7 +61,7 @@ impl LiveDoc {
             age_days,
             source_type,
             title,
-            body,
+            body: body.into(),
             title_terms,
             body_terms,
         }

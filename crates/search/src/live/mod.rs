@@ -356,7 +356,7 @@ mod tests {
         assert_eq!(snap.doc_count(), 2);
         assert_eq!(snap.stored_docs(), 4, "both versions of page 1 stored");
         assert_eq!(snap.meta(0).page, PageId(1));
-        assert_eq!(snap.meta(0).body, "second version", "newest wins");
+        assert_eq!(&*snap.meta(0).body, "second version", "newest wins");
         assert_eq!(snap.meta(1).page, PageId(3));
         // Snapshot did not disturb the index.
         assert_eq!(index.segments().len(), 1);

@@ -7,6 +7,8 @@
 //! paths as [`crate::SearchIndex::build`] — a segment keeps the raw
 //! [`LiveDoc`]s too, so merges can rebuild without re-analyzing text.
 
+use std::sync::Arc;
+
 use shift_corpus::PageId;
 
 use crate::index::DocMeta;
@@ -55,7 +57,7 @@ impl Segment {
                 source_type: doc.source_type,
                 token_len: doc.token_len(),
                 title_len: doc.title_terms.len() as u32,
-                body: doc.body.clone(),
+                body: Arc::clone(&doc.body),
                 title: doc.title.as_str().into(),
             });
         }

@@ -262,9 +262,9 @@ mod tests {
                 assert_eq!(a.authority.to_bits(), 0.7_f64.to_bits());
                 assert_eq!(a.age_days.to_bits(), 3.0_f64.to_bits());
                 assert_eq!(a.source_type, SourceType::Social);
-                assert_eq!(a.body, "battery life review");
+                assert_eq!(&*a.body, "battery life review");
                 assert!(!a.title_terms.is_empty(), "replay re-analyzes");
-                assert_eq!(b.body, "battery life review, updated");
+                assert_eq!(&*b.body, "battery life review, updated");
             }
             other => panic!("wrong kinds: {other:?}"),
         }

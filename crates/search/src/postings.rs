@@ -16,8 +16,8 @@
 //! The store has two physical layouts behind one logical interface:
 //!
 //! * **Raw** ([`PostingsStore::new`]): `Posting` structs plus a dense
-//!   doc-id mirror and a CSR positions mirror — pointer-free scans,
-//!   maximal speed, ~44 bytes per posting.
+//!   doc-id mirror and one CSR positions array — pointer-free scans,
+//!   maximal speed, 20 bytes per posting plus 4 per position.
 //! * **Compressed** ([`PostingsStore::new_compressed`]): per-term byte
 //!   streams of [`BLOCK_LEN`]-posting blocks (delta + bit-packed doc
 //!   ids and term frequencies, see [`crate::codec`]) and varint
@@ -52,7 +52,9 @@ pub type DocNum = u32;
 /// Dense interned term identifier (index into the posting-list table).
 pub type TermId = u32;
 
-/// One document's entry in a term's posting list (raw layout).
+/// One document's entry in a term's posting list (raw layout). Its
+/// token positions live in the store's CSR array
+/// ([`PostingsStore::positions_by_id`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Posting {
     /// Dense document number.
@@ -61,9 +63,6 @@ pub struct Posting {
     pub title_tf: u32,
     /// Occurrences in the body.
     pub body_tf: u32,
-    /// Token positions (title tokens first, then body tokens offset by the
-    /// title length), for the proximity bonus.
-    pub positions: Vec<u32>,
 }
 
 /// One term's compressed posting list: concatenated encoded blocks plus
@@ -100,17 +99,13 @@ pub struct PostingsStore {
     dict: HashMap<String, TermId>,
     lists: Vec<Vec<Posting>>,
     // Dense doc-number mirror of each list (`doc_ids[t][i] ==
-    // lists[t][i].doc`). A `Posting` is 40 bytes with its inline
-    // position vector, so navigation striding full postings wastes
-    // ~90% of every cache line it pulls; seeks and merges walk this
-    // 4-byte-per-entry mirror instead.
+    // lists[t][i].doc`): seeks and merges walk this 4-byte-per-entry
+    // mirror instead of striding 12-byte postings.
     doc_ids: Vec<Vec<DocNum>>,
-    // CSR mirror of the per-posting position vectors: posting i of term
-    // t owns `pos_flat[t][pos_offsets[t][i]..pos_offsets[t][i+1]]`.
-    // Scoring reads positions through this (one predictable indexed
-    // load) instead of chasing each posting's inline `Vec` (two
-    // dependent cache misses), so the kernel never touches the posting
-    // structs at all.
+    // The positions of every posting, in CSR form: posting i of term t
+    // owns `pos_flat[t][pos_offsets[t][i]..pos_offsets[t][i+1]]`. This
+    // is the only copy, and scoring reads it with one predictable
+    // indexed load, so the kernel never touches the posting structs.
     pos_offsets: Vec<Vec<u32>>,
     pos_flat: Vec<Vec<u32>>,
     blocks: Vec<Vec<BlockSummary>>,
@@ -189,15 +184,12 @@ impl PostingsStore {
             if self.compressed {
                 self.push_posting_packed(id, doc, title_tf, body_tf, positions);
             } else {
-                self.push_posting(
-                    id,
-                    Posting {
-                        doc,
-                        title_tf,
-                        body_tf,
-                        positions: positions.copied().collect(),
-                    },
-                );
+                let posting = Posting {
+                    doc,
+                    title_tf,
+                    body_tf,
+                };
+                self.push_posting(id, posting, positions);
             }
         }
     }
@@ -222,15 +214,21 @@ impl PostingsStore {
         }
     }
 
-    /// Appends one posting to a raw list, maintaining the block table.
-    fn push_posting(&mut self, id: TermId, posting: Posting) {
+    /// Appends one posting and its positions to a raw list, maintaining
+    /// the block table.
+    fn push_posting<'a>(
+        &mut self,
+        id: TermId,
+        posting: Posting,
+        positions: impl ExactSizeIterator<Item = &'a u32>,
+    ) {
         let list = &mut self.lists[id as usize];
         Self::push_block_entry(&mut self.blocks[id as usize], list.len(), posting.doc);
         self.total_postings += 1;
-        self.total_positions += posting.positions.len() as u64;
+        self.total_positions += positions.len() as u64;
         self.doc_ids[id as usize].push(posting.doc);
         let flat = &mut self.pos_flat[id as usize];
-        flat.extend_from_slice(&posting.positions);
+        flat.extend(positions);
         self.pos_offsets[id as usize].push(flat.len() as u32);
         list.push(posting);
     }
@@ -333,11 +331,10 @@ impl PostingsStore {
         &self.doc_ids[id as usize]
     }
 
-    /// Token positions of posting `at` of a list, served from the flat
-    /// CSR mirror (identical contents to
-    /// `postings_by_id(id)[at].positions`, no pointer chase).
-    /// Raw layout only; both layouts serve positions through
-    /// [`PostingsStore::for_each_position`].
+    /// Token positions of posting `at` of a list (title tokens first,
+    /// then body tokens offset by the title length), served from the
+    /// flat CSR array. Raw layout only; both layouts serve positions
+    /// through [`PostingsStore::for_each_position`].
     #[inline]
     pub fn positions_by_id(&self, id: TermId, at: usize) -> &[u32] {
         debug_assert!(!self.compressed, "positions_by_id requires the raw layout");
@@ -521,8 +518,8 @@ impl PostingsStore {
         let block_entries: u64 = self.blocks.iter().map(|b| b.len() as u64).sum();
         let raw_postings_bytes =
             postings * (std::mem::size_of::<Posting>() + std::mem::size_of::<DocNum>()) as u64;
-        // Inline vectors plus the flat CSR mirror and its offset arrays.
-        let raw_positions_bytes = 2 * positions * std::mem::size_of::<u32>() as u64
+        // The flat CSR array and its offset arrays.
+        let raw_positions_bytes = positions * std::mem::size_of::<u32>() as u64
             + (postings + vocab) * std::mem::size_of::<u32>() as u64;
         let (postings_bytes, positions_bytes) = if self.compressed {
             let data: u64 = self
@@ -609,7 +606,8 @@ mod tests {
         let p = &store.postings("laptop")[0];
         assert_eq!(p.title_tf, 1);
         assert_eq!(p.body_tf, 1);
-        assert_eq!(p.positions, vec![0, 2]);
+        let id = store.term_id("laptop").unwrap();
+        assert_eq!(store.positions_by_id(id, 0), [0, 2]);
         let p = &store.postings("battery")[0];
         assert_eq!(p.title_tf, 0);
         assert_eq!(p.body_tf, 1);

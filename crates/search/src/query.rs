@@ -268,9 +268,11 @@ impl SearchEngine {
 /// over every matching document, then host crowding. The only changes
 /// from the historical implementation are shared-work fixes that cannot
 /// affect output: snippets are extracted after crowding + truncation
-/// instead of for the whole overfetch pool, and the per-document
+/// instead of for the whole overfetch pool, the per-document
 /// score/match/position accumulators live in one map instead of three
-/// (dropping the redundant re-hash per document in the blend pass).
+/// (dropping the redundant re-hash per document in the blend pass), and
+/// each posting's positions are read from the store's one positions
+/// array instead of a copy inside the posting.
 pub mod reference {
     use std::collections::HashMap;
 
@@ -309,9 +311,12 @@ pub mod reference {
         }
         let mut accs: HashMap<DocNum, Acc> = HashMap::new();
         for term in &terms {
-            let postings = store.postings(term);
+            let Some(id) = store.term_id(term) else {
+                continue;
+            };
+            let postings = store.postings_by_id(id);
             let df = postings.len() as u32;
-            for posting in postings {
+            for (at, posting) in postings.iter().enumerate() {
                 let meta = engine.index.doc(posting.doc);
                 let s = term_score(
                     &params.bm25,
@@ -328,7 +333,7 @@ pub mod reference {
                 });
                 acc.score += s;
                 acc.matched += 1;
-                acc.positions.push(&posting.positions);
+                acc.positions.push(store.positions_by_id(id, at));
             }
         }
 
@@ -402,7 +407,7 @@ pub mod reference {
     /// against itself: lowercase the body, take the first hit of any term
     /// in it, and map that offset back to the char of the body it starts
     /// in.
-    fn extract_snippet(body: &str, query_terms: &[String], width: usize) -> String {
+    pub fn extract_snippet(body: &str, query_terms: &[String], width: usize) -> String {
         let lower = body.to_lowercase();
         let hit = query_terms
             .iter()

@@ -1,16 +1,18 @@
 //! SERP assembly: blending, host crowding, snippets.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use shift_corpus::{PageId, SourceType};
+use shift_textkit::excerpt::{Excerpt, ELLIPSIS};
 
 /// One search result.
 ///
 /// Its text fields are immutable shared strings: url, host and title are
-/// the index's own (on the raw layout), and the evidence snippets and
-/// citations built from a result share its url and snippet, so cloning
-/// a result or a SERP allocates no text. `Debug` prints them exactly as
-/// `String`s.
+/// the index's own (on the raw layout), the snippet is a window of the
+/// index's own body text, and the evidence snippets and citations built
+/// from a result share its url and snippet, so cloning a result or a
+/// SERP allocates no text. `Debug` prints them exactly as `String`s.
 #[derive(Debug, Clone)]
 pub struct SerpResult {
     /// The result page.
@@ -24,7 +26,7 @@ pub struct SerpResult {
     /// Page title.
     pub title: Arc<str>,
     /// Query-biased snippet.
-    pub snippet: Arc<str>,
+    pub snippet: Excerpt,
     /// Source typology of the hosting domain.
     pub source_type: SourceType,
     /// Page age in days at the reference date.
@@ -69,12 +71,19 @@ pub fn apply_host_crowding(results: Vec<SerpResult>, max_per_host: usize) -> Vec
         .collect()
 }
 
-/// Extracts a query-biased snippet into `out` (cleared first): a window
-/// of `width` bytes around the first occurrence of any query term in the
-/// body (case-insensitive), falling back to the body prefix. The kernel
-/// composes every snippet in one reused buffer and copies each once into
-/// the result's shared string.
-pub fn extract_snippet(body: &str, query_terms: &[String], width: usize, out: &mut String) {
+/// The query-biased snippet of the body `text[body]`: a window of
+/// `width` bytes around the first occurrence of any query term in the
+/// body (case-insensitive), falling back to the body prefix, trimmed,
+/// with a `…` on each side where the body goes on. The excerpt shares
+/// `text`, so cutting it allocates nothing.
+pub fn extract_snippet(
+    text: &Arc<str>,
+    body: Range<usize>,
+    query_terms: &[String],
+    width: usize,
+) -> Excerpt {
+    let offset = body.start;
+    let body = &text[body];
     let center = find_lowercase(body, query_terms).unwrap_or(0);
     let half = width / 2;
     let mut start = center.saturating_sub(half);
@@ -85,14 +94,10 @@ pub fn extract_snippet(body: &str, query_terms: &[String], width: usize, out: &m
     while end < body.len() && !body.is_char_boundary(end) {
         end += 1;
     }
-    out.clear();
-    if start > 0 {
-        out.push('…');
-    }
-    out.push_str(body[start..end].trim());
-    if end < body.len() {
-        out.push('…');
-    }
+    let cut = &body[start..end];
+    let window = offset + start + (cut.len() - cut.trim_start().len());
+    let window = window..window + cut.trim().len();
+    Excerpt::new(Arc::clone(text), window, start > 0, end < body.len())
 }
 
 /// The first match of any needle in `text.to_lowercase()`, as a char
@@ -141,6 +146,23 @@ pub fn contains_lowercase<N: AsRef<str>>(text: &str, needles: &[N], found: &mut 
         for (f, n) in found.iter_mut().zip(needles) {
             *f = lower.contains(n.as_ref());
         }
+    }
+}
+
+/// [`contains_lowercase`] over an excerpt's composed text, searching
+/// only its window unless a needle holds a `…`. That is exact: a needle
+/// without `…` cannot match across an ellipsis, and an ellipsis, neither
+/// cased nor case-ignorable, settles a `Σ`'s final form as the end of
+/// the text would.
+pub fn excerpt_contains_lowercase<N: AsRef<str>>(
+    excerpt: &Excerpt,
+    needles: &[N],
+    found: &mut [bool],
+) {
+    if needles.iter().any(|n| n.as_ref().contains(ELLIPSIS)) {
+        contains_lowercase(&excerpt.to_string(), needles, found);
+    } else {
+        contains_lowercase(excerpt.window(), needles, found);
     }
 }
 
@@ -328,9 +350,8 @@ mod tests {
     }
 
     fn extract(body: &str, terms: &[String], width: usize) -> String {
-        let mut out = String::from("stale");
-        extract_snippet(body, terms, width, &mut out);
-        out
+        let text: Arc<str> = format!("title{body}").into();
+        extract_snippet(&text, 5..text.len(), terms, width).to_string()
     }
 
     #[test]

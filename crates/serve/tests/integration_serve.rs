@@ -30,7 +30,7 @@ fn fingerprint(answer: &EngineAnswer) -> String {
     }
     for s in answer.snippets.iter() {
         out.push('\x1f');
-        out.push_str(&s.text);
+        out.extend(s.text.pieces());
     }
     out
 }

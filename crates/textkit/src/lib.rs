@@ -8,6 +8,8 @@
 //!   the one-string normalized query ([`normalize_query`], the answer
 //!   cache's key text), per-token analysis ([`analyze_token`]) and
 //!   whole-text analysis ([`analyze`]).
+//! * [`excerpt`] — [`Excerpt`], a snippet held as a window over shared
+//!   text plus its two ellipsis flags, composed only when written out.
 //! * [`mod@stem`] — a light suffix-stripping stemmer (a pragmatic Porter subset)
 //!   so that "laptops" and "laptop" index to the same term.
 //! * [`stopwords`] — the English stopword list applied at indexing time.
@@ -28,12 +30,14 @@
 #![forbid(unsafe_code)]
 
 pub mod distance;
+pub mod excerpt;
 pub mod ngram;
 pub mod stem;
 pub mod stopwords;
 pub mod tokenize;
 
 pub use distance::{jaro_winkler, levenshtein, normalized_levenshtein};
+pub use excerpt::Excerpt;
 pub use ngram::ngrams;
 pub use stem::stem;
 pub use stopwords::is_stopword;

@@ -32,7 +32,7 @@ cargo test -q -p shift-serve --test chaos_serve
 echo "== resilience: chaos smoke + availability gate (vs committed BENCH_serve.json) =="
 cargo run --release --example run_serve -- --chaos
 
-echo "== allocations per hit, per cold answer and per index build, gated exactly (vs committed BENCH_serve.json) =="
+echo "== allocations per hit, per cold answer (no snippet copies) and per index build (positions stored once), gated exactly (vs committed BENCH_serve.json) =="
 cargo run --release --example run_serve -- --alloc
 
 echo "== replicated tier: routing/failover/open-loop suite =="
@@ -63,6 +63,9 @@ echo "== cache keys: one-pass answer-cache key == joined tokens, SERP-cache key 
 cargo test -q -p shift-textkit --test normalize_equivalence
 cargo test -q -p shift-engines --test serp_key_equivalence
 
+echo "== snippets: Excerpt window == oracle snippet String (Display, Debug, ==), attribution on the window == on the composed text =="
+cargo test -q -p shift-search --test excerpt_equivalence
+
 echo "== compressed postings: codec round-trips + partial-block subranges =="
 cargo test -q -p shift-search --test codec_roundtrip
 
@@ -86,7 +89,7 @@ echo "== engine stack: answer invariants + build-time text tables == per-result 
 cargo test -q -p shift-engines --test proptest_engines
 cargo test -q -p shift-engines --test precomputed_text
 
-echo "== engine stack: result text shared from the index to the answer (pointer identity + allocations per cold answer) =="
+echo "== engine stack: result text and snippet windows shared from the doc store to the answer (pointer identity + cold answer allocates one fewer per result than with copied snippets) =="
 cargo test -q -p shift-engines --test shared_text
 
 echo "== lint: clippy on every workspace package except the compat/* shims (all targets: lib, tests, benches, examples) =="
