@@ -5,7 +5,7 @@
 //! survive them has to be tested against exactly that behaviour. This
 //! module makes the flakiness *reproducible*: a [`FaultPlan`] declares
 //! what can go wrong (transient errors, latency spikes, truncated
-//! payloads, engine-outage windows) and a [`FaultInjector`] wraps an
+//! payloads, panics, engine-outage windows) and a [`FaultInjector`] wraps an
 //! [`AnswerEngines`] behind the [`FallibleEngines`] trait, deciding
 //! whether each attempt goes wrong from seeds alone.
 //!
@@ -145,6 +145,9 @@ pub enum FaultDecision {
     /// duration (the decision to spike is seeded; only the sleep itself
     /// consumes wall-clock time).
     Spike(Duration),
+    /// Panic inside the attempt, the way a bug in an engine client
+    /// would: the serving layer must contain it, not the engine front.
+    Panic,
 }
 
 /// A declarative chaos scenario: fault rates, spike shape and outage
@@ -163,6 +166,9 @@ pub struct FaultPlan {
     pub spike_rate: f64,
     /// Duration of an injected latency spike.
     pub spike: Duration,
+    /// Per-attempt probability of a panic. Drawn after every other
+    /// fault, so a zero rate leaves the other decisions untouched.
+    pub panic_rate: f64,
     /// Engine-unavailability windows on the request-phase axis.
     pub outages: Vec<OutageWindow>,
 }
@@ -193,13 +199,15 @@ impl FaultPlan {
             truncated_rate: 0.0,
             spike_rate: 0.0,
             spike: Duration::ZERO,
+            panic_rate: 0.0,
             outages: Vec::new(),
         }
     }
 
     /// The committed standard chaos plan: 40 % transient errors, 10 %
-    /// truncated payloads, 5 % half-millisecond latency spikes, and one
-    /// full outage window taking Gemini down for every request.
+    /// truncated payloads, 5 % half-millisecond latency spikes, no
+    /// panics, and one full outage window taking Gemini down for every
+    /// request.
     pub fn standard(epoch: u64) -> FaultPlan {
         FaultPlan {
             epoch,
@@ -207,6 +215,7 @@ impl FaultPlan {
             truncated_rate: 0.10,
             spike_rate: 0.05,
             spike: Duration::from_micros(500),
+            panic_rate: 0.0,
             outages: vec![OutageWindow {
                 engine: EngineKind::Gemini,
                 start: 0.0,
@@ -268,6 +277,9 @@ impl FaultPlan {
         if unit(rng.next_u64()) < self.spike_rate {
             return FaultDecision::Spike(self.spike);
         }
+        if unit(rng.next_u64()) < self.panic_rate {
+            return FaultDecision::Panic;
+        }
         FaultDecision::None
     }
 }
@@ -320,6 +332,7 @@ impl FallibleEngines for FaultInjector {
                 Ok(self.stack.answer_with(scratch, kind, query, k, seed))
             }
             FaultDecision::None => Ok(self.stack.answer_with(scratch, kind, query, k, seed)),
+            FaultDecision::Panic => panic!("injected panic: {kind:?} attempt {attempt}"),
         }
     }
 }
@@ -391,6 +404,28 @@ mod tests {
             "observed transient rate {rate:.3} vs configured {}",
             plan.transient_rate
         );
+    }
+
+    #[test]
+    fn a_panic_rate_only_turns_clean_attempts_into_panics() {
+        let base = FaultPlan::standard(5);
+        let panicky = FaultPlan {
+            panic_rate: 0.3,
+            ..base.clone()
+        };
+        let mut panics = 0usize;
+        for kind in EngineKind::ALL {
+            for seed in 0..512u64 {
+                let (before, after) = (base.decide(kind, seed, 0), panicky.decide(kind, seed, 0));
+                if after == FaultDecision::Panic {
+                    assert_eq!(before, FaultDecision::None, "{kind:?}/{seed}");
+                    panics += 1;
+                } else {
+                    assert_eq!(before, after, "{kind:?}/{seed}");
+                }
+            }
+        }
+        assert!(panics > 0, "a 30% panic rate must draw some panics");
     }
 
     #[test]

@@ -36,6 +36,6 @@ pub use single_flight::{SingleFlight, SingleFlightStats};
 pub use stack::AnswerEngines;
 
 // Re-exported so serving workers can hold a per-worker retrieval
-// scratch (and report its kernel counters) without depending on
-// `shift-search` directly.
-pub use shift_search::{KernelStats, QueryScratch};
+// scratch, and callers can borrow their thread's (and report its
+// kernel counters), without depending on `shift-search` directly.
+pub use shift_search::{with_thread_scratch, KernelStats, QueryScratch};

@@ -165,6 +165,22 @@ impl KernelStats {
         self.candidates_pruned += other.candidates_pruned;
         self.scratch_fallbacks += other.scratch_fallbacks;
     }
+
+    /// The counts added since `earlier`, a reading of the same counter
+    /// set — how a caller attributes one request's work on a scratch
+    /// that outlives it (the thread's shared scratch). A counter reset
+    /// in between reads as zero.
+    pub fn since(self, earlier: KernelStats) -> KernelStats {
+        KernelStats {
+            docs_scored: self.docs_scored.saturating_sub(earlier.docs_scored),
+            candidates_pruned: self
+                .candidates_pruned
+                .saturating_sub(earlier.candidates_pruned),
+            scratch_fallbacks: self
+                .scratch_fallbacks
+                .saturating_sub(earlier.scratch_fallbacks),
+        }
+    }
 }
 
 /// One document's accumulator slot in the dense pass.

@@ -13,9 +13,15 @@ use crate::router::{RoutePolicy, RouterConfig};
 /// Tunables for one [`crate::AnswerService`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads executing answers.
+    /// Worker threads serving the misses queued by
+    /// [`crate::AnswerService::submit`] and the stale-while-revalidate
+    /// refreshes. A miss of the blocking
+    /// [`crate::AnswerService::answer`] runs on its caller's thread
+    /// instead, so each synchronous caller adds at most one miss in
+    /// flight beyond the pool's.
     pub workers: usize,
-    /// Bounded depth of the admission queue; a full queue rejects with
+    /// Bounded depth of the admission queue behind
+    /// [`crate::AnswerService::submit`]; a full queue rejects with
     /// [`crate::ServeError::Overloaded`].
     pub queue_depth: usize,
     /// Per-request deadline, measured from admission.

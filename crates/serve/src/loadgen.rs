@@ -8,11 +8,12 @@
 //! Two driving modes:
 //!
 //! * **Closed loop** ([`LoadMode::Closed`]): `clients` threads each issue
-//!   their next request only after the previous one finishes — classic
-//!   benchmark concurrency, throughput limited by service latency.
-//! * **Open loop** ([`LoadMode::Open`]): requests are submitted at a
-//!   fixed arrival rate regardless of completions, then collected; this
-//!   is the mode that exercises backpressure honestly.
+//!   their next request through the blocking `answer` only after the
+//!   previous one finishes — classic benchmark concurrency, throughput
+//!   limited by service latency. Each client runs its own misses.
+//! * **Open loop** ([`LoadMode::Open`]): requests are submitted to the
+//!   worker pool at a fixed arrival rate regardless of completions, then
+//!   collected; this is the mode that exercises backpressure honestly.
 //!
 //! The replicated tier is driven differently: [`open_loop_arrivals`]
 //! materializes a seeded Poisson arrival stream (thinned by a
@@ -637,7 +638,8 @@ impl ChaosReport {
 /// once with resilience enabled and once disabled, reporting availability
 /// for both.
 ///
-/// Each run is driven serially (one worker, one closed-loop client) so
+/// Each run is driven serially (one closed-loop client, whose misses run
+/// on its own thread, and one worker for the background refreshes) so
 /// the tally is bit-reproducible: with every fault decision seeded, the
 /// same `ChaosConfig` yields the same [`ChaosReport`] on every machine,
 /// every time.

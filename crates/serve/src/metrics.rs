@@ -165,7 +165,8 @@ impl ServiceMetrics {
         self.refreshes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a panic a worker caught while serving a job or a refresh.
+    /// Record a panic caught while serving a miss or a refresh, on a
+    /// worker or on a synchronous caller's thread.
     pub fn record_worker_panic(&self) {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }

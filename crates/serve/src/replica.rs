@@ -259,6 +259,7 @@ impl FallibleEngines for ReplicaEngines {
             FaultDecision::Spike(_) | FaultDecision::None => {
                 Ok(self.memo.answer(&self.stack, scratch, kind, query, k, seed))
             }
+            FaultDecision::Panic => panic!("injected panic: {kind:?} attempt {attempt}"),
         }
     }
 }

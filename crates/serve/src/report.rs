@@ -60,8 +60,9 @@ pub struct MetricsSnapshot {
     pub failed: u64,
     /// Completed stale-while-revalidate background refreshes.
     pub refreshes: u64,
-    /// Panics workers caught while serving a job or a refresh; each
-    /// failed its request (counted in `failed`), and the worker lived on.
+    /// Panics caught while serving a miss or a refresh, on a worker or
+    /// a synchronous caller's thread; each failed its request (counted in
+    /// `failed`), and the thread lived on.
     pub worker_panics: u64,
     /// Completed requests per second since the service started.
     pub throughput_rps: f64,

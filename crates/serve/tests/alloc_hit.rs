@@ -5,8 +5,8 @@
 //! channel. Its cache key's text is built in one string. So what a hit
 //! allocates must depend neither on how much the answer holds nor on how
 //! many tokens the query has. A counting global allocator counts the
-//! allocations made on the calling thread; worker threads never run a
-//! hit.
+//! allocations made on the calling thread, which is where a hit runs
+//! (and where the warm-up misses of the blocking `answer` run too).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use shift_corpus::{World, WorldConfig};
-use shift_engines::{AnswerEngines, EngineAnswer, EngineKind, QueryScratch};
+use shift_engines::{AnswerEngines, EngineAnswer, EngineKind, FaultDecision, QueryScratch};
 use shift_serve::{
     run_chaos, AnswerService, BreakerState, CacheConfig, CacheKey, ChaosConfig, Degradation,
     EngineError, FallibleEngines, FaultInjector, FaultPlan, OutageWindow, Request,
@@ -411,4 +411,77 @@ fn zero_fault_plan_is_byte_identical_to_the_non_resilient_path() {
     assert_eq!(snap.engine_failures, 0);
     assert_eq!(snap.served_degraded, 0);
     plain.shutdown();
+}
+
+#[test]
+fn injected_panics_fail_once_each_and_both_paths_keep_serving() {
+    let stack = engines();
+    let plan = FaultPlan {
+        panic_rate: 0.25,
+        ..FaultPlan::zero(9)
+    };
+    let service = AnswerService::start_chaos(
+        FaultInjector::new(Arc::clone(&stack), plan.clone()),
+        ServeConfig::with_workers(2).without_cache(),
+    );
+    let request = |i: u64| {
+        Request::new(
+            EngineKind::ALL[(i % 5) as usize],
+            &format!("best phone under {}", 100 + 10 * i),
+            10,
+            i,
+        )
+    };
+    // Without a cache every request makes exactly one attempt, and a
+    // panic is never retried: it draws a panic iff attempt 0 does.
+    let panics = |r: &Request| plan.decide(r.engine, r.seed, 0) == FaultDecision::Panic;
+    let queued: Vec<Request> = (0..40).map(request).collect();
+    let inline: Vec<Request> = (40..80).map(request).collect();
+    let drawn = |rs: &[Request]| rs.iter().filter(|r| panics(r)).count() as u64;
+    assert!(
+        drawn(&queued) > 0 && drawn(&inline) > 0,
+        "both paths draw panics"
+    );
+
+    // The queued half runs on the pool while the inline half runs on this
+    // thread.
+    let pending: Vec<_> = queued
+        .iter()
+        .map(|r| service.submit(r.clone()).expect("the queue fits 40"))
+        .collect();
+    for r in &inline {
+        match service.answer(r.clone()) {
+            Ok(served) => assert!(!panics(r) && served.degradation == Degradation::None),
+            Err(err) => assert!(panics(r) && err == ServeError::WorkerLost, "{err}"),
+        }
+    }
+    for (r, p) in queued.iter().zip(pending) {
+        match p.wait() {
+            Ok(served) => assert!(!panics(r) && served.degradation == Degradation::None),
+            Err(err) => assert!(panics(r) && err == ServeError::WorkerLost, "{err}"),
+        }
+    }
+    let expected = drawn(&queued) + drawn(&inline);
+    let snap = service.snapshot();
+    assert_eq!(snap.worker_panics, expected, "one panic per panic draw");
+    assert_eq!(snap.failed, expected, "each panic fails its request once");
+    assert_eq!(snap.completed, 80 - expected, "one outcome per request");
+    assert_eq!(snap.timed_out, 0);
+
+    // The pool and the calling thread both still serve.
+    let clean = (1000..)
+        .map(request)
+        .find(|r| !panics(r))
+        .expect("a request without a panic draw");
+    service
+        .submit(clean.clone())
+        .expect("the queue has room")
+        .wait()
+        .expect("the pool still serves");
+    service
+        .answer(clean)
+        .expect("the calling thread still serves");
+    let snap = service.shutdown();
+    assert_eq!(snap.completed, 82 - expected);
+    assert_eq!(snap.kernel.scratch_fallbacks, 0);
 }

@@ -19,8 +19,10 @@
 //!
 //! Last, it counts allocations: what one answer-cache hit allocates on
 //! the client thread, what computing one cold answer allocates (the
-//! engine work a worker runs per miss), and what one
-//! `SearchIndex::build` of the world allocates. These are exact work
+//! engine work of a miss), what one cold `AnswerService::answer`
+//! allocates (that work plus key, cache insert and metrics, all on the
+//! calling thread), and what one `SearchIndex::build` of the world
+//! allocates. These are exact work
 //! counts, written to the `alloc` section; unlike the timings they do
 //! not move with the host's speed.
 //!
@@ -185,10 +187,12 @@ fn chaos_json(config: &ChaosConfig, report: &ChaosReport) -> Value {
 /// is measured over.
 const ALLOC_DRAWS: u64 = 500;
 
-/// The `alloc` section, measured on a fresh stack and service so it
-/// leaves the snapshot above untouched: `per_miss` and `per_hit` are
-/// mean allocations over the distinct requests of [`ALLOC_DRAWS`]
-/// workload draws, each first computed cold, then served as a hit;
+/// The `alloc` section, measured on fresh stacks and a fresh service so
+/// it leaves the snapshot above untouched: `per_miss`, `per_served_miss`
+/// and `per_hit` are mean allocations over the distinct requests of
+/// [`ALLOC_DRAWS`] workload draws, each first computed cold on one stack,
+/// then served cold by a service over a second stack (whose SERP cache
+/// is as cold as the first's was), then served as a hit;
 /// `per_index_build` is one `SearchIndex::build` of the world.
 fn alloc_json(workload: &Workload) -> Value {
     let mut rng = StdRng::seed_from_u64(LOAD_SEED);
@@ -200,7 +204,7 @@ fn alloc_json(workload: &Workload) -> Value {
     let n = requests.len() as f64;
     let world = Arc::new(World::generate(&WorldConfig::small(), WORLD_SEED));
     let (build, build_bytes) = counted(|| drop(SearchIndex::build(&world)));
-    let engines = Arc::new(AnswerEngines::build(world));
+    let engines = Arc::new(AnswerEngines::build(Arc::clone(&world)));
 
     let (mut miss, mut miss_bytes) = (0, 0);
     for r in &requests {
@@ -208,9 +212,18 @@ fn alloc_json(workload: &Workload) -> Value {
         miss += allocs;
         miss_bytes += bytes;
     }
-    let service = AnswerService::start(engines, ServeConfig::with_workers(WORKERS));
+    let service = AnswerService::start(
+        Arc::new(AnswerEngines::build(world)),
+        ServeConfig::with_workers(WORKERS),
+    );
+    let mut served_miss = 0;
     for r in &requests {
-        service.answer(r.clone()).expect("warm-up answer");
+        let r = r.clone();
+        let (allocs, _) = counted(|| {
+            let served = service.answer(r).expect("cold answer");
+            assert!(!served.from_cache, "a first request must miss the cache");
+        });
+        served_miss += allocs;
     }
     let (mut hit, mut hit_bytes) = (0, 0);
     for r in &requests {
@@ -224,17 +237,19 @@ fn alloc_json(workload: &Workload) -> Value {
     }
     service.shutdown();
     println!(
-        "alloc: {} distinct requests; {:.1} allocations per miss ({:.0} B), {:.1} per hit ({:.0} B); \
-         {build} per index build ({build_bytes} B)",
+        "alloc: {} distinct requests; {:.1} allocations per miss ({:.0} B), {:.1} per served miss, \
+         {:.1} per hit ({:.0} B); {build} per index build ({build_bytes} B)",
         requests.len(),
         miss as f64 / n,
         miss_bytes as f64 / n,
+        served_miss as f64 / n,
         hit as f64 / n,
         hit_bytes as f64 / n,
     );
     let alloc = [
         ("per_miss", miss as f64 / n),
         ("bytes_per_miss", miss_bytes as f64 / n),
+        ("per_served_miss", served_miss as f64 / n),
         ("per_hit", hit as f64 / n),
         ("bytes_per_hit", hit_bytes as f64 / n),
         ("per_index_build", build as f64),
@@ -248,11 +263,12 @@ fn alloc_json(workload: &Workload) -> Value {
 
 /// Keys of the `alloc` section [`gate_alloc`] holds to the committed
 /// values.
-const ALLOC_KEYS: [&str; 6] = [
+const ALLOC_KEYS: [&str; 7] = [
     "per_hit",
     "bytes_per_hit",
     "per_miss",
     "bytes_per_miss",
+    "per_served_miss",
     "per_index_build",
     "bytes_per_index_build",
 ];

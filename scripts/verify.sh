@@ -26,13 +26,13 @@ cargo test -q -p shift-serve --test alloc_hit
 echo "== resilience: engines fault-injection suite =="
 cargo test -q -p shift-engines fault
 
-echo "== resilience: deterministic chaos suite =="
+echo "== resilience: deterministic chaos suite (incl. injected panics on answer() and submit()) =="
 cargo test -q -p shift-serve --test chaos_serve
 
 echo "== resilience: chaos smoke + availability gate (vs committed BENCH_serve.json) =="
 cargo run --release --example run_serve -- --chaos
 
-echo "== allocations per hit, per cold answer (no snippet copies) and per index build (positions stored once), gated exactly (vs committed BENCH_serve.json) =="
+echo "== allocations per hit, per cold answer (no snippet copies), per served cold answer (run on the calling thread: no reply channel) and per index build (positions stored once), gated exactly (vs committed BENCH_serve.json) =="
 cargo run --release --example run_serve -- --alloc
 
 echo "== replicated tier: routing/failover/open-loop suite =="
