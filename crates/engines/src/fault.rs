@@ -224,20 +224,6 @@ impl FaultPlan {
         }
     }
 
-    /// The same plan re-keyed for one replica of a serving tier.
-    ///
-    /// Rates, spike shape and outage windows are shared, but the epoch is
-    /// re-salted per replica so each replica draws an *independent* fault
-    /// stream over the same workload — replica 0 keeps the base epoch
-    /// verbatim, so a one-replica tier reproduces the single-process
-    /// chaos run bit for bit.
-    pub fn for_replica(&self, replica: usize) -> FaultPlan {
-        FaultPlan {
-            epoch: self.epoch ^ (replica as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
-            ..self.clone()
-        }
-    }
-
     /// The request's phase on the outage axis, uniform in `[0, 1)` and
     /// independent of the attempt number.
     pub fn phase(&self, kind: EngineKind, seed: u64) -> f64 {
@@ -247,8 +233,7 @@ impl FaultPlan {
         ))
     }
 
-    /// True when an outage window of this plan covers the request: a
-    /// health probe routers can consult without burning an attempt.
+    /// True when an outage window of this plan covers the request.
     /// Attempt-independent, like the windows themselves.
     pub fn is_down(&self, kind: EngineKind, seed: u64) -> bool {
         self.outages
@@ -473,25 +458,6 @@ mod tests {
         // Half-open window on a uniform phase axis covers about half.
         let frac = covered as f64 / 512.0;
         assert!((frac - 0.5).abs() < 0.1, "window coverage skew: {frac:.3}");
-    }
-
-    #[test]
-    fn replica_plans_draw_independent_streams() {
-        let base = FaultPlan::standard(7);
-        assert_eq!(
-            base.for_replica(0),
-            base,
-            "replica 0 must keep the base plan verbatim"
-        );
-        let other = base.for_replica(1);
-        assert_eq!(other.transient_rate, base.transient_rate);
-        assert_eq!(other.outages, base.outages);
-        let differs = (0..256u64).any(|seed| {
-            base.decide(EngineKind::Gpt4o, seed, 0) != other.decide(EngineKind::Gpt4o, seed, 0)
-        });
-        assert!(differs, "replica 1 must draw a distinct fault stream");
-        // Distinct replicas differ from each other too.
-        assert_ne!(base.for_replica(1).epoch, base.for_replica(2).epoch);
     }
 
     #[test]

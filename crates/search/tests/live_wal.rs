@@ -5,7 +5,9 @@
 //! SERPs its snapshots serve — to a fresh index that applied exactly
 //! the mutations surviving the cut. Recovery must also be a sound base
 //! for continued ingestion: applying the remaining events to the
-//! recovered index converges with the uncut run.
+//! recovered index converges with the uncut run. A single flipped bit
+//! in the middle of the log, in a frame's payload or its length word,
+//! must recover exactly as a cut at the start of that frame.
 
 use std::sync::{Arc, OnceLock};
 
@@ -125,6 +127,18 @@ fn assert_recovery_at(cut: usize) {
     assert_serves_identically(&recovered, &fresh);
 }
 
+/// The end offset of every frame of an intact log.
+fn frame_ends(wal: &[u8]) -> Vec<usize> {
+    let mut ends = Vec::new();
+    let mut at = 0usize;
+    while at + 12 <= wal.len() {
+        let len = u32::from_le_bytes(wal[at..at + 4].try_into().unwrap()) as usize;
+        at += 12 + len;
+        ends.push(at);
+    }
+    ends
+}
+
 /// Structured cut points: empty, sub-header, around several frame
 /// boundaries, mid-stream, one byte short, and the intact log.
 #[test]
@@ -132,13 +146,7 @@ fn recovery_at_structured_cut_points() {
     let wal = uncut().wal().bytes();
     let n = wal.len();
     // Walk real frame boundaries to place surgical cuts.
-    let mut boundaries = Vec::new();
-    let mut at = 0usize;
-    while at + 12 <= n {
-        let len = u32::from_le_bytes(wal[at..at + 4].try_into().unwrap()) as usize;
-        at += 12 + len;
-        boundaries.push(at);
-    }
+    let boundaries = frame_ends(wal);
     assert!(boundaries.len() > 10, "fixture WAL too small");
     let mid = boundaries[boundaries.len() / 2];
     for cut in [
@@ -183,6 +191,44 @@ fn recovered_index_continues_ingesting_identically() {
     assert_eq!(recovered.counters(), never_crashed.counters());
     assert_eq!(recovered.wal().bytes(), never_crashed.wal().bytes());
     assert_serves_identically(&recovered, never_crashed);
+}
+
+/// One bit flipped inside the middle frame, in its payload or in its
+/// length word (a small length that stays inside the log, and a huge one
+/// past its end): replay stops at that frame, recovery equals a clean cut
+/// at the frame's start, and the recovered index resumes ingestion in
+/// lockstep with one that never crashed.
+#[test]
+fn a_flipped_bit_mid_log_recovers_as_a_cut_at_its_frame() {
+    let wal = uncut().wal().bytes();
+    let ends = frame_ends(wal);
+    let start = ends[ends.len() / 2 - 1];
+    let len = ends[ends.len() / 2] - start - 12;
+    assert!(len > 8, "middle frame has a payload");
+    let clean = LiveIndex::recover(config(), &wal[..start]);
+    let survived = WriteAheadLog::replay(&wal[..start]).len();
+    for (byte, bit, what) in [
+        (start + 12 + len / 2, 4, "payload"),
+        (start, 2, "length word, low byte"),
+        (start + 3, 7, "length word, high byte"),
+    ] {
+        let mut corrupt = wal.to_vec();
+        corrupt[byte] ^= 1 << bit;
+        assert_eq!(
+            WriteAheadLog::replay(&corrupt).len(),
+            survived,
+            "{what}: replay must stop at the flipped frame"
+        );
+        let mut recovered = LiveIndex::recover(config(), &corrupt);
+        assert_eq!(recovered.counters(), clean.counters(), "{what}");
+        assert_eq!(recovered.wal().bytes(), clean.wal().bytes(), "{what}");
+        assert_serves_identically(&recovered, &clean);
+        apply_events(&mut recovered, survived, uncut_to());
+        assert_eq!(recovered.counters(), uncut().counters(), "{what}");
+        assert_eq!(recovered.wal().bytes(), uncut().wal().bytes(), "{what}");
+        assert_serves_identically(&recovered, uncut());
+    }
+    assert_recovery_at(start);
 }
 
 proptest! {

@@ -4,12 +4,14 @@
 //! batch study asks "how do the engines differ?", this crate asks "how
 //! fast can one box answer live traffic from all five of them?".
 //!
-//! * [`service`] — [`AnswerService`]: a fixed-size worker pool fed by a
-//!   bounded crossbeam channel with admission control (typed
-//!   [`ServeError::Overloaded`] / [`ServeError::TimedOut`] rejections),
-//!   per-request deadlines, and graceful drain-then-join shutdown.
+//! * [`service`] — [`AnswerService`]: the blocking `answer` serves a
+//!   miss on the calling thread; `submit` queues it for a fixed-size
+//!   worker pool behind a bounded channel with admission control (typed
+//!   [`ServeError::Overloaded`] / [`ServeError::TimedOut`] rejections).
+//!   Both share one resilience ladder, per-request deadlines, and
+//!   graceful drain-then-join shutdown.
 //! * [`cache`] — [`AnswerCache`]: a sharded, TTL-aware LRU keyed by
-//!   token-normalized query text ([`shift_textkit::tokenize`]) plus
+//!   the normalized query text ([`shift_textkit::normalize_query`]) plus
 //!   engine, depth, and seed, with per-shard `parking_lot` locks and
 //!   hit / miss / eviction counters.
 //! * [`metrics`] — [`ServiceMetrics`]: per-engine latency recording with
@@ -24,13 +26,6 @@
 //!   backoff, per-engine lock-free circuit breakers, and the
 //!   [`Degradation`] ladder (stale-while-revalidate cache serving, then
 //!   the organic Google SERP as a citation-only answer).
-//! * [`replica`] + [`router`] — the replicated tier: N simulated
-//!   replicas (each the full breaker/ladder stack on a deterministic
-//!   virtual clock, with its own bounded queue, fault plan, and
-//!   metrics) behind a [`Router`] with pluggable policies (round-robin,
-//!   least-outstanding, power-of-two-choices) and health-aware failover
-//!   within the deadline budget; driven by the seeded open-loop Poisson
-//!   arrivals of [`loadgen::open_loop_arrivals`] via [`run_replicated`].
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -57,29 +52,21 @@ pub mod config;
 pub mod error;
 pub mod loadgen;
 pub mod metrics;
-pub mod replica;
 pub mod report;
 pub mod resilience;
-pub mod router;
 pub mod service;
 
 pub use cache::{AnswerCache, CacheConfig, CacheKey, CacheStats};
-pub use config::{ReplicatedConfig, ServeConfig};
+pub use config::ServeConfig;
 pub use error::ServeError;
 pub use loadgen::{
-    open_loop_arrivals, run_chaos, run_load, run_replicated, Arrival, ChaosConfig, ChaosReport,
-    DiurnalCurve, LoadConfig, LoadMode, LoadOutcome, OpenLoopConfig, Workload,
+    run_chaos, run_load, ChaosConfig, ChaosReport, LoadConfig, LoadMode, LoadOutcome, Workload,
 };
 pub use metrics::ServiceMetrics;
-pub use replica::{
-    AnswerMemo, Offer, OfferRejected, Replica, ReplicaConfig, ReplicaServed, ServiceModel,
-    TickWindow, TICKS_PER_SEC,
-};
-pub use report::{BatchServeStats, LiveServeStats, MetricsSnapshot, ReplicaSummary, ReplicatedRun};
+pub use report::{BatchServeStats, LiveServeStats, MetricsSnapshot};
 pub use resilience::{
     Admission, BreakerSet, BreakerState, CircuitBreaker, Degradation, ResilienceConfig,
 };
-pub use router::{RoutePolicy, Routed, Router, RouterConfig, RouterStats};
 pub use service::{AnswerService, PendingAnswer, Request, ServedAnswer};
 
 // Re-exported for chaos-harness callers, so building a fault plan does

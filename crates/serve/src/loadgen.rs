@@ -11,17 +11,12 @@
 //!   their next request through the blocking `answer` only after the
 //!   previous one finishes — classic benchmark concurrency, throughput
 //!   limited by service latency. Each client runs its own misses.
-//! * **Open loop** ([`LoadMode::Open`]): requests are submitted to the
-//!   worker pool at a fixed arrival rate regardless of completions, then
-//!   collected; this is the mode that exercises backpressure honestly.
+//! * **Open loop** ([`LoadMode::Open`]): one thread submits requests to
+//!   the worker pool at a fixed arrival rate regardless of completions,
+//!   sleeping on the wall clock until each is due, then collects the
+//!   answers; this is the mode that exercises backpressure honestly.
 //!
-//! The replicated tier is driven differently: [`open_loop_arrivals`]
-//! materializes a seeded Poisson arrival stream (thinned by a
-//! [`DiurnalCurve`]) on the *virtual* clock, and [`run_replicated`]
-//! replays it through a [`Router`] over simulated [`crate::Replica`]s —
-//! offered load stays independent of completion rate (so the saturation
-//! cliff is visible) with zero wall-time nondeterminism (so same-seed
-//! reports are byte-identical).
+//! [`run_chaos`] replays the closed loop under a seeded fault plan.
 //!
 //! Everything is seeded: the same `(workload seed, load seed)` pair
 //! yields the same request sequence, and each request's decode seed is
@@ -36,16 +31,10 @@ use shift_corpus::{Vertical, World};
 use shift_engines::{AnswerEngines, EngineKind, FaultInjector, FaultPlan};
 use shift_queries::{comparison_queries, intent_queries, ranking_queries, vertical_queries, Query};
 
-use shift_metrics::bootstrap::SplitMix64;
-
 use crate::cache::CacheConfig;
-use crate::config::{ReplicatedConfig, ServeConfig};
+use crate::config::ServeConfig;
 use crate::error::ServeError;
-use crate::metrics::EngineLatencySummary;
-use crate::replica::{unit, AnswerMemo, TICKS_PER_SEC};
-use crate::report::ReplicatedRun;
 use crate::resilience::{Degradation, ResilienceConfig};
-use crate::router::Router;
 use crate::service::{AnswerService, Request, ServedAnswer};
 
 /// A fixed query pool with a Zipfian repeat distribution over it.
@@ -378,150 +367,6 @@ fn run_open(
     outcome
 }
 
-/// Smooth diurnal modulation of the open-loop arrival rate.
-///
-/// A raised cosine over `period_ticks`: the thinning factor is `trough`
-/// at tick 0, rises to 1.0 at half period, and returns — the classic
-/// overnight-trough / midday-peak shape, with no discontinuities to
-/// alias against the Poisson stream.
-#[derive(Debug, Clone)]
-pub struct DiurnalCurve {
-    /// Ticks per diurnal cycle.
-    pub period_ticks: u64,
-    /// Thinning factor at the trough, in `[0, 1]`.
-    pub trough: f64,
-}
-
-impl DiurnalCurve {
-    /// No modulation: every Poisson candidate survives.
-    pub fn flat() -> DiurnalCurve {
-        DiurnalCurve {
-            period_ticks: 1,
-            trough: 1.0,
-        }
-    }
-
-    /// Accept probability at tick `at`.
-    pub fn factor(&self, at: u64) -> f64 {
-        if self.trough >= 1.0 || self.period_ticks == 0 {
-            return 1.0;
-        }
-        let frac = (at % self.period_ticks) as f64 / self.period_ticks as f64;
-        self.trough + (1.0 - self.trough) * 0.5 * (1.0 - (2.0 * std::f64::consts::PI * frac).cos())
-    }
-}
-
-/// Parameters of the virtual-clock open-loop arrival process.
-#[derive(Debug, Clone)]
-pub struct OpenLoopConfig {
-    /// Peak arrival rate (requests per virtual second); the diurnal
-    /// curve thins below it.
-    pub peak_rate_per_sec: f64,
-    /// Virtual horizon: arrivals are generated on `[0, horizon)` ticks.
-    pub horizon_ticks: u64,
-    /// Rate modulation over the horizon.
-    pub diurnal: DiurnalCurve,
-    /// Engines to rotate through.
-    pub engines: Vec<EngineKind>,
-    /// Answer depth for every request.
-    pub top_k: usize,
-    /// Seed of the inter-arrival and thinning draws.
-    pub seed: u64,
-}
-
-/// One open-loop arrival: a request stamped with its virtual time.
-#[derive(Debug, Clone)]
-pub struct Arrival {
-    /// Arrival tick.
-    pub at: u64,
-    /// The request.
-    pub request: Request,
-}
-
-/// Materialize the seeded Poisson arrival stream.
-///
-/// Candidates are drawn at the peak rate (exponential inter-arrival
-/// gaps) and thinned with probability [`DiurnalCurve::factor`]; survivors
-/// draw their query from the Zipfian `workload`. Pure in
-/// `(workload, config)` — no wall clock anywhere — so the same seeds
-/// produce the same stream on every machine.
-pub fn open_loop_arrivals(workload: &Workload, config: &OpenLoopConfig) -> Vec<Arrival> {
-    let mut arrivals = Vec::new();
-    if config.peak_rate_per_sec <= 0.0 || config.horizon_ticks == 0 {
-        return arrivals;
-    }
-    let mut clock = SplitMix64::new(config.seed ^ 0x4f50_454e_4c4f_4f50);
-    let mut queries = StdRng::seed_from_u64(config.seed ^ 0x0051_5545_5259);
-    let horizon_secs = config.horizon_ticks as f64 / TICKS_PER_SEC as f64;
-    let mut t = 0.0_f64;
-    let mut index = 0_u64;
-    loop {
-        // Exponential gap at the peak rate (1 - u keeps ln away from 0).
-        let gap = -(1.0 - unit(clock.next_u64())).ln() / config.peak_rate_per_sec;
-        t += gap;
-        if t >= horizon_secs {
-            break;
-        }
-        let at = (t * TICKS_PER_SEC as f64) as u64;
-        if unit(clock.next_u64()) < config.diurnal.factor(at) {
-            let request = workload.request_at(&mut queries, index, &config.engines, config.top_k);
-            arrivals.push(Arrival { at, request });
-            index += 1;
-        }
-    }
-    arrivals
-}
-
-/// Replay one open-loop arrival stream through a replicated tier.
-///
-/// Everything — arrivals, routing, queueing, faults, degradation — runs
-/// on the virtual clock, so the returned [`ReplicatedRun`] is a pure
-/// function of `config` (the shared `memo` only dedups answer
-/// computation; answers are pure, so sharing cannot change bytes).
-pub fn run_replicated(
-    stack: &Arc<AnswerEngines>,
-    config: &ReplicatedConfig,
-    memo: &Arc<AnswerMemo>,
-) -> ReplicatedRun {
-    let workload = Workload::mixed(stack.world(), config.workload_seed);
-    let arrivals = open_loop_arrivals(&workload, &config.open_loop);
-    let mut router = Router::new(stack, config.router.clone(), config.replicas.clone(), memo);
-    let mut outcome = LoadOutcome::default();
-    let mut latencies_ms = Vec::with_capacity(arrivals.len());
-    for (index, arrival) in arrivals.iter().enumerate() {
-        match router.route(index as u64, &arrival.request, arrival.at) {
-            Ok(routed) => {
-                outcome.succeeded += 1;
-                match routed.served.degradation {
-                    Degradation::None => {}
-                    Degradation::Stale => {
-                        outcome.served_stale += 1;
-                        outcome.served_degraded += 1;
-                    }
-                    Degradation::SerpFallback => outcome.served_degraded += 1,
-                }
-                latencies_ms.push(routed.served.latency_ticks as f64 * 1e3 / TICKS_PER_SEC as f64);
-            }
-            Err(err) => outcome.absorb(&Err(err)),
-        }
-    }
-    let stats = router.stats();
-    ReplicatedRun {
-        policy: config.router.policy.slug(),
-        failover: config.router.failover,
-        replicas: router.len(),
-        peak_rate_per_sec: config.open_loop.peak_rate_per_sec,
-        horizon_ticks: config.open_loop.horizon_ticks,
-        arrivals: arrivals.len() as u64,
-        outcome,
-        failovers: stats.failovers,
-        queue_rejections: stats.queue_rejections,
-        unrouteable: stats.unrouteable,
-        latency: EngineLatencySummary::of(&latencies_ms),
-        per_replica: router.replicas().iter().map(|r| r.summary()).collect(),
-    }
-}
-
 /// Parameters of one chaos experiment: a fault plan, a workload, and the
 /// resilience policy whose value the experiment measures.
 #[derive(Debug, Clone)]
@@ -744,95 +589,6 @@ mod tests {
         assert!((o.availability() - 0.80).abs() < 1e-12);
         assert!((o.full_fidelity() - 0.55).abs() < 1e-12);
         assert_eq!(LoadOutcome::default().availability(), 1.0, "vacuous run");
-    }
-
-    #[test]
-    fn diurnal_curve_shape() {
-        let curve = DiurnalCurve {
-            period_ticks: 1000,
-            trough: 0.4,
-        };
-        assert!((curve.factor(0) - 0.4).abs() < 1e-12, "trough at tick 0");
-        assert!(
-            (curve.factor(500) - 1.0).abs() < 1e-12,
-            "peak at half period"
-        );
-        assert!((curve.factor(1000) - 0.4).abs() < 1e-12, "periodic");
-        let mid = curve.factor(250);
-        assert!(mid > 0.4 && mid < 1.0);
-        assert_eq!(DiurnalCurve::flat().factor(123), 1.0);
-    }
-
-    #[test]
-    fn open_loop_is_deterministic_and_tracks_the_rate() {
-        let w = world();
-        let workload = Workload::mixed(&w, 9);
-        let config = OpenLoopConfig {
-            peak_rate_per_sec: 2000.0,
-            horizon_ticks: 2 * TICKS_PER_SEC,
-            diurnal: DiurnalCurve::flat(),
-            engines: EngineKind::ALL.to_vec(),
-            top_k: 10,
-            seed: 31,
-        };
-        let a = open_loop_arrivals(&workload, &config);
-        let b = open_loop_arrivals(&workload, &config);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.at, y.at);
-            assert_eq!(x.request.query, y.request.query);
-            assert_eq!(x.request.seed, y.request.seed);
-        }
-        // Unthinned Poisson at 2000/s over 2 s: ~4000 arrivals.
-        let n = a.len() as f64;
-        assert!((3500.0..4500.0).contains(&n), "got {n} arrivals");
-        // Monotone timestamps inside the horizon.
-        for pair in a.windows(2) {
-            assert!(pair[0].at <= pair[1].at);
-        }
-        assert!(a.last().unwrap().at < config.horizon_ticks);
-        // A different seed moves the stream.
-        let other = open_loop_arrivals(
-            &workload,
-            &OpenLoopConfig {
-                seed: 32,
-                ..config.clone()
-            },
-        );
-        assert_ne!(
-            a.iter().map(|x| x.at).collect::<Vec<_>>(),
-            other.iter().map(|x| x.at).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn diurnal_thinning_concentrates_arrivals_at_the_peak() {
-        let w = world();
-        let workload = Workload::mixed(&w, 9);
-        let horizon = 2 * TICKS_PER_SEC;
-        let config = OpenLoopConfig {
-            peak_rate_per_sec: 3000.0,
-            horizon_ticks: horizon,
-            diurnal: DiurnalCurve {
-                period_ticks: horizon,
-                trough: 0.2,
-            },
-            engines: vec![EngineKind::Gpt4o],
-            top_k: 10,
-            seed: 5,
-        };
-        let arrivals = open_loop_arrivals(&workload, &config);
-        // The raised cosine peaks at mid-horizon: the middle half must
-        // hold well over half the arrivals.
-        let middle = arrivals
-            .iter()
-            .filter(|a| a.at >= horizon / 4 && a.at < 3 * horizon / 4)
-            .count();
-        assert!(
-            middle as f64 > arrivals.len() as f64 * 0.55,
-            "middle half holds {middle}/{} arrivals",
-            arrivals.len()
-        );
     }
 
     #[test]

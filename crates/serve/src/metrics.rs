@@ -37,9 +37,6 @@ pub struct ServiceMetrics {
     failed: AtomicU64,
     refreshes: AtomicU64,
     worker_panics: AtomicU64,
-    // Replicated-tier counter: requests the router abandoned on this
-    // replica (outage, full queue, open breaker) and retried elsewhere.
-    failovers: AtomicU64,
     // Retrieval-kernel counters, folded in per job from each worker's
     // scratch.
     docs_scored: AtomicU64,
@@ -84,7 +81,6 @@ impl ServiceMetrics {
             failed: AtomicU64::new(0),
             refreshes: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
             docs_scored: AtomicU64::new(0),
             candidates_pruned: AtomicU64::new(0),
             scratch_fallbacks: AtomicU64::new(0),
@@ -169,17 +165,6 @@ impl ServiceMetrics {
     /// worker or on a synchronous caller's thread.
     pub fn record_worker_panic(&self) {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one request the router abandoned here and retried on
-    /// another replica.
-    pub fn record_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Failovers away from this replica so far.
-    pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
     }
 
     /// Fold one job's retrieval-kernel counters into the service totals.

@@ -8,7 +8,6 @@ use shift_freshness::json::{to_string as json_to_string, Value};
 use shift_metrics::Histogram;
 
 use crate::cache::CacheStats;
-use crate::loadgen::LoadOutcome;
 use crate::metrics::EngineLatencySummary;
 
 /// Latency summary for one engine.
@@ -364,215 +363,6 @@ impl MetricsSnapshot {
     /// `to_json` serialized to a string.
     pub fn to_json_string(&self) -> String {
         json_to_string(&self.to_json())
-    }
-}
-
-/// Deterministic per-replica tally from one replicated-tier run.
-///
-/// Latencies are *virtual* milliseconds (simulated arrival-to-completion
-/// on the tick clock), so the numbers are byte-reproducible across
-/// machines — unlike the wall-clock summaries in [`MetricsSnapshot`].
-#[derive(Debug, Clone)]
-pub struct ReplicaSummary {
-    /// Replica id.
-    pub id: usize,
-    /// Requests this replica served.
-    pub served: u64,
-    /// Requests whose ladder came up empty here.
-    pub failed: u64,
-    /// Requests that finished past the deadline here.
-    pub timed_out: u64,
-    /// Offers bounced by the bounded queue.
-    pub queue_rejections: u64,
-    /// Requests the router abandoned here and retried elsewhere.
-    pub failovers_away: u64,
-    /// Retry attempts inside this replica's ladder.
-    pub retries: u64,
-    /// Serves from the stale-cache rung.
-    pub served_stale: u64,
-    /// Serves below full fidelity (stale + SERP-only).
-    pub served_degraded: u64,
-    /// Requests turned away by an open breaker (inside the ladder).
-    pub breaker_rejections: u64,
-    /// Failed engine attempts.
-    pub engine_failures: u64,
-    /// Completed stale-while-revalidate refreshes.
-    pub refreshes: u64,
-    /// Virtual-latency summary of this replica's serves.
-    pub latency: EngineLatencySummary,
-}
-
-impl ReplicaSummary {
-    fn to_json(&self) -> Value {
-        fn num(v: f64) -> Value {
-            Value::Number(v)
-        }
-        let mut m = BTreeMap::new();
-        m.insert("id".to_string(), num(self.id as f64));
-        m.insert("served".to_string(), num(self.served as f64));
-        m.insert("failed".to_string(), num(self.failed as f64));
-        m.insert("timed_out".to_string(), num(self.timed_out as f64));
-        m.insert(
-            "queue_rejections".to_string(),
-            num(self.queue_rejections as f64),
-        );
-        m.insert(
-            "failovers_away".to_string(),
-            num(self.failovers_away as f64),
-        );
-        m.insert("retries".to_string(), num(self.retries as f64));
-        m.insert("served_stale".to_string(), num(self.served_stale as f64));
-        m.insert(
-            "served_degraded".to_string(),
-            num(self.served_degraded as f64),
-        );
-        m.insert(
-            "breaker_rejections".to_string(),
-            num(self.breaker_rejections as f64),
-        );
-        m.insert(
-            "engine_failures".to_string(),
-            num(self.engine_failures as f64),
-        );
-        m.insert("refreshes".to_string(), num(self.refreshes as f64));
-        m.insert("p50_ms".to_string(), num(self.latency.p50_ms));
-        m.insert("p99_ms".to_string(), num(self.latency.p99_ms));
-        Value::Object(m)
-    }
-}
-
-/// One replicated-tier run: a policy × replica-count × arrival-rate cell.
-#[derive(Debug, Clone)]
-pub struct ReplicatedRun {
-    /// Routing policy slug.
-    pub policy: &'static str,
-    /// Whether health-aware failover was enabled.
-    pub failover: bool,
-    /// Replica count.
-    pub replicas: usize,
-    /// Peak offered arrival rate (requests per virtual second).
-    pub peak_rate_per_sec: f64,
-    /// Virtual horizon in ticks.
-    pub horizon_ticks: u64,
-    /// Arrivals the open-loop process generated.
-    pub arrivals: u64,
-    /// Terminal outcome tallies.
-    pub outcome: LoadOutcome,
-    /// Candidates abandoned with another still to try.
-    pub failovers: u64,
-    /// Offers bounced by full replica queues.
-    pub queue_rejections: u64,
-    /// Requests that ran out of candidates or deadline unroutable.
-    pub unrouteable: u64,
-    /// Virtual-latency summary across all served requests.
-    pub latency: EngineLatencySummary,
-    /// Per-replica tallies, in id order.
-    pub per_replica: Vec<ReplicaSummary>,
-}
-
-impl ReplicatedRun {
-    /// Fraction of arrivals that got *an* answer (any rung).
-    pub fn availability(&self) -> f64 {
-        self.outcome.availability()
-    }
-
-    /// Max/min ratio of per-replica p99 virtual latency, over replicas
-    /// that served anything (1.0 when fewer than two did). The skew gate:
-    /// load-aware policies keep this near 1 even when one replica is
-    /// slow; round-robin does not.
-    pub fn p99_skew(&self) -> f64 {
-        let p99s: Vec<f64> = self
-            .per_replica
-            .iter()
-            .filter(|r| r.latency.count > 0 && r.latency.p99_ms > 0.0)
-            .map(|r| r.latency.p99_ms)
-            .collect();
-        if p99s.len() < 2 {
-            return 1.0;
-        }
-        let max = p99s.iter().cloned().fold(f64::MIN, f64::max);
-        let min = p99s.iter().cloned().fold(f64::MAX, f64::min);
-        max / min
-    }
-
-    /// Max/mean ratio of per-replica served counts (1.0 when nothing
-    /// was served).
-    pub fn load_skew(&self) -> f64 {
-        let total: u64 = self.per_replica.iter().map(|r| r.served).sum();
-        if total == 0 || self.per_replica.is_empty() {
-            return 1.0;
-        }
-        let mean = total as f64 / self.per_replica.len() as f64;
-        let max = self.per_replica.iter().map(|r| r.served).max().unwrap_or(0);
-        max as f64 / mean
-    }
-
-    /// JSON object for the `replicated` section of `BENCH_serve.json`.
-    pub fn to_json(&self) -> Value {
-        fn num(v: f64) -> Value {
-            Value::Number(v)
-        }
-        let mut m = BTreeMap::new();
-        m.insert("policy".to_string(), Value::String(self.policy.to_string()));
-        m.insert("failover".to_string(), Value::Bool(self.failover));
-        m.insert("replicas".to_string(), num(self.replicas as f64));
-        m.insert("peak_rate_per_sec".to_string(), num(self.peak_rate_per_sec));
-        m.insert("horizon_ticks".to_string(), num(self.horizon_ticks as f64));
-        m.insert("arrivals".to_string(), num(self.arrivals as f64));
-        m.insert("availability".to_string(), num(self.availability()));
-        m.insert("succeeded".to_string(), num(self.outcome.succeeded as f64));
-        m.insert(
-            "served_stale".to_string(),
-            num(self.outcome.served_stale as f64),
-        );
-        m.insert(
-            "served_degraded".to_string(),
-            num(self.outcome.served_degraded as f64),
-        );
-        m.insert(
-            "overloaded".to_string(),
-            num(self.outcome.overloaded as f64),
-        );
-        m.insert("timed_out".to_string(), num(self.outcome.timed_out as f64));
-        m.insert("failed".to_string(), num(self.outcome.failed as f64));
-        m.insert(
-            "unavailable".to_string(),
-            num(self.outcome.unavailable as f64),
-        );
-        m.insert("failovers".to_string(), num(self.failovers as f64));
-        m.insert(
-            "queue_rejections".to_string(),
-            num(self.queue_rejections as f64),
-        );
-        m.insert("unrouteable".to_string(), num(self.unrouteable as f64));
-        m.insert("p50_ms".to_string(), num(self.latency.p50_ms));
-        m.insert("p99_ms".to_string(), num(self.latency.p99_ms));
-        m.insert("p99_skew".to_string(), num(self.p99_skew()));
-        m.insert("load_skew".to_string(), num(self.load_skew()));
-        m.insert(
-            "per_replica".to_string(),
-            Value::Array(self.per_replica.iter().map(|r| r.to_json()).collect()),
-        );
-        Value::Object(m)
-    }
-
-    /// One-line text summary for harness output.
-    pub fn render(&self) -> String {
-        format!(
-            "{:<18} x{} @{:>6.0}/s{}  arrivals {:>6}  avail {:.4}  \
-             p50 {:>7.2}ms  p99 {:>8.2}ms  failovers {:>5}  qrej {:>5}  skew {:.2}",
-            self.policy,
-            self.replicas,
-            self.peak_rate_per_sec,
-            if self.failover { "   " } else { " nf" },
-            self.arrivals,
-            self.availability(),
-            self.latency.p50_ms,
-            self.latency.p99_ms,
-            self.failovers,
-            self.queue_rejections,
-            self.p99_skew(),
-        )
     }
 }
 

@@ -265,23 +265,6 @@ impl BreakerSet {
     pub fn of(&self, kind: EngineKind) -> &CircuitBreaker {
         &self.breakers[kind.index()]
     }
-
-    /// True when the breaker guarding `kind` is currently open.
-    ///
-    /// A pure health probe: unlike [`CircuitBreaker::admit`] it neither
-    /// consumes a cooldown slot nor races for the half-open probe, so a
-    /// router can check replica health without burning a request attempt.
-    pub fn is_open(&self, kind: EngineKind) -> bool {
-        self.of(kind).state() == BreakerState::Open
-    }
-
-    /// Number of engines whose breaker is currently open.
-    pub fn open_count(&self) -> usize {
-        EngineKind::ALL
-            .iter()
-            .filter(|kind| self.is_open(**kind))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -425,42 +408,6 @@ mod tests {
                 "{kind:?} must be isolated"
             );
         }
-    }
-
-    #[test]
-    fn is_open_probe_tracks_the_state_machine_without_consuming_slots() {
-        // Walk the same closed → open → half-open → closed machine as
-        // `breaker_walks_the_full_state_machine`, asserting the passive
-        // probe at every stop.
-        let set = BreakerSet::new(&ResilienceConfig {
-            breaker_threshold: 3,
-            breaker_cooldown: 2,
-            ..ResilienceConfig::default()
-        });
-        let kind = EngineKind::Perplexity;
-        assert!(!set.is_open(kind));
-        assert_eq!(set.open_count(), 0);
-
-        for _ in 0..3 {
-            set.of(kind).record_failure();
-        }
-        assert!(set.is_open(kind), "threshold failures must read as open");
-        assert_eq!(set.open_count(), 1);
-        // The probe is passive: polling it many times must not consume
-        // cooldown slots — the cooldown still takes 2 admits to elapse.
-        for _ in 0..16 {
-            assert!(set.is_open(kind));
-        }
-        assert_eq!(set.of(kind).admit(), Admission::Reject);
-        assert_eq!(set.of(kind).admit(), Admission::Reject);
-        assert_eq!(set.of(kind).admit(), Admission::Probe);
-        assert!(
-            !set.is_open(kind),
-            "half-open is not open: the tier may route a probe here"
-        );
-        set.of(kind).record_success();
-        assert!(!set.is_open(kind));
-        assert_eq!(set.open_count(), 0);
     }
 
     #[test]

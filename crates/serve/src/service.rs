@@ -174,9 +174,7 @@ const REFRESH_QUEUE_DEPTH: usize = 256;
 /// Attempt salt for background refreshes: a refresh of a request that
 /// just failed must not replay the identical fault draws of attempts
 /// 0..=max_retries, or it would deterministically fail the same way.
-/// Shared with the replicated tier so a replica's inline refreshes draw
-/// the same faults as the threaded service's background ones.
-pub(crate) const REFRESH_ATTEMPT: u32 = 0x5246_5253;
+const REFRESH_ATTEMPT: u32 = 0x5246_5253;
 
 /// A submitted request whose answer may still be in flight.
 ///
@@ -548,88 +546,44 @@ fn settle(metrics: &ServiceMetrics, engine: EngineKind, reply: &Reply) {
     }
 }
 
-/// A deadline budget the retry loop draws backoffs from.
+/// The resilience ladder for one admitted, in-deadline miss: breaker →
+/// retries → stale cache entry → organic SERP.
 ///
-/// The threaded service spends wall-clock time ([`WallBudget`]); the
-/// replicated tier's simulation spends virtual ticks — the ladder itself
-/// cannot tell which, so both paths share one implementation.
-pub(crate) trait RetryBudget {
-    /// Take `backoff` out of the remaining budget, waiting it out in the
-    /// budget's own notion of time. Returns `false` (without waiting)
-    /// when the backoff does not fit: a backoff equal to or exceeding the
-    /// remaining budget is never taken, which preserves the zero-budget ⇒
-    /// zero-retries guarantee (a backoff is never negative).
-    fn try_wait(&mut self, backoff: Duration) -> bool;
-}
-
-/// The threaded service's budget: real remaining time until `deadline`,
-/// waited out with `thread::sleep`.
-pub(crate) struct WallBudget {
-    pub deadline: Instant,
-}
-
-impl RetryBudget for WallBudget {
-    fn try_wait(&mut self, backoff: Duration) -> bool {
-        let remaining = self.deadline.saturating_duration_since(Instant::now());
-        if backoff >= remaining {
-            return false;
-        }
-        std::thread::sleep(backoff);
-        true
-    }
-}
-
-/// Everything the resilience ladder reads, borrowed from whichever
-/// serving stack is running it (threaded worker pool or simulated
-/// replica).
-pub(crate) struct LadderEnv<'a> {
-    pub fallible: &'a dyn FallibleEngines,
-    pub cache: &'a AnswerCache,
-    pub metrics: &'a ServiceMetrics,
-    pub breakers: &'a BreakerSet,
-    pub resilience: &'a ResilienceConfig,
-}
-
-/// The resilience ladder for one admitted, in-deadline request: breaker →
-/// budgeted retries → stale cache → organic SERP.
-///
-/// `on_stale` fires when a stale entry is about to be served, so the
-/// caller can schedule its flavour of stale-while-revalidate refresh (the
-/// threaded service enqueues a background job; a replica refreshes
-/// inline after the serve).
-pub(crate) fn resolve_ladder(
-    env: &LadderEnv<'_>,
+/// A retry's backoff is slept only if it ends before the job's deadline
+/// (zero budget ⇒ zero retries). Serving a stale entry queues its
+/// background refresh; a full refresh queue drops it, and the entry
+/// stays stale until the next stale serve queues another.
+fn resolve(
+    ctx: &WorkerCtx,
     scratch: &mut QueryScratch,
-    req: &Request,
-    key: &CacheKey,
-    budget: &mut dyn RetryBudget,
-    on_stale: &mut dyn FnMut(&Request, &CacheKey),
+    job: &Job,
 ) -> Result<(EngineAnswer, Degradation), ServeError> {
-    if !env.resilience.enabled {
+    let req = &job.request;
+    if !ctx.resilience.enabled {
         // Fail-hard path: one attempt, no breaker, no degradation.
-        return match env
+        return match ctx
             .fallible
             .try_answer_with(scratch, req.engine, &req.query, req.top_k, req.seed, 0)
         {
             Ok(answer) => Ok((answer, Degradation::None)),
             Err(_) => {
-                env.metrics.record_engine_failure();
+                ctx.metrics.record_engine_failure();
                 Err(ServeError::EngineFailed { engine: req.engine })
             }
         };
     }
 
-    let breaker = env.breakers.of(req.engine);
+    let breaker = ctx.breakers.of(req.engine);
     let admission = breaker.admit();
     let mut breaker_rejected = false;
     if admission == Admission::Reject {
-        env.metrics.record_breaker_rejection();
+        ctx.metrics.record_breaker_rejection();
         breaker_rejected = true;
     } else {
         let probing = admission == Admission::Probe;
         let mut attempt: u32 = 0;
         loop {
-            match env.fallible.try_answer_with(
+            match ctx.fallible.try_answer_with(
                 scratch, req.engine, &req.query, req.top_k, req.seed, attempt,
             ) {
                 Ok(answer) => {
@@ -637,7 +591,7 @@ pub(crate) fn resolve_ladder(
                     return Ok((answer, Degradation::None));
                 }
                 Err(err) => {
-                    env.metrics.record_engine_failure();
+                    ctx.metrics.record_engine_failure();
                     breaker.record_failure();
                     // Stop retrying when: this was the one half-open
                     // probe; the engine is in an outage window (every
@@ -647,37 +601,41 @@ pub(crate) fn resolve_ladder(
                     if probing
                         || err == EngineError::Unavailable
                         || !breaker.is_closed()
-                        || attempt >= env.resilience.max_retries
+                        || attempt >= ctx.resilience.max_retries
                     {
                         break;
                     }
-                    let backoff = retry_backoff(env.resilience, req.seed, attempt + 1);
-                    // Never borrow against time we don't have: if the
-                    // backoff would not fit in the remaining deadline
-                    // budget, degrading now beats timing out later.
-                    if !budget.try_wait(backoff) {
+                    let backoff = retry_backoff(&ctx.resilience, req.seed, attempt + 1);
+                    // Never borrow against time we don't have: a backoff
+                    // equal to or past the remaining deadline is never
+                    // taken; degrading now beats timing out later.
+                    if backoff >= job.deadline.saturating_duration_since(Instant::now()) {
                         break;
                     }
-                    env.metrics.record_retry();
+                    std::thread::sleep(backoff);
+                    ctx.metrics.record_retry();
                     attempt += 1;
                 }
             }
         }
     }
 
-    // Degradation ladder, rung 1: serve the stale cache entry and let the
-    // caller schedule a revalidation.
-    if env.resilience.degrade_to_stale {
-        if let Some(answer) = env.cache.get_stale(key) {
-            on_stale(req, key);
+    // Degradation ladder, rung 1: serve the stale cache entry and queue
+    // its revalidation for the pool.
+    if ctx.resilience.degrade_to_stale {
+        if let Some(answer) = ctx.cache.get_stale(&job.key) {
+            let _ = ctx.refresh_tx.try_send(RefreshJob {
+                request: req.clone(),
+                key: job.key.clone(),
+            });
             return Ok((answer, Degradation::Stale));
         }
     }
     // Rung 2: the organic Google SERP as a citation-only answer, computed
     // on the infallible stack (the production search index is local — it
     // does not share the remote engines' failure modes).
-    if env.resilience.degrade_to_serp {
-        let answer = env.fallible.stack().answer_with(
+    if ctx.resilience.degrade_to_serp {
+        let answer = ctx.fallible.stack().answer_with(
             scratch,
             EngineKind::Google,
             &req.query,
@@ -688,43 +646,11 @@ pub(crate) fn resolve_ladder(
     }
     Err(if breaker_rejected {
         ServeError::BreakerOpen { engine: req.engine }
-    } else if env.resilience.degrade_to_stale {
+    } else if ctx.resilience.degrade_to_stale {
         ServeError::DegradedUnavailable { engine: req.engine }
     } else {
         ServeError::EngineFailed { engine: req.engine }
     })
-}
-
-/// Run the shared ladder with the threaded worker's wall-clock budget and
-/// background-refresh channel.
-fn resolve(
-    ctx: &WorkerCtx,
-    scratch: &mut QueryScratch,
-    job: &Job,
-) -> Result<(EngineAnswer, Degradation), ServeError> {
-    let env = LadderEnv {
-        fallible: ctx.fallible.as_ref(),
-        cache: &ctx.cache,
-        metrics: &ctx.metrics,
-        breakers: &ctx.breakers,
-        resilience: &ctx.resilience,
-    };
-    let mut budget = WallBudget {
-        deadline: job.deadline,
-    };
-    resolve_ladder(
-        &env,
-        scratch,
-        &job.request,
-        &job.key,
-        &mut budget,
-        &mut |request, key| {
-            let _ = ctx.refresh_tx.try_send(RefreshJob {
-                request: request.clone(),
-                key: key.clone(),
-            });
-        },
-    )
 }
 
 /// Recompute a stale entry in the background (one attempt, salted so it

@@ -22,6 +22,18 @@
 //! * `worse` when the parent wins by the same rule, or the change's
 //!   median is worse than the parent's by more than the metric's bound;
 //! * `unresolved` otherwise.
+//!
+//! A second mode compares two committed BENCH files key by key:
+//!
+//! ```sh
+//! cargo run --release --example bench_diff -- --files A.json B.json
+//! ```
+//!
+//! Each file's numeric leaves are flattened to dotted keys (array
+//! elements by index), and each key gets one row: A, B, the signed
+//! change from A to B in percent, and a verdict, `tie` within 1%,
+//! `changed` otherwise, or `only in A` / `only in B` for a key one side
+//! lacks. A last line counts the rows per verdict.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -253,11 +265,89 @@ fn health(label: &str, runs: &[Run]) -> String {
     )
 }
 
-fn run(args: &[String]) -> Result<String, String> {
-    let [parent, change, rest @ ..] = args else {
-        return Err("usage: bench_diff <parent.jsonl> <change.jsonl> [BENCHMARK.json]".into());
+/// Every numeric leaf of `value` under its dotted path.
+fn flatten(path: &str, value: &Value, out: &mut BTreeMap<String, f64>) {
+    let child = |key: &str| {
+        if path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{path}.{key}")
+        }
     };
+    match value {
+        Value::Number(n) => {
+            out.insert(path.to_string(), *n);
+        }
+        Value::Object(map) => {
+            for (key, v) in map {
+                flatten(&child(key), v, out);
+            }
+        }
+        Value::Array(items) => {
+            for (i, v) in items.iter().enumerate() {
+                flatten(&child(&i.to_string()), v, out);
+            }
+        }
+        Value::Null | Value::Bool(_) | Value::String(_) => {}
+    }
+}
+
+fn leaves(input: &str) -> Result<BTreeMap<String, f64>, String> {
+    let root = json_parse(input).map_err(|e| format!("{e:?}"))?;
+    let mut out = BTreeMap::new();
+    flatten("", &root, &mut out);
+    Ok(out)
+}
+
+/// One row per key of either file, in key order, then the verdict counts.
+fn diff_files(a: &BTreeMap<String, f64>, b: &BTreeMap<String, f64>) -> String {
+    let mut out = String::from("| key | A | B | diff | verdict |\n|---|---|---|---|---|\n");
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+    let keys: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
+    for key in keys {
+        let show = |v: Option<&f64>| v.map_or("—".to_string(), |v| sig(*v));
+        let (x, y) = (a.get(key), b.get(key));
+        let (diff, verdict) = match (x, y) {
+            (Some(x), Some(y)) => {
+                let pct = if x == y {
+                    0.0
+                } else {
+                    (y - x) / x.abs() * 100.0
+                };
+                let verdict = if pct.abs() <= 1.0 { "tie" } else { "changed" };
+                (format!("{pct:+.2}%"), verdict)
+            }
+            (Some(_), None) => ("—".to_string(), "only in A"),
+            _ => ("—".to_string(), "only in B"),
+        };
+        *counts.entry(verdict).or_default() += 1;
+        let _ = writeln!(
+            out,
+            "| `{key}` | {} | {} | {diff} | {verdict} |",
+            show(x),
+            show(y)
+        );
+    }
+    let counts: Vec<String> = counts.iter().map(|(v, n)| format!("{n} {v}")).collect();
+    let _ = writeln!(out, "\n{}", counts.join(", "));
+    out
+}
+
+fn run(args: &[String]) -> Result<String, String> {
     let read = |path: &str| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
+    if let [flag, a, b] = args {
+        if flag == "--files" {
+            let leaves_of = |path: &str| leaves(&read(path)?).map_err(|e| format!("{path}: {e}"));
+            return Ok(diff_files(&leaves_of(a)?, &leaves_of(b)?));
+        }
+    }
+    let [parent, change, rest @ ..] = args else {
+        return Err(
+            "usage: bench_diff <parent.jsonl> <change.jsonl> [BENCHMARK.json]\n       \
+                    bench_diff --files <A.json> <B.json>"
+                .into(),
+        );
+    };
     let metrics = parse_benchmark(&read(
         rest.first().map_or("BENCHMARK.json", String::as_str),
     )?)?;
@@ -367,6 +457,42 @@ mod tests {
         let row = compare(&metrics[2], &parent[..1], &change[..1]).expect("row");
         assert_eq!((row.wins, row.pairs), (1, 1));
         assert_eq!(row.verdict, Verdict::Unresolved);
+    }
+
+    #[test]
+    fn files_diff_flattens_numeric_leaves_to_dotted_keys() {
+        let a = leaves(
+            r#"{"alloc": {"per_hit": 1.0, "per_miss": 100.0}, "hist": [3, 4],
+                "gone": {"p50_ms": 2.5, "policy": "pow2"}, "label": "x"}"#,
+        )
+        .expect("A parses");
+        let b = leaves(r#"{"alloc": {"per_hit": 1.005, "per_miss": 90.0}, "hist": [3, 4, 0]}"#)
+            .expect("B parses");
+        assert_eq!(
+            a.keys().collect::<Vec<_>>(),
+            [
+                "alloc.per_hit",
+                "alloc.per_miss",
+                "gone.p50_ms",
+                "hist.0",
+                "hist.1"
+            ],
+            "strings are not leaves; array elements are keyed by index"
+        );
+        let table = diff_files(&a, &b);
+        for row in [
+            "| `alloc.per_hit` | 1.000 | 1.005 | +0.50% | tie |",
+            "| `alloc.per_miss` | 100.0 | 90.00 | -10.00% | changed |",
+            "| `gone.p50_ms` | 2.500 | — | — | only in A |",
+            "| `hist.0` | 3.000 | 3.000 | +0.00% | tie |",
+            "| `hist.2` | — | 0 | — | only in B |",
+        ] {
+            assert!(table.contains(row), "missing {row}:\n{table}");
+        }
+        assert!(
+            table.ends_with("\n1 changed, 1 only in A, 1 only in B, 3 tie\n"),
+            "{table}"
+        );
     }
 
     #[test]

@@ -407,15 +407,12 @@ fn main() {
         chaos_json(&chaos_config, &chaos_report),
     );
     root.insert("alloc".to_string(), alloc_json(&workload));
-    // The churn benchmark (`run_live`) owns the "live" section and the
-    // tier harness (`run_replicated`) owns "replicated"; carry the
-    // committed ones over so a serve rerun doesn't drop them.
+    // The churn benchmark (`run_live`) owns the "live" section; carry
+    // the committed one over so a serve rerun doesn't drop it.
     if let Ok(committed) = std::fs::read_to_string("BENCH_serve.json") {
         if let Ok(parsed) = json_parse(&committed) {
-            for section in ["live", "replicated"] {
-                if let Some(value) = parsed.get(section).cloned() {
-                    root.insert(section.to_string(), value);
-                }
+            if let Some(live) = parsed.get("live").cloned() {
+                root.insert("live".to_string(), live);
             }
         }
     }

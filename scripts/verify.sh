@@ -35,12 +35,6 @@ cargo run --release --example run_serve -- --chaos
 echo "== allocations per hit, per cold answer (no snippet copies), per served cold answer (run on the calling thread: no reply channel) and per index build (positions stored once), gated exactly (vs committed BENCH_serve.json) =="
 cargo run --release --example run_serve -- --alloc
 
-echo "== replicated tier: routing/failover/open-loop suite =="
-cargo test -q -p shift-serve --test replicated_serve
-
-echo "== replicated tier: determinism + availability + skew + cliff gates (vs committed BENCH_serve.json) =="
-cargo run --release --example run_replicated -- --gate
-
 echo "== retrieval kernel: unit suite (incl. live memtable/segment/WAL/compaction) =="
 cargo test -q -p shift-search --lib
 
@@ -53,8 +47,11 @@ cargo test -q -p shift-search --test proptest_search
 echo "== live index: differential suite (snapshots == batch-built oracle at every cut) =="
 cargo test -q -p shift-search --test differential_live
 
-echo "== live index: WAL crash-cut recovery suite =="
+echo "== live index: WAL crash-cut recovery suite (incl. one bit flipped in a mid-log payload or length word) =="
 cargo test -q -p shift-search --test live_wal
+
+echo "== outside-input parsers: no panic on adversarial text (JSON, dates, HTML, URLs), JSON nested past its depth limit is an error =="
+cargo test -q --release --test adversarial_input
 
 echo "== index build: memoized build == page-by-page add_document on both layouts, deterministic term ids, span walker == frozen tokenizer =="
 cargo test -q -p shift-search --test build_equivalence
