@@ -22,6 +22,7 @@
 pub mod answer;
 pub mod fault;
 pub mod persona;
+pub mod route_hash;
 pub mod serp_cache;
 pub mod single_flight;
 pub mod stack;
@@ -31,6 +32,7 @@ pub use fault::{
     EngineError, FallibleEngines, FaultDecision, FaultInjector, FaultPlan, OutageWindow,
 };
 pub use persona::{EngineKind, Persona};
+pub use route_hash::{Fnv1a, RouteHashed};
 pub use serp_cache::{SerpCache, SerpCacheConfig, SerpCacheKey, SerpCacheStats};
 pub use single_flight::{SingleFlight, SingleFlightStats};
 pub use stack::AnswerEngines;

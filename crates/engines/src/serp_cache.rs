@@ -17,6 +17,8 @@
 //! which keeps the cache perfectly transparent: a hit yields the same
 //! bytes a kernel run would have.
 //!
+//! A key hashes its fields once, when it is built; the shard routing
+//! and the shard's map both read that hash ([`crate::route_hash`]).
 //! Each shard is an independent `parking_lot::Mutex` around a
 //! slab-backed intrusive LRU list (the same shape as `shift-serve`'s
 //! answer cache), so concurrent lookups on different shards never
@@ -24,12 +26,15 @@
 //! [`SerpCache::stats`] into the serving metrics → report JSON path.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shift_search::Serp;
 use shift_textkit::{analyze_token, token_spans};
+
+use crate::route_hash::{Fnv1a, RouteHashed};
 
 /// Geometry of one [`SerpCache`].
 #[derive(Debug, Clone)]
@@ -62,16 +67,23 @@ impl SerpCacheConfig {
 /// Identity of a cacheable SERP: the kernel-normalized query terms, the
 /// exact ranking parameterization (by bit-level fingerprint) and the
 /// requested depth.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The key hashes its fields once, when it is built, and keeps the hash
+/// (see [`crate::route_hash`]); its fields are read-only so that hash
+/// cannot go stale.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SerpCacheKey {
-    /// Query text after [`shift_textkit::analyze`] (the terms the
-    /// kernel scores), joined with single spaces.
-    pub normalized: String,
-    /// [`shift_search::RankingParams::fingerprint`] of the engine the
-    /// SERP came from.
-    pub params_fingerprint: u64,
-    /// Requested result-list depth.
-    pub k: usize,
+    // First, so that comparing two keys rejects on it first.
+    hash: u64,
+    normalized: String,
+    params_fingerprint: u64,
+    k: usize,
+}
+
+impl Hash for SerpCacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 impl SerpCacheKey {
@@ -87,30 +99,41 @@ impl SerpCacheKey {
             }
             normalized.push_str(&term);
         }
+        let hash = Fnv1a::new()
+            .eat(&params_fingerprint.to_le_bytes())
+            .eat(&(k as u64).to_le_bytes())
+            .eat(normalized.as_bytes())
+            .finish();
         SerpCacheKey {
+            hash,
             normalized,
             params_fingerprint,
             k,
         }
     }
 
-    /// FNV-1a hash of the key, used for shard routing.
-    fn route_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for b in self.params_fingerprint.to_le_bytes() {
-            eat(b);
-        }
-        for b in (self.k as u64).to_le_bytes() {
-            eat(b);
-        }
-        for b in self.normalized.as_bytes() {
-            eat(*b);
-        }
-        h
+    /// Query text after [`shift_textkit::analyze`] (the terms the
+    /// kernel scores), joined with single spaces.
+    pub fn normalized(&self) -> &str {
+        &self.normalized
+    }
+
+    /// [`shift_search::RankingParams::fingerprint`] of the engine the
+    /// SERP came from.
+    pub fn params_fingerprint(&self) -> u64 {
+        self.params_fingerprint
+    }
+
+    /// Requested result-list depth.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// FNV-1a hash over the fingerprint's and `k`'s little-endian bytes,
+    /// then the normalized text, computed once in [`SerpCacheKey::new`]:
+    /// it routes the key to its shard and keys the shard's map.
+    pub fn route_hash(&self) -> u64 {
+        self.hash
     }
 }
 
@@ -151,7 +174,7 @@ struct Entry {
 /// One shard: a slab of entries threaded onto an intrusive MRU→LRU
 /// list, plus a key→slot map. All list surgery is O(1).
 struct Shard {
-    map: HashMap<SerpCacheKey, usize>,
+    map: HashMap<SerpCacheKey, usize, RouteHashed>,
     slab: Vec<Entry>,
     free: Vec<usize>,
     head: usize,
@@ -161,7 +184,7 @@ struct Shard {
 impl Shard {
     fn new(capacity: usize) -> Shard {
         Shard {
-            map: HashMap::with_capacity(capacity),
+            map: HashMap::with_capacity_and_hasher(capacity, RouteHashed),
             slab: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
@@ -347,6 +370,38 @@ mod tests {
         // Different params or k are different entries.
         assert_ne!(a, SerpCacheKey::new("best laptops 2025", 2, 10));
         assert_ne!(a, SerpCacheKey::new("best laptops 2025", 1, 20));
+    }
+
+    /// 64-bit FNV-1a written out byte by byte, as shard routing has
+    /// always defined it.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn route_hash_is_fnv1a_over_fingerprint_k_and_text() {
+        for (query, fingerprint, k) in [
+            ("Best Laptops 2025", 0x5eed, 10),
+            ("", 0, 0),
+            ("the running batteries of Wi-Fi", u64::MAX, 60),
+        ] {
+            let key = SerpCacheKey::new(query, fingerprint, k);
+            let mut bytes = fingerprint.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&(k as u64).to_le_bytes());
+            bytes.extend_from_slice(key.normalized().as_bytes());
+            assert_eq!(key.route_hash(), fnv1a(&bytes), "{query:?}");
+            assert_eq!(key.params_fingerprint(), fingerprint);
+            assert_eq!(key.k(), k);
+        }
+        assert_eq!(
+            SerpCacheKey::new("Best Laptops 2025", 0x5eed, 10).normalized(),
+            "best laptop 2025"
+        );
     }
 
     #[test]

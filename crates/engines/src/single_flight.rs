@@ -25,6 +25,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use shift_search::Serp;
 
+use crate::route_hash::RouteHashed;
 use crate::serp_cache::SerpCacheKey;
 
 /// One in-progress computation: the published outcome and the condvar
@@ -101,7 +102,7 @@ enum Role {
 /// The flight table: at most one in-progress computation per
 /// [`SerpCacheKey`] at any instant.
 pub struct SingleFlight {
-    flights: Mutex<HashMap<SerpCacheKey, Arc<Flight>>>,
+    flights: Mutex<HashMap<SerpCacheKey, Arc<Flight>, RouteHashed>>,
     leaders: AtomicU64,
     waiters: AtomicU64,
 }
@@ -116,7 +117,7 @@ impl SingleFlight {
     /// An empty flight table.
     pub fn new() -> SingleFlight {
         SingleFlight {
-            flights: Mutex::new(HashMap::new()),
+            flights: Mutex::new(HashMap::with_hasher(RouteHashed)),
             leaders: AtomicU64::new(0),
             waiters: AtomicU64::new(0),
         }

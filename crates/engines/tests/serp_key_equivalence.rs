@@ -47,7 +47,7 @@ fn mixed_text() -> impl Strategy<Value = String> {
 }
 
 fn key_text(q: &str) -> String {
-    SerpCacheKey::new(q, 0x5eed, 10).normalized
+    SerpCacheKey::new(q, 0x5eed, 10).normalized().to_string()
 }
 
 proptest! {

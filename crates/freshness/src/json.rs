@@ -310,14 +310,21 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            // A literal past f64's range (`1e999`, a 400-digit run) parses
+            // as ±inf, which JSON cannot write back.
+            Ok(n) if n.is_finite() => Ok(Value::Number(n)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
 /// Serializes a [`Value`] to compact JSON (object keys in lexicographic
 /// order — stable output for golden tests and reports).
+///
+/// JSON has no infinity or NaN, so a non-finite number is written as
+/// `null`; every finite number reads back through [`parse`] as itself.
 pub fn to_string(value: &Value) -> String {
     let mut out = String::new();
     write_value(value, &mut out);
@@ -328,6 +335,7 @@ fn write_value(value: &Value, out: &mut String) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Number(n) if !n.is_finite() => out.push_str("null"),
         Value::Number(n) => {
             if n.fract() == 0.0 && n.abs() < 1e15 {
                 out.push_str(&format!("{}", *n as i64));
@@ -465,6 +473,28 @@ mod tests {
         let out = to_string(&v);
         assert_eq!(parse(&out).unwrap(), v);
         assert_eq!(out, src, "writer output should be canonical");
+    }
+
+    #[test]
+    fn overflowing_numbers_are_errors() {
+        for bad in ["1e999", "-1e999", "1E400", &"9".repeat(400)] {
+            let err = parse(bad).expect_err(bad);
+            assert_eq!(err.message, "number out of range", "{bad}");
+        }
+        assert_eq!(parse("1e308").unwrap(), Value::Number(1e308));
+        assert_eq!(parse("1e-999").unwrap(), Value::Number(0.0));
+    }
+
+    #[test]
+    fn non_finite_numbers_write_as_null() {
+        for n in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let doc = Value::Array(vec![Value::Number(n), Value::Number(1.5)]);
+            assert_eq!(to_string(&doc), "[null,1.5]");
+            assert_eq!(
+                parse(&to_string(&doc)).unwrap(),
+                Value::Array(vec![Value::Null, Value::Number(1.5)])
+            );
+        }
     }
 
     #[test]

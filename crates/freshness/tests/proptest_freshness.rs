@@ -87,6 +87,32 @@ proptest! {
         let _ = extract_page_date(&s);
     }
 
+    /// Numbers of any bit pattern round-trip through the writer and the
+    /// parser: a finite one reads back as itself, and a non-finite one
+    /// (which JSON cannot spell) as `null`.
+    #[test]
+    fn json_numbers_round_trip_and_non_finite_become_null(
+        bits in prop::collection::vec(0u64..u64::MAX, 0..16),
+        special in prop::collection::vec(0usize..3, 0..4),
+    ) {
+        let non_finite = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let numbers: Vec<f64> = bits
+            .into_iter()
+            .map(f64::from_bits)
+            .chain(special.into_iter().map(|i| non_finite[i]))
+            .collect();
+        let doc = |n: &dyn Fn(f64) -> json::Value| {
+            let items: Vec<json::Value> = numbers.iter().map(|&x| n(x)).collect();
+            let mut map = std::collections::BTreeMap::new();
+            map.insert("first".to_string(), items.first().cloned().unwrap_or(json::Value::Null));
+            map.insert("all".to_string(), json::Value::Array(items));
+            json::Value::Object(map)
+        };
+        let written = doc(&json::Value::Number);
+        let expected = doc(&|x| if x.is_finite() { json::Value::Number(x) } else { json::Value::Null });
+        prop_assert_eq!(json::parse(&json::to_string(&written)).unwrap(), expected);
+    }
+
     /// The JSON parser never panics, and accepted documents re-serialize to
     /// an equal value.
     #[test]

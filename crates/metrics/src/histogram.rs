@@ -33,18 +33,23 @@ impl Histogram {
 
     /// Records one observation. NaN values are ignored.
     pub fn record(&mut self, value: f64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` observations of `value`. NaN values are ignored.
+    pub fn record_n(&mut self, value: f64, n: u64) {
         if value.is_nan() {
             return;
         }
-        self.total += 1;
+        self.total += n;
         if value >= self.max {
-            self.overflow += 1;
+            self.overflow += n;
             return;
         }
         let clamped = value.max(self.min);
         let width = (self.max - self.min) / self.counts.len() as f64;
         let idx = (((clamped - self.min) / width) as usize).min(self.counts.len() - 1);
-        self.counts[idx] += 1;
+        self.counts[idx] += n;
     }
 
     /// Records every value of a slice.
@@ -139,6 +144,14 @@ mod tests {
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.counts()[0], 1);
         assert_eq!(h.total(), 3);
+    }
+
+    #[test]
+    fn record_n_counts_n_observations() {
+        let mut h = Histogram::new(0.0, 10.0, 2);
+        h.record_n(1.0, 3);
+        h.record_n(20.0, 2);
+        assert_eq!((h.counts()[0], h.overflow(), h.total()), (3, 2, 5));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //!   Figure 1 comparison.
 //! * [`stats`] — mean, median, percentiles, standard deviation.
 //! * [`histogram`] — fixed-bin histograms for age distributions (Figure 4).
+//! * [`log_histogram`] — a bounded, mergeable, lock-free log-bucket
+//!   histogram for latencies.
 //! * [`bootstrap`] — percentile bootstrap confidence intervals with a
 //!   deterministic splitmix64 resampler.
 
@@ -18,12 +20,14 @@
 
 pub mod bootstrap;
 pub mod histogram;
+pub mod log_histogram;
 pub mod overlap;
 pub mod rank;
 pub mod rbo;
 pub mod stats;
 
 pub use histogram::Histogram;
+pub use log_histogram::LogHistogram;
 pub use overlap::{jaccard, mean_jaccard};
 pub use rank::{kendall_tau, mean_abs_rank_deviation, spearman_rho};
 pub use rbo::rbo;

@@ -3,22 +3,30 @@
 //! Keys normalize the query through [`shift_textkit::normalize_query`]
 //! (the lowercased tokens of [`shift_textkit::tokenize`] joined with
 //! single spaces, written in one pass into one string), so
-//! `"Best Laptops  2025?"` and `"best laptops 2025"` share an entry. Each
-//! shard is an independent `parking_lot::Mutex` around a slab-backed
-//! intrusive LRU list, so concurrent lookups on different shards never
-//! contend. Expiry is lazy: an entry past its TTL is treated as a miss
-//! (and reclaimed) the next time it is touched.
+//! `"Best Laptops  2025?"` and `"best laptops 2025"` share an entry. A
+//! key is hashed once, when it is built: the shard routing and the
+//! shard's map both read that one FNV-1a hash
+//! ([`shift_engines::route_hash`]). Each shard is an independent
+//! `parking_lot::Mutex` around a slab-backed intrusive LRU list, so
+//! concurrent lookups on different shards never contend.
+//!
+//! A lookup takes the caller's clock reading instead of reading its own:
+//! the service reads the clock once at admission, and that one reading
+//! serves both the TTL check and the request's latency. Expiry is lazy:
+//! an entry past its TTL is treated as a miss (and reclaimed) the next
+//! time it is touched.
 //!
 //! An [`EngineAnswer`] is an immutable shared value, so a hit hands out
 //! a clone that shares the resident answer's query, text, citations and
 //! snippets: a few refcount bumps under the shard lock, no allocation.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use shift_engines::{EngineAnswer, EngineKind};
+use shift_engines::{EngineAnswer, EngineKind, Fnv1a, RouteHashed};
 use shift_textkit::normalize_query;
 
 /// Geometry and policy of one [`AnswerCache`].
@@ -75,17 +83,24 @@ impl CacheConfig {
 
 /// Identity of a cacheable answer: engine, answer depth, seed, and the
 /// token-normalized query text.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The key hashes its fields once, when it is built, and keeps the hash
+/// (see [`shift_engines::route_hash`]); its fields are read-only so that
+/// hash cannot go stale.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey {
-    /// Which engine answered.
-    pub engine: EngineKind,
-    /// Requested answer depth (top-k).
-    pub top_k: usize,
-    /// Decode/persona seed the answer was produced with.
-    pub seed: u64,
-    /// Query text after [`normalize_query`]: the lowercased tokens
-    /// joined with single spaces (punctuation and whitespace collapsed).
-    pub normalized: String,
+    // First, so that comparing two keys rejects on it first.
+    hash: u64,
+    engine: EngineKind,
+    top_k: usize,
+    seed: u64,
+    normalized: String,
+}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 impl CacheKey {
@@ -93,32 +108,49 @@ impl CacheKey {
     /// one allocation for an ASCII query, which is all a cache hit
     /// allocates on the client thread.
     pub fn new(engine: EngineKind, query: &str, top_k: usize, seed: u64) -> CacheKey {
+        let normalized = normalize_query(query);
+        let hash = Fnv1a::new()
+            .eat(&[engine.index() as u8])
+            .eat(&(top_k as u64).to_le_bytes())
+            .eat(&seed.to_le_bytes())
+            .eat(normalized.as_bytes())
+            .finish();
         CacheKey {
+            hash,
             engine,
             top_k,
             seed,
-            normalized: normalize_query(query),
+            normalized,
         }
     }
 
-    /// FNV-1a hash of the key, used for shard routing.
+    /// Which engine answered.
+    pub fn engine(&self) -> EngineKind {
+        self.engine
+    }
+
+    /// Requested answer depth (top-k).
+    pub fn top_k(&self) -> usize {
+        self.top_k
+    }
+
+    /// Decode/persona seed the answer was produced with.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Query text after [`normalize_query`]: the lowercased tokens
+    /// joined with single spaces (punctuation and whitespace collapsed).
+    pub fn normalized(&self) -> &str {
+        &self.normalized
+    }
+
+    /// FNV-1a hash over the engine index byte, the little-endian bytes
+    /// of `top_k` and `seed`, then the normalized text, computed once in
+    /// [`CacheKey::new`]: it routes the key to its shard and keys the
+    /// shard's map.
     pub fn route_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        eat(self.engine.index() as u8);
-        for b in (self.top_k as u64).to_le_bytes() {
-            eat(b);
-        }
-        for b in self.seed.to_le_bytes() {
-            eat(b);
-        }
-        for b in self.normalized.as_bytes() {
-            eat(*b);
-        }
-        h
+        self.hash
     }
 }
 
@@ -165,7 +197,7 @@ struct Entry {
 /// One shard: a slab of entries threaded onto an intrusive MRU→LRU list,
 /// plus a key→slot map. All list surgery is O(1).
 struct Shard {
-    map: HashMap<CacheKey, usize>,
+    map: HashMap<CacheKey, usize, RouteHashed>,
     slab: Vec<Entry>,
     free: Vec<usize>,
     head: usize,
@@ -175,7 +207,7 @@ struct Shard {
 impl Shard {
     fn new(capacity: usize) -> Shard {
         Shard {
-            map: HashMap::with_capacity(capacity),
+            map: HashMap::with_capacity_and_hasher(capacity, RouteHashed),
             slab: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
@@ -278,9 +310,14 @@ impl AnswerCache {
         self.len() == 0
     }
 
-    /// Look up a key, refreshing its recency on hit. A hit shares the
-    /// resident answer rather than copying it.
-    pub fn get(&self, key: &CacheKey) -> Option<EngineAnswer> {
+    /// Look up a key as of the caller's `now`, refreshing its recency on
+    /// hit. A hit shares the resident answer rather than copying it.
+    ///
+    /// An entry is fresh while less than the TTL has passed between its
+    /// insert and `now`. An entry inserted after `now` (by another
+    /// thread, after this caller read its clock) counts as just
+    /// inserted, so it is fresh unless the TTL is zero.
+    pub fn get(&self, key: &CacheKey, now: Instant) -> Option<EngineAnswer> {
         if self.is_disabled() {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -291,7 +328,7 @@ impl AnswerCache {
             return None;
         };
         if let Some(ttl) = self.ttl {
-            if shard.slab[slot].inserted.elapsed() >= ttl {
+            if now.saturating_duration_since(shard.slab[slot].inserted) >= ttl {
                 if self.keep_stale {
                     // A miss for the fresh path, but the entry stays
                     // resident for `get_stale`.
@@ -438,11 +475,14 @@ mod tests {
         cache.insert(k1.clone(), answer("a"));
         cache.insert(k2.clone(), answer("b"));
         // Touch k1 so k2 becomes the LRU victim.
-        assert!(cache.get(&k1).is_some());
+        assert!(cache.get(&k1, Instant::now()).is_some());
         cache.insert(k3.clone(), answer("c"));
-        assert!(cache.get(&k1).is_some());
-        assert!(cache.get(&k2).is_none(), "k2 should have been evicted");
-        assert!(cache.get(&k3).is_some());
+        assert!(cache.get(&k1, Instant::now()).is_some());
+        assert!(
+            cache.get(&k2, Instant::now()).is_none(),
+            "k2 should have been evicted"
+        );
+        assert!(cache.get(&k3, Instant::now()).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -453,7 +493,7 @@ mod tests {
         cache.insert(k.clone(), answer("v1"));
         cache.insert(k.clone(), answer("v2"));
         assert_eq!(cache.len(), 1);
-        assert_eq!(&*cache.get(&k).unwrap().text, "v2");
+        assert_eq!(&*cache.get(&k, Instant::now()).unwrap().text, "v2");
         assert_eq!(cache.stats().evictions, 0);
     }
 
@@ -462,7 +502,7 @@ mod tests {
         let cache = AnswerCache::new(&CacheConfig::disabled());
         let k = CacheKey::new(EngineKind::Google, "anything", 10, 0);
         cache.insert(k.clone(), answer("x"));
-        assert!(cache.get(&k).is_none());
+        assert!(cache.get(&k, Instant::now()).is_none());
         assert!(cache.is_empty());
         assert_eq!(cache.stats().hits, 0);
     }
@@ -477,12 +517,76 @@ mod tests {
         });
         let k = CacheKey::new(EngineKind::Perplexity, "ephemeral", 10, 3);
         cache.insert(k.clone(), answer("x"));
-        assert!(cache.get(&k).is_some());
+        assert!(cache.get(&k, Instant::now()).is_some());
         std::thread::sleep(Duration::from_millis(30));
-        assert!(cache.get(&k).is_none());
+        assert!(cache.get(&k, Instant::now()).is_none());
         let stats = cache.stats();
         assert_eq!(stats.expirations, 1);
         assert!(cache.is_empty(), "expired entry must be reclaimed");
+    }
+
+    #[test]
+    fn freshness_is_judged_at_the_callers_now() {
+        let cache = AnswerCache::new(&CacheConfig {
+            shards: 1,
+            capacity_per_shard: 8,
+            ttl: Some(Duration::from_secs(300)),
+            keep_stale: false,
+        });
+        let k = CacheKey::new(EngineKind::Gemini, "read before the insert", 10, 1);
+        // The caller read its clock, then another thread inserted.
+        let now = Instant::now();
+        cache.insert(k.clone(), answer("x"));
+        assert!(cache.get(&k, now).is_some(), "inserted after now is fresh");
+        assert!(cache.get(&k, now + Duration::from_secs(299)).is_some());
+        assert!(cache.get(&k, now + Duration::from_secs(301)).is_none());
+        assert_eq!(cache.stats().expirations, 1);
+
+        let zero = AnswerCache::new(&CacheConfig {
+            shards: 1,
+            capacity_per_shard: 8,
+            ttl: Some(Duration::ZERO),
+            keep_stale: false,
+        });
+        let now = Instant::now();
+        zero.insert(k.clone(), answer("x"));
+        assert!(zero.get(&k, now).is_none(), "a zero TTL never serves fresh");
+        zero.insert(k.clone(), answer("x"));
+        assert!(zero.get(&k, Instant::now()).is_none());
+        assert_eq!(zero.stats().hits, 0);
+    }
+
+    /// 64-bit FNV-1a written out byte by byte, as shard routing has
+    /// always defined it.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn route_hash_is_fnv1a_over_engine_top_k_seed_and_text() {
+        for (engine, query, top_k, seed) in [
+            (EngineKind::Google, "Best Laptops,  2025!?", 10, 7),
+            (EngineKind::Perplexity, "", 0, 0),
+            (EngineKind::Claude, "ΟΔΟΣ Café -wi-fi-", 60, u64::MAX),
+        ] {
+            let key = CacheKey::new(engine, query, top_k, seed);
+            let mut bytes = vec![engine.index() as u8];
+            bytes.extend_from_slice(&(top_k as u64).to_le_bytes());
+            bytes.extend_from_slice(&seed.to_le_bytes());
+            bytes.extend_from_slice(key.normalized().as_bytes());
+            assert_eq!(key.route_hash(), fnv1a(&bytes), "{query:?}");
+            assert_eq!(
+                (key.engine(), key.top_k(), key.seed()),
+                (engine, top_k, seed)
+            );
+        }
+        let key = CacheKey::new(EngineKind::Google, "Best Laptops,  2025!?", 10, 7);
+        assert_eq!(key.normalized(), "best laptops 2025");
     }
 
     #[test]
@@ -529,8 +633,8 @@ mod tests {
         let k = CacheKey::new(EngineKind::Claude, "stale but useful", 10, 5);
         cache.insert(k.clone(), answer("the cached bytes"));
         // Zero TTL: the fresh path always misses…
-        assert!(cache.get(&k).is_none());
-        assert!(cache.get(&k).is_none());
+        assert!(cache.get(&k, Instant::now()).is_none());
+        assert!(cache.get(&k, Instant::now()).is_none());
         // …but the entry stays resident and stale-servable, bytes intact.
         assert_eq!(&*cache.get_stale(&k).unwrap().text, "the cached bytes");
         let stats = cache.stats();
@@ -559,17 +663,20 @@ mod tests {
         // Stale-touch k1 so k2 becomes the LRU victim.
         assert!(cache.get_stale(&k1).is_some());
         cache.insert(k3, answer("c"));
-        assert!(cache.get(&k1).is_some());
-        assert!(cache.get(&k2).is_none(), "k2 should have been evicted");
+        assert!(cache.get(&k1, Instant::now()).is_some());
+        assert!(
+            cache.get(&k2, Instant::now()).is_none(),
+            "k2 should have been evicted"
+        );
     }
 
     #[test]
     fn hit_rate_counts() {
         let cache = single_shard(8);
         let k = CacheKey::new(EngineKind::Google, "q", 10, 0);
-        assert!(cache.get(&k).is_none());
+        assert!(cache.get(&k, Instant::now()).is_none());
         cache.insert(k.clone(), answer("x"));
-        assert!(cache.get(&k).is_some());
+        assert!(cache.get(&k, Instant::now()).is_some());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);

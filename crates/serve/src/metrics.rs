@@ -4,9 +4,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use shift_engines::{EngineKind, KernelStats, SerpCacheStats, SingleFlightStats};
-use shift_metrics::{mean, percentile, Histogram};
+use shift_metrics::{Histogram, LogHistogram};
 
 use crate::cache::CacheStats;
 use crate::report::{BatchServeStats, EngineLatency, LiveServeStats, MetricsSnapshot};
@@ -20,11 +19,14 @@ pub const HISTOGRAM_BINS: usize = 50;
 
 /// Shared metrics sink for one [`crate::AnswerService`].
 ///
-/// Latency samples are appended under a short per-engine lock; counters
-/// are relaxed atomics. `snapshot` does the expensive percentile work.
+/// Each served latency is recorded, in nanoseconds, into its engine's
+/// [`LogHistogram`]: two relaxed atomic adds, no lock, and memory fixed
+/// at construction however many requests are served. Counters are
+/// relaxed atomics too. `snapshot` merges the engines' histograms and
+/// reads the percentiles off them.
 pub struct ServiceMetrics {
     started: Instant,
-    latencies_ms: [Mutex<Vec<f64>>; 5],
+    latency_ns: [LogHistogram; 5],
     completed: AtomicU64,
     cache_hits_served: AtomicU64,
     overloaded: AtomicU64,
@@ -62,13 +64,7 @@ impl ServiceMetrics {
     pub fn new() -> ServiceMetrics {
         ServiceMetrics {
             started: Instant::now(),
-            latencies_ms: [
-                Mutex::new(Vec::new()),
-                Mutex::new(Vec::new()),
-                Mutex::new(Vec::new()),
-                Mutex::new(Vec::new()),
-                Mutex::new(Vec::new()),
-            ],
+            latency_ns: std::array::from_fn(|_| LogHistogram::new()),
             completed: AtomicU64::new(0),
             cache_hits_served: AtomicU64::new(0),
             overloaded: AtomicU64::new(0),
@@ -108,8 +104,8 @@ impl ServiceMetrics {
         from_cache: bool,
         degradation: Degradation,
     ) {
-        let ms = latency.as_secs_f64() * 1e3;
-        self.latencies_ms[engine.index()].lock().push(ms);
+        let ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
+        self.latency_ns[engine.index()].record(ns);
         self.completed.fetch_add(1, Ordering::Relaxed);
         if from_cache {
             self.cache_hits_served.fetch_add(1, Ordering::Relaxed);
@@ -226,23 +222,30 @@ impl ServiceMetrics {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// Materialize percentiles, throughput, and the histogram.
+    /// Materialize percentiles, throughput, and the histogram: the
+    /// engines' latency histograms are merged into the overall one, and
+    /// the fixed-bin histogram is filled from that.
     pub fn snapshot(
         &self,
         cache: CacheStats,
         serp_cache: SerpCacheStats,
         single_flight: SingleFlightStats,
     ) -> MetricsSnapshot {
+        let all = LogHistogram::new();
+        let engines = EngineKind::ALL
+            .iter()
+            .map(|&kind| {
+                let latency = &self.latency_ns[kind.index()];
+                all.merge(latency);
+                EngineLatency {
+                    kind,
+                    summary: EngineLatencySummary::from_histogram(latency),
+                }
+            })
+            .collect();
         let mut histogram = Histogram::new(0.0, HISTOGRAM_MAX_MS, HISTOGRAM_BINS);
-        let mut engines = Vec::with_capacity(EngineKind::ALL.len());
-        let mut all: Vec<f64> = Vec::new();
-        for kind in EngineKind::ALL {
-            let samples = self.latencies_ms[kind.index()].lock().clone();
-            for &ms in &samples {
-                histogram.record(ms);
-            }
-            all.extend_from_slice(&samples);
-            engines.push(EngineLatency::from_samples(kind, &samples));
+        for (ns, n) in all.buckets() {
+            histogram.record_n(ns as f64 / 1e6, n);
         }
         let elapsed = self.elapsed_secs();
         let completed = self.completed();
@@ -265,7 +268,7 @@ impl ServiceMetrics {
             } else {
                 0.0
             },
-            overall: EngineLatencySummary::of(&all),
+            overall: EngineLatencySummary::from_histogram(&all),
             engines,
             histogram,
             cache,
@@ -299,12 +302,12 @@ impl Default for ServiceMetrics {
     }
 }
 
-/// Percentile summary of a latency sample set, in milliseconds.
+/// Percentile summary of a latency histogram, in milliseconds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineLatencySummary {
     /// Sample count.
     pub count: usize,
-    /// Arithmetic mean.
+    /// Arithmetic mean (exact).
     pub mean_ms: f64,
     /// Median.
     pub p50_ms: f64,
@@ -315,17 +318,17 @@ pub struct EngineLatencySummary {
 }
 
 impl EngineLatencySummary {
-    /// Summarize a sample set (all zeros when empty).
-    pub fn of(samples: &[f64]) -> EngineLatencySummary {
-        if samples.is_empty() {
-            return EngineLatencySummary::default();
-        }
+    /// Summarize a histogram of nanoseconds (all zeros when empty). Each
+    /// percentile is the nearest-rank one, within 1/64 of the exact
+    /// value (see [`LogHistogram`]).
+    pub fn from_histogram(latency_ns: &LogHistogram) -> EngineLatencySummary {
+        let ms = |ns: u64| ns as f64 / 1e6;
         EngineLatencySummary {
-            count: samples.len(),
-            mean_ms: mean(samples),
-            p50_ms: percentile(samples, 50.0),
-            p95_ms: percentile(samples, 95.0),
-            p99_ms: percentile(samples, 99.0),
+            count: latency_ns.count() as usize,
+            mean_ms: latency_ns.mean() / 1e6,
+            p50_ms: ms(latency_ns.quantile(0.50)),
+            p95_ms: ms(latency_ns.quantile(0.95)),
+            p99_ms: ms(latency_ns.quantile(0.99)),
         }
     }
 }
@@ -336,11 +339,20 @@ mod tests {
 
     #[test]
     fn percentiles_order() {
-        let samples: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = EngineLatencySummary::of(&samples);
+        let latency_ns = LogHistogram::new();
+        for i in 1..=100 {
+            latency_ns.record(i * 1_000_000);
+        }
+        let s = EngineLatencySummary::from_histogram(&latency_ns);
         assert_eq!(s.count, 100);
         assert!(s.p50_ms <= s.p95_ms && s.p95_ms <= s.p99_ms);
-        assert!(s.p50_ms > 0.0);
+        assert!((s.p50_ms - 50.0).abs() <= 50.0 / 64.0, "p50 {}", s.p50_ms);
+        assert!((s.p99_ms - 99.0).abs() <= 99.0 / 64.0, "p99 {}", s.p99_ms);
+        assert_eq!(s.mean_ms, 50.5);
+        assert_eq!(
+            EngineLatencySummary::from_histogram(&LogHistogram::new()).count,
+            0
+        );
     }
 
     #[test]

@@ -19,16 +19,6 @@ pub struct EngineLatency {
     pub summary: EngineLatencySummary,
 }
 
-impl EngineLatency {
-    /// Summarize an engine's sample set (milliseconds).
-    pub fn from_samples(kind: EngineKind, samples_ms: &[f64]) -> EngineLatency {
-        EngineLatency {
-            kind,
-            summary: EngineLatencySummary::of(samples_ms),
-        }
-    }
-}
-
 /// A point-in-time view of a service's metrics, renderable as text or JSON.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
@@ -69,7 +59,9 @@ pub struct MetricsSnapshot {
     pub overall: EngineLatencySummary,
     /// Per-engine latency summaries, in [`EngineKind::ALL`] order.
     pub engines: Vec<EngineLatency>,
-    /// Latency histogram (milliseconds) across all served requests.
+    /// Latency histogram (milliseconds) across all served requests,
+    /// filled from the merged log-bucket histogram (each bucket's count
+    /// at its midpoint).
     pub histogram: Histogram,
     /// Answer-cache counters.
     pub cache: CacheStats,
@@ -370,6 +362,15 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use crate::metrics::{HISTOGRAM_BINS, HISTOGRAM_MAX_MS};
+    use shift_metrics::LogHistogram;
+
+    fn summary(ms: &[u64]) -> EngineLatencySummary {
+        let latency_ns = LogHistogram::new();
+        for &v in ms {
+            latency_ns.record(v * 1_000_000);
+        }
+        EngineLatencySummary::from_histogram(&latency_ns)
+    }
 
     fn snapshot() -> MetricsSnapshot {
         let mut histogram = Histogram::new(0.0, HISTOGRAM_MAX_MS, HISTOGRAM_BINS);
@@ -390,10 +391,13 @@ mod tests {
             refreshes: 1,
             worker_panics: 0,
             throughput_rps: 2.0 / 1.5,
-            overall: EngineLatencySummary::of(&[3.0, 7.0]),
+            overall: summary(&[3, 7]),
             engines: EngineKind::ALL
                 .iter()
-                .map(|&k| EngineLatency::from_samples(k, &[5.0]))
+                .map(|&kind| EngineLatency {
+                    kind,
+                    summary: summary(&[5]),
+                })
                 .collect(),
             histogram,
             cache: CacheStats {

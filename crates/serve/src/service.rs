@@ -299,7 +299,7 @@ impl AnswerService {
     fn admit(&self, request: Request) -> Admitted {
         let admitted = Instant::now();
         let key = CacheKey::new(request.engine, &request.query, request.top_k, request.seed);
-        if let Some(answer) = self.ctx.cache.get(&key) {
+        if let Some(answer) = self.ctx.cache.get(&key, admitted) {
             let latency = admitted.elapsed();
             self.ctx
                 .metrics

@@ -156,9 +156,9 @@ fn warm_cache_beats_cold_cache() {
 #[test]
 fn dotted_capital_i_key_is_not_idempotent() {
     let key = CacheKey::new(EngineKind::Claude, "İstanbul hotels", 10, 7);
-    assert_eq!(key.normalized, "i\u{307}stanbul hotels");
-    let rekey = CacheKey::new(EngineKind::Claude, &key.normalized, 10, 7);
-    assert_eq!(rekey.normalized, "i stanbul hotels");
+    assert_eq!(key.normalized(), "i\u{307}stanbul hotels");
+    let rekey = CacheKey::new(EngineKind::Claude, key.normalized(), 10, 7);
+    assert_eq!(rekey.normalized(), "i stanbul hotels");
     assert_ne!(key, rekey);
 }
 
@@ -173,7 +173,7 @@ proptest! {
     #[test]
     fn cache_key_normalization_is_idempotent(raw in "\\PC{0,64}", top_k in 1usize..20) {
         let key = CacheKey::new(EngineKind::Claude, &raw, top_k, 7);
-        let rekey = CacheKey::new(EngineKind::Claude, &key.normalized, top_k, 7);
+        let rekey = CacheKey::new(EngineKind::Claude, key.normalized(), top_k, 7);
         prop_assert_eq!(&key, &rekey);
         prop_assert_eq!(key.route_hash(), rekey.route_hash());
     }

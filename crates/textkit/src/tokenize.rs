@@ -72,7 +72,13 @@ pub fn tokenize(text: &str) -> Vec<Token> {
 /// in one pass into one string: the bytes of
 /// `tokenize(query).map(|t| t.text).join(" ")`.
 ///
-/// An ASCII token is copied and lowercased in place; any other token
+/// An all-ASCII query is one loop over its bytes: word bytes are copied
+/// lowercased, and each token is cut back to its last alphanumeric when
+/// it ends, which trims its trailing joiners (leading ones are never
+/// copied). On ASCII `char::is_alphanumeric` is
+/// `u8::is_ascii_alphanumeric`, so these are the span walker's tokens.
+/// At the first non-ASCII byte the query starts over on the span
+/// walker: an ASCII token is copied and lowercased in place, any other
 /// goes through [`str::to_lowercase`] on its own, exactly as
 /// [`tokenize`] lowercases it (so a word-final `Σ` still becomes `ς`).
 /// An all-ASCII query therefore allocates once.
@@ -80,10 +86,44 @@ pub fn tokenize(text: &str) -> Vec<Token> {
 /// ```
 /// use shift_textkit::normalize_query;
 /// assert_eq!(normalize_query("Best  Wi-Fi 7 routers?"), "best wi-fi 7 routers");
+/// assert_eq!(normalize_query("'-Don't- stop-"), "don't stop");
 /// assert_eq!(normalize_query("ΟΔΟΣ Café"), "οδο\u{3c2} café");
 /// ```
 pub fn normalize_query(query: &str) -> String {
     let mut out = String::with_capacity(query.len());
+    // `out`'s length through the current token's last alphanumeric, or
+    // `None` between tokens.
+    let mut token_end: Option<usize> = None;
+    for &b in query.as_bytes() {
+        if b.is_ascii_alphanumeric() {
+            if token_end.is_none() && !out.is_empty() {
+                out.push(' ');
+            }
+            out.push(char::from(b.to_ascii_lowercase()));
+            token_end = Some(out.len());
+        } else if b == b'-' || b == b'\'' {
+            if token_end.is_some() {
+                out.push(char::from(b));
+            }
+        } else if b.is_ascii() {
+            if let Some(end) = token_end.take() {
+                out.truncate(end);
+            }
+        } else {
+            out.clear();
+            normalize_spans(query, &mut out);
+            return out;
+        }
+    }
+    if let Some(end) = token_end {
+        out.truncate(end);
+    }
+    out
+}
+
+/// [`normalize_query`] through the span walker, for a query with a
+/// non-ASCII byte.
+fn normalize_spans(query: &str, out: &mut String) {
     for (start, end) in token_spans(query) {
         if !out.is_empty() {
             out.push(' ');
@@ -97,7 +137,6 @@ pub fn normalize_query(query: &str) -> String {
             out.push_str(&raw.to_lowercase());
         }
     }
-    out
 }
 
 /// Analyzes one raw token (a [`token_spans`] slice): lowercase, drop

@@ -20,8 +20,11 @@ cargo test -q --workspace --release
 echo "== serving layer: unit + integration =="
 cargo test -q -p shift-serve
 
-echo "== serving layer: a cache hit allocates only its key (count independent of the answer's size and the query's length) =="
+echo "== serving layer: a cache hit allocates exactly once, its key (whatever the answer's size and the query's length) =="
 cargo test -q -p shift-serve --test alloc_hit
+
+echo "== metrics: log-bucket histogram properties (quantiles within 1/64 of exact, merge == recording both, held bytes fixed after 10 and 10^6 records) =="
+cargo test -q -p shift-metrics --test log_histogram
 
 echo "== resilience: engines fault-injection suite =="
 cargo test -q -p shift-engines fault
@@ -56,7 +59,7 @@ cargo test -q --release --test adversarial_input
 echo "== index build: memoized build == page-by-page add_document on both layouts, deterministic term ids, span walker == frozen tokenizer =="
 cargo test -q -p shift-search --test build_equivalence
 
-echo "== cache keys: one-pass answer-cache key == joined tokens, SERP-cache key == joined analysis (non-ASCII case mappings) =="
+echo "== cache keys: one-pass answer-cache key == joined tokens (ASCII byte loop and non-ASCII case mappings), SERP-cache key == joined analysis =="
 cargo test -q -p shift-textkit --test normalize_equivalence
 cargo test -q -p shift-engines --test serp_key_equivalence
 

@@ -10,7 +10,8 @@
 //! replacement character, plus syntax fragments that steer each parser
 //! into its deeper states. They also draw lossy decodes of random bytes
 //! and long digit runs. JSON nested past the parser's depth limit must
-//! come back as an `Err`, not a stack overflow.
+//! come back as an `Err`, not a stack overflow, and so must a number
+//! literal past the range of `f64`.
 
 use navigating_shift::freshness::{dates, extract_page_date, html, json};
 use navigating_shift::urlkit::{normalize, registrable_domain, NormalizeOptions, Url};
@@ -146,6 +147,19 @@ proptest! {
         }
         prop_assert!(json::parse(&doc).is_err(), "depth {} accepted", depth);
     }
+}
+
+/// A number literal past `f64`'s range is an `Err`, not an infinity that
+/// the writer could not spell back.
+#[test]
+fn json_numbers_past_the_f64_range_are_errors() {
+    let long_run = "9".repeat(400);
+    for literal in ["1e999", "-1e999", "1E+400", "-0.5e99999", long_run.as_str()] {
+        for doc in [literal.to_string(), format!("{{\"ratio\":[1,{literal}]}}")] {
+            assert!(json::parse(&doc).is_err(), "{doc:?} accepted");
+        }
+    }
+    assert!(json::parse(&"9".repeat(308)).is_ok());
 }
 
 #[test]
