@@ -8,7 +8,9 @@ use shift_classify::intent::QueryIntentLabel;
 use shift_corpus::{PageId, World};
 use shift_llm::{GroundingMode, Llm, LlmConfig, Snippet};
 use shift_metrics::bootstrap::SplitMix64;
-use shift_search::serp::excerpt_contains_lowercase;
+use shift_search::serp::{
+    excerpt_contains_lowercase, lowercase_occurrences, occurrences_within, Occurrence,
+};
 use shift_search::{
     with_thread_scratch, QueryScratch, RankingParams, SearchEngine, SearchIndex, Serp, SerpResult,
 };
@@ -28,9 +30,13 @@ pub struct AnswerEngines {
     retrievers: HashMap<EngineKind, SearchEngine>,
     personas: HashMap<EngineKind, Persona>,
     llm: Llm,
-    // Per-result text work done once at build. Entity names lowercased
-    // for snippet attribution, by `EntityId`.
+    // Per-result text work done once at build. Entity names lowercased,
+    // by `EntityId`: the needles the mention table was built from, and
+    // those a snippet of a page without a table is scanned for.
     entity_names: Vec<String>,
+    // Where each page's mention names occur in its body, so attributing
+    // a snippet is a range check over its window.
+    mentions: MentionTable,
     // Each page's citation domain, by `PageId`: `None` where its URL has
     // no registrable domain. Result URLs are their pages' URLs, since
     // every index is built from the world.
@@ -46,9 +52,55 @@ pub struct AnswerEngines {
     single_flight: SingleFlight,
 }
 
+/// Every page's mention-name occurrences, page after page, in one
+/// exactly sized allocation: page `p`'s are `occurrences[start..end]`
+/// for `pages[p] == Some((start, end))`, as [`lowercase_occurrences`]
+/// lists the page's lowercased mention names (in mention order) in its
+/// body. `None` marks a page that function declines (a body that is not
+/// case-simple, a name that is empty or holds `…`); its snippets are
+/// attributed by scanning their windows.
+#[derive(Debug, PartialEq)]
+struct MentionTable {
+    occurrences: Box<[Occurrence]>,
+    pages: Box<[Option<(u32, u32)>]>,
+}
+
+impl MentionTable {
+    fn build(world: &World, entity_names: &[String]) -> MentionTable {
+        let mut occurrences = Vec::new();
+        let mut names: Vec<&str> = Vec::new();
+        let offset = |len: usize| u32::try_from(len).expect("fewer than 2^32 name occurrences");
+        let pages = world
+            .pages()
+            .iter()
+            .map(|page| {
+                names.clear();
+                names.extend(
+                    page.mentions
+                        .iter()
+                        .map(|m| entity_names[m.entity.index()].as_str()),
+                );
+                let start = offset(occurrences.len());
+                lowercase_occurrences(&page.body, &names, &mut occurrences)
+                    .then(|| (start, offset(occurrences.len())))
+            })
+            .collect();
+        MentionTable {
+            occurrences: occurrences.into_boxed_slice(),
+            pages,
+        }
+    }
+
+    /// Page `page`'s occurrences, or `None` where it has no table.
+    fn page(&self, page: PageId) -> Option<&[Occurrence]> {
+        let (start, end) = self.pages[page.index()]?;
+        Some(&self.occurrences[start as usize..end as usize])
+    }
+}
+
 /// A page's registrable domain and its FNV-1a hash, which seeds the
 /// personas' per-domain citation preference.
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq)]
 struct CitedDomain {
     name: Arc<str>,
     hash: u64,
@@ -74,8 +126,27 @@ impl AnswerEngines {
 
     /// Builds the stack with a custom LLM configuration (used by the
     /// pre-training ablations).
+    ///
+    /// The answer path's per-page tables (lowercased entity names, the
+    /// mention-name occurrences, citation domains) read only the world,
+    /// so a helper thread builds them while this thread builds the index.
     pub fn build_with_llm_config(world: Arc<World>, llm_config: LlmConfig) -> AnswerEngines {
-        let google = SearchEngine::build(&world, RankingParams::google());
+        let (google, (entity_names, mentions, page_domains)) = std::thread::scope(|scope| {
+            let tables = scope.spawn(|| {
+                let entity_names: Vec<String> = world
+                    .entities()
+                    .iter()
+                    .map(|e| e.name.to_lowercase())
+                    .collect();
+                let mentions = MentionTable::build(&world, &entity_names);
+                (entity_names, mentions, page_domains(&world))
+            });
+            let google = SearchEngine::build(&world, RankingParams::google());
+            let tables = tables
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (google, tables)
+        });
         let index = google.index_handle();
         let mut retrievers = HashMap::new();
         let mut personas = HashMap::new();
@@ -86,12 +157,6 @@ impl AnswerEngines {
             personas.insert(kind, persona);
         }
         let llm = Llm::pretrain(&world, llm_config);
-        let entity_names = world
-            .entities()
-            .iter()
-            .map(|e| e.name.to_lowercase())
-            .collect();
-        let page_domains = page_domains(&world);
         AnswerEngines {
             world,
             google,
@@ -99,6 +164,7 @@ impl AnswerEngines {
             personas,
             llm,
             entity_names,
+            mentions,
             page_domains,
             serp_cache: SerpCache::new(&SerpCacheConfig::default()),
             single_flight: SingleFlight::new(),
@@ -205,6 +271,12 @@ impl AnswerEngines {
         self.page_domains[page.index()].as_ref().map(|d| &*d.name)
     }
 
+    /// Where `page`'s lowercased mention names occur in its body, built
+    /// once at build; `None` where its snippets are attributed by a scan.
+    pub fn mention_occurrences(&self, page: PageId) -> Option<&[Occurrence]> {
+        self.mentions.page(page)
+    }
+
     /// The persona of a generative engine.
     pub fn persona(&self, kind: EngineKind) -> &Persona {
         &self.personas[&kind]
@@ -220,25 +292,40 @@ impl AnswerEngines {
     /// names nobody, the page's primary mention stands in (the page is
     /// still "about" its subject).
     ///
+    /// Which names a window shows is a lookup: a name is visible iff one
+    /// of its occurrences in the page's mention table lies inside the
+    /// window's range. A page without a table (text that is not
+    /// case-simple) has its window scanned with
+    /// [`excerpt_contains_lowercase`], which gives the same flags.
+    ///
     /// The snippets are collected straight into one shared slice, each
     /// shares its result's url and text window, and each entity list is
     /// sized exactly: an answer keeps its evidence for as long as it
     /// stays in the answer cache.
     pub fn snippets_from_serp(&self, serp: &Serp) -> Arc<[Snippet]> {
-        let mut names: Vec<&str> = Vec::new();
         let mut shown: Vec<bool> = Vec::new();
+        // Only a page without a table needs its names as needles.
+        let mut names: Vec<&str> = Vec::new();
         serp.results
             .iter()
             .map(|r| {
                 let page = self.world.page(r.page);
-                names.clear();
-                names.extend(
-                    page.mentions
-                        .iter()
-                        .map(|m| self.entity_names[m.entity.index()].as_str()),
-                );
-                shown.resize(names.len(), false);
-                excerpt_contains_lowercase(&r.snippet, &names, &mut shown);
+                shown.resize(page.mentions.len(), false);
+                if let Some(occurrences) = self.mentions.page(r.page) {
+                    // The index uses the raw layout, where a result's
+                    // text is its own page body, so the window's range in
+                    // its source is a range of the body the table lists.
+                    debug_assert_eq!(r.snippet.source().len(), page.body.len());
+                    occurrences_within(occurrences, r.snippet.range(), &mut shown);
+                } else {
+                    names.clear();
+                    names.extend(
+                        page.mentions
+                            .iter()
+                            .map(|m| self.entity_names[m.entity.index()].as_str()),
+                    );
+                    excerpt_contains_lowercase(&r.snippet, &names, &mut shown);
+                }
                 let visible = shown.iter().filter(|&&s| s).count();
                 let entities: Vec<(shift_corpus::EntityId, f64)> = if visible == 0 {
                     page.primary_mention()
@@ -525,6 +612,7 @@ mod tests {
     use super::*;
     use shift_corpus::{SourceType, WorldConfig};
     use shift_metrics::jaccard;
+    use shift_textkit::Excerpt;
 
     fn world() -> Arc<World> {
         Arc::new(World::generate(&WorldConfig::small(), 55))
@@ -788,6 +876,62 @@ mod tests {
         assert_eq!(sf.leaders + sf.waiters + cache.hits, N as u64);
         assert!(sf.leaders >= 1);
         assert_eq!(cache.inserts, sf.leaders, "one insert per kernel run");
+    }
+
+    #[test]
+    fn builds_beside_the_index_are_deterministic() {
+        let w = world();
+        let (a, b) = (
+            AnswerEngines::build(w.clone()),
+            AnswerEngines::build(w.clone()),
+        );
+        assert_eq!(a.mentions, b.mentions);
+        assert_eq!(a.page_domains, b.page_domains);
+        // And equal to building them on this thread.
+        assert_eq!(a.mentions, MentionTable::build(&w, &a.entity_names));
+        assert_eq!(a.page_domains, page_domains(&w));
+        assert!(!a.mentions.occurrences.is_empty());
+        assert_eq!(a.mentions.pages.len(), w.pages().len());
+    }
+
+    #[test]
+    fn pages_without_a_table_attribute_by_scan_to_the_same_entities() {
+        let w = world();
+        let lookup = AnswerEngines::build(w.clone());
+        let mut scan = AnswerEngines::build(w.clone());
+        scan.mentions.pages = vec![None; w.pages().len()].into();
+        let serp = with_thread_scratch(|s| {
+            lookup.retrieval_with(s, EngineKind::Gpt4o, "Top 10 most reliable SUVs", 10)
+        });
+        // Every result's body cut into 24-byte windows at every fifth
+        // byte, so windows cut names at both edges.
+        for at in (0..)
+            .step_by(5)
+            .take_while(|&at| serp.results.iter().any(|r| at < r.snippet.source().len()))
+        {
+            let mut cut = Serp::clone(&serp);
+            for r in &mut cut.results {
+                let body = Arc::clone(r.snippet.source());
+                let mut start = at.min(body.len());
+                let mut end = (start + 24).min(body.len());
+                while !body.is_char_boundary(start) {
+                    start -= 1;
+                }
+                while !body.is_char_boundary(end) {
+                    end += 1;
+                }
+                let (leads, trails) = (start > 0, end < body.len());
+                r.snippet = Excerpt::new(body, start..end, leads, trails);
+            }
+            let (a, b) = (
+                lookup.snippets_from_serp(&cut),
+                scan.snippets_from_serp(&cut),
+            );
+            assert_eq!(a.len(), cut.results.len());
+            for (a, b) in a.iter().zip(b.iter()) {
+                assert_eq!(a.entities, b.entities, "{:?} of {}", a.text, a.url);
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The answer path's build-time text tables, checked at paper scale:
-//! each page's precomputed citation domain and the lowercased entity
-//! names give exactly what deriving them per result did.
+//! each page's precomputed citation domain and its mention-name
+//! occurrences give exactly what deriving them per result did, and every
+//! page of the paper world has a mention table, so no snippet takes the
+//! scan.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -45,6 +47,49 @@ fn citation_domains_match_from_url() {
             page.url
         );
     }
+}
+
+#[test]
+fn every_page_has_a_mention_table_of_its_names_occurrences() {
+    let stack = stack();
+    let world = stack.world();
+    let mut total = 0;
+    for page in world.pages() {
+        let occurrences = stack
+            .mention_occurrences(page.id)
+            .unwrap_or_else(|| panic!("{} has no mention table", page.url));
+        let lower = page.body.to_lowercase();
+        assert_eq!(lower.len(), page.body.len(), "{}", page.url);
+        let names: Vec<String> = page
+            .mentions
+            .iter()
+            .map(|m| world.entity(m.entity).name.to_lowercase())
+            .collect();
+        // Every occurrence is a match, in start order, and none is missed:
+        // each name's count is its overlapping match count.
+        assert!(occurrences.windows(2).all(|w| w[0].start <= w[1].start));
+        for o in occurrences {
+            let name = &names[o.needle as usize];
+            assert_eq!(
+                &lower[o.start as usize..o.end as usize],
+                name,
+                "{}",
+                page.url
+            );
+        }
+        for (j, name) in names.iter().enumerate() {
+            let matches = (0..lower.len())
+                .filter(|&at| lower.as_bytes()[at..].starts_with(name.as_bytes()))
+                .count();
+            let listed = occurrences
+                .iter()
+                .filter(|o| o.needle as usize == j)
+                .count();
+            assert_eq!(listed, matches, "{name:?} in {}", page.url);
+        }
+        total += occurrences.len();
+    }
+    assert!(total > world.pages().len(), "{total} occurrences");
 }
 
 #[test]

@@ -166,6 +166,74 @@ pub fn excerpt_contains_lowercase<N: AsRef<str>>(
     }
 }
 
+/// One occurrence of a needle in a text's lowercase: needle `needle` at
+/// bytes `start..end`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Occurrence {
+    /// Byte offset of the match.
+    pub start: u32,
+    /// Byte offset just past the match.
+    pub end: u32,
+    /// Index of the needle that matched.
+    pub needle: u32,
+}
+
+/// Appends every occurrence of every needle in `text.to_lowercase()` to
+/// `out`, overlapping ones included, in offset order, and returns true.
+/// [`occurrences_within`] then answers [`excerpt_contains_lowercase`]
+/// for any window of `text` with a range check instead of a scan.
+///
+/// Returns false and leaves `out` as it was where that answer would not
+/// be exact: when `text` is not case-simple (see `scan_lowercase`), when
+/// a needle is empty or holds a `…` (its match depends on the window's
+/// ellipses), and when `text` or `needles` is too long to index with a
+/// `u32`.
+pub fn lowercase_occurrences<N: AsRef<str>>(
+    text: &str,
+    needles: &[N],
+    out: &mut Vec<Occurrence>,
+) -> bool {
+    let declined = needles.iter().any(|n| {
+        let n = n.as_ref();
+        n.is_empty() || n.contains(ELLIPSIS)
+    });
+    if declined || u32::try_from(text.len()).is_err() || u32::try_from(needles.len()).is_err() {
+        return false;
+    }
+    let len = out.len();
+    let scanned = scan_lowercase(text, needles, |at, j| {
+        out.push(Occurrence {
+            start: at as u32,
+            end: (at + needles[j].as_ref().len()) as u32,
+            needle: j as u32,
+        });
+        false
+    });
+    if !scanned {
+        out.truncate(len);
+    }
+    scanned
+}
+
+/// Sets `found[j]` to whether an occurrence of needle `j` lies wholly
+/// inside `window`, and every other flag to false. For the occurrences
+/// [`lowercase_occurrences`] lists in a text, that is
+/// [`excerpt_contains_lowercase`] on any excerpt whose window is
+/// `text[window]`: the window of a case-simple text lowercases to the
+/// same slice of the text's lowercase.
+pub fn occurrences_within(occurrences: &[Occurrence], window: Range<usize>, found: &mut [bool]) {
+    found.fill(false);
+    let first = occurrences.partition_point(|o| (o.start as usize) < window.start);
+    for o in occurrences[first..]
+        .iter()
+        .take_while(|o| (o.start as usize) < window.end)
+    {
+        if o.end as usize <= window.end {
+            found[o.needle as usize] = true;
+        }
+    }
+}
+
 /// One forward pass over `text` that matches `needles` against its
 /// ASCII-lowercased bytes, folding case in place. Calls `on_match(offset,
 /// needle index)` for each match in offset order until it returns true.

@@ -65,8 +65,14 @@ impl Excerpt {
     /// The window, without its ellipses.
     #[inline]
     pub fn window(&self) -> &str {
+        &self.text[self.range()]
+    }
+
+    /// The window's byte range in [`Excerpt::source`].
+    #[inline]
+    pub fn range(&self) -> Range<usize> {
         let start = self.start as usize;
-        &self.text[start..start + (self.packed >> 2) as usize]
+        start..start + (self.packed >> 2) as usize
     }
 
     /// Whether a `…` leads the window.
@@ -179,6 +185,7 @@ mod tests {
         let text: Arc<str> = "alpha beta gamma".into();
         let e = Excerpt::new(Arc::clone(&text), 6..10, true, true);
         assert_eq!(e.window(), "beta");
+        assert_eq!(e.range(), 6..10);
         assert_eq!(e.to_string(), "…beta…");
         assert_eq!(e.len(), "…beta…".len());
         assert!(Arc::ptr_eq(e.source(), &text));

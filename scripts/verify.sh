@@ -63,7 +63,7 @@ echo "== cache keys: one-pass answer-cache key == joined tokens (ASCII byte loop
 cargo test -q -p shift-textkit --test normalize_equivalence
 cargo test -q -p shift-engines --test serp_key_equivalence
 
-echo "== snippets: Excerpt window == oracle snippet String (Display, Debug, ==), attribution on the window == on the composed text =="
+echo "== snippets: Excerpt window == oracle snippet String (Display, Debug, ==), attribution on the window == on the composed text == by lookup in the occurrence table (declined exactly for bodies not case-simple and for empty or … names) =="
 cargo test -q -p shift-search --test excerpt_equivalence
 
 echo "== compressed postings: codec round-trips + partial-block subranges =="
@@ -85,7 +85,7 @@ cargo test -q -p shift-engines stack
 echo "== engine stack: single-flight dedup (N concurrent misses compute once; a panicking leader hands its key on) =="
 cargo test -q -p shift-engines single_flight
 
-echo "== engine stack: answer invariants + build-time text tables == per-result derivation (paper scale) =="
+echo "== engine stack: answer invariants + build-time text tables (citation domains, every page's mention-occurrence table) == per-result derivation (paper scale) =="
 cargo test -q -p shift-engines --test proptest_engines
 cargo test -q -p shift-engines --test precomputed_text
 
