@@ -61,7 +61,7 @@ impl WorldConfig {
     }
 
     /// The paper-artifact scale: alias of [`WorldConfig::default_scale`],
-    /// named for benches and docs that speak in terms of the paper's
+    /// named for gates and docs that speak in terms of the paper's
     /// committed numbers.
     pub fn paper() -> Self {
         WorldConfig::default_scale()

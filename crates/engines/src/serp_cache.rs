@@ -19,22 +19,25 @@
 //!
 //! A key hashes its fields once, when it is built; the shard routing
 //! and the shard's map both read that hash ([`crate::route_hash`]).
-//! Each shard is an independent `parking_lot::Mutex` around a
+//! Each shard is an independent `std::sync::Mutex` around a
 //! slab-backed intrusive LRU list (the same shape as `shift-serve`'s
 //! answer cache), so concurrent lookups on different shards never
-//! contend; counters are relaxed atomics surfaced through
-//! [`SerpCache::stats`] into the serving metrics → report JSON path.
+//! contend, and a caught panic under a shard lock does not poison it
+//! (nothing under a guard panics between two list updates: they are
+//! index writes to slots the shard owns).
+//! Counters are relaxed atomics surfaced through [`SerpCache::stats`]
+//! into the serving metrics → report JSON path.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use shift_search::Serp;
 use shift_textkit::{analyze_token, token_spans};
 
 use crate::route_hash::{Fnv1a, RouteHashed};
+use crate::single_flight::lock;
 
 /// Geometry of one [`SerpCache`].
 #[derive(Debug, Clone)]
@@ -261,7 +264,7 @@ impl SerpCache {
 
     /// Resident entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     /// True when no shard holds an entry.
@@ -277,7 +280,7 @@ impl SerpCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let mut shard = self.shards[self.shard_for(key)].lock();
+        let mut shard = lock(&self.shards[self.shard_for(key)]);
         let Some(&slot) = shard.map.get(key) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -294,7 +297,7 @@ impl SerpCache {
         if self.is_disabled() {
             return;
         }
-        let mut shard = self.shards[self.shard_for(&key)].lock();
+        let mut shard = lock(&self.shards[self.shard_for(&key)]);
         if let Some(&slot) = shard.map.get(&key) {
             shard.slab[slot].serp = serp;
             shard.unlink(slot);
@@ -402,6 +405,24 @@ mod tests {
             SerpCacheKey::new("Best Laptops 2025", 0x5eed, 10).normalized(),
             "best laptop 2025"
         );
+    }
+
+    #[test]
+    fn a_panic_under_a_shard_lock_leaves_the_cache_usable() {
+        let cache = single_shard(4);
+        let k1 = SerpCacheKey::new("alpha", 1, 10);
+        let k2 = SerpCacheKey::new("beta", 1, 10);
+        cache.insert(k1.clone(), serp("alpha"));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _shard = lock(&cache.shards[cache.shard_for(&k1)]);
+            panic!("worker panic under the shard lock");
+        }));
+        assert!(caught.is_err());
+        assert!(cache.shards[0].is_poisoned());
+        assert_eq!(cache.get(&k1).unwrap().query, "alpha");
+        cache.insert(k2.clone(), serp("beta"));
+        assert!(cache.get(&k2).is_some());
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

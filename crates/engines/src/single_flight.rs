@@ -199,8 +199,9 @@ impl SingleFlight {
 }
 
 /// Locks a mutex, recovering from poisoning (a panicked holder leaves
-/// plain data we can still read).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// plain data we can still read). The SERP cache's shards lock through
+/// it too.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 

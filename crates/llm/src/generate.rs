@@ -9,7 +9,8 @@ use shift_textkit::Excerpt;
 use crate::pretrain::Llm;
 
 /// Simulator configuration. Defaults are the calibrated values behind the
-/// committed EXPERIMENTS.md numbers; the ablation benches sweep them.
+/// committed EXPERIMENTS.md numbers; `shift-core`'s ablation tests sweep
+/// some of them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LlmConfig {
     /// Days before the study date where the pre-training snapshot ends.

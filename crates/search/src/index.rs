@@ -15,9 +15,8 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use parking_lot::RwLock;
 use shift_corpus::{PageId, SourceType, World};
 use shift_textkit::{analyze_token, token_spans};
 
@@ -338,6 +337,18 @@ fn push_occurrences<'w>(
     }
 }
 
+/// Read-locks a table cache. Entries are only ever pushed whole, so the
+/// lock never counts as poisoned: a panic caught while a guard was held
+/// leaves a list the next reader can use as it is.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks a table cache; poisoning is ignored as in [`read`].
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The inverted index over a generated world.
 #[derive(Debug)]
 pub struct SearchIndex {
@@ -506,7 +517,7 @@ impl SearchIndex {
     ) -> Arc<StaticScores> {
         let key = StaticKey::new(authority_weight, freshness_weight, freshness_half_life);
         {
-            let cache = self.static_cache.read();
+            let cache = read(&self.static_cache);
             if let Some((_, table)) = cache.iter().find(|(k, _)| *k == key) {
                 return Arc::clone(table);
             }
@@ -522,7 +533,7 @@ impl SearchIndex {
             DocStore::Raw(v) => v.iter().map(|m| factor(m.authority, m.age_days)).collect(),
             DocStore::Compact(c) => c.static_inputs().map(|(a, age)| factor(a, age)).collect(),
         });
-        let mut cache = self.static_cache.write();
+        let mut cache = write(&self.static_cache);
         // Another thread may have built the same entry while we computed;
         // keep the first so every holder shares one allocation.
         if let Some((_, existing)) = cache.iter().find(|(k, _)| *k == key) {
@@ -541,7 +552,7 @@ impl SearchIndex {
     pub fn score_table(&self, params: &Bm25Params) -> Arc<ScoreTable> {
         let key = Bm25Key::new(params);
         {
-            let cache = self.score_cache.read();
+            let cache = read(&self.score_cache);
             if let Some((_, table)) = cache.iter().find(|(k, _)| *k == key) {
                 return Arc::clone(table);
             }
@@ -571,7 +582,7 @@ impl SearchIndex {
             });
         }
         let table = Arc::new(ScoreTable { terms });
-        let mut cache = self.score_cache.write();
+        let mut cache = write(&self.score_cache);
         if let Some((_, existing)) = cache.iter().find(|(k, _)| *k == key) {
             return Arc::clone(existing);
         }
@@ -581,20 +592,21 @@ impl SearchIndex {
 
     /// Number of cached static-score parameterizations (for tests).
     pub fn static_cache_len(&self) -> usize {
-        self.static_cache.read().len()
+        read(&self.static_cache).len()
     }
 
     /// Number of cached impact-score parameterizations (for tests).
     pub fn score_cache_len(&self) -> usize {
-        self.score_cache.read().len()
+        read(&self.score_cache).len()
     }
 
     /// Size and estimated-heap-footprint report over the whole index:
     /// postings, positions, block tables, cached score tables and
     /// document metadata, each as held in memory, plus the raw-layout
     /// extrapolation ([`IndexStats::raw_bytes`]) a compressed index is
-    /// measured against. Printed by the kernel bench; the compression
-    /// gate rides on [`IndexStats::ratio`].
+    /// measured against. The kernel gate (`examples/search_kernel.rs`)
+    /// holds the paper index's heap bytes and the 100× [`IndexStats::ratio`]
+    /// to their committed values.
     pub fn stats(&self) -> IndexStats {
         let p = self.postings.stats();
         let doc_meta = match &self.docs {
@@ -604,7 +616,7 @@ impl SearchIndex {
                 compressed_bytes: c.heap_bytes(),
             },
         };
-        let score_cache = self.score_cache.read();
+        let score_cache = read(&self.score_cache);
         let score_table_bytes: u64 = score_cache.iter().map(|(_, t)| t.heap_bytes()).sum();
         // Raw extrapolation of the impact tables: each cached table
         // logically holds one f64 per posting plus one list header per
@@ -613,7 +625,7 @@ impl SearchIndex {
             * (p.postings * std::mem::size_of::<f64>() as u64
                 + p.vocabulary as u64 * std::mem::size_of::<Vec<f64>>() as u64);
         drop(score_cache);
-        let static_table_bytes: u64 = self.static_cache.read().len() as u64
+        let static_table_bytes: u64 = read(&self.static_cache).len() as u64
             * self.docs.len() as u64
             * std::mem::size_of::<(f64, f64)>() as u64;
         // Structures whose layout is identical in both modes.
@@ -810,6 +822,27 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(idx.static_cache_len(), 2);
         assert_eq!(a.len(), idx.len());
+    }
+
+    #[test]
+    fn a_panic_under_a_table_lock_leaves_the_caches_usable() {
+        let idx = index();
+        let params = crate::bm25::Bm25Params::default();
+        let a = idx.static_scores(2.2, 0.12, 365.0);
+        let t = idx.score_table(&params);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _statics = write(&idx.static_cache);
+            let _scores = write(&idx.score_cache);
+            panic!("worker panic under the table locks");
+        }));
+        assert!(caught.is_err());
+        assert!(idx.static_cache.is_poisoned() && idx.score_cache.is_poisoned());
+        assert!(Arc::ptr_eq(&a, &idx.static_scores(2.2, 0.12, 365.0)));
+        assert!(Arc::ptr_eq(&t, &idx.score_table(&params)));
+        let _ = idx.static_scores(0.5, 0.9, 120.0);
+        let _ = idx.score_table(&crate::bm25::Bm25Params { k1: 0.9, ..params });
+        assert_eq!((idx.static_cache_len(), idx.score_cache_len()), (2, 2));
+        assert!(idx.stats().score_table_bytes > 0);
     }
 
     #[test]

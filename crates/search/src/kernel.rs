@@ -135,7 +135,7 @@ struct TermCursor {
 }
 
 /// Counters the kernel accumulates across queries on one scratch —
-/// pruning effectiveness telemetry for benches and tests.
+/// pruning effectiveness telemetry for the kernel gate, perfbench and tests.
 ///
 /// In [`EvalMode::Pruned`] every document matching at least one query
 /// term (in each live segment the query ran over, dead versions
@@ -153,7 +153,7 @@ pub struct KernelStats {
     /// Times [`with_thread_scratch`] had to allocate a fresh scratch
     /// because the thread-local was already borrowed (re-entrant
     /// search). A nonzero count means some caller is silently paying
-    /// allocation + warm-up on every query — the bench asserts zero.
+    /// allocation + warm-up on every query — the kernel gate asserts zero.
     pub scratch_fallbacks: u64,
 }
 
@@ -280,13 +280,13 @@ thread_local! {
 /// Process-wide count of [`with_thread_scratch`] re-entrancy
 /// fallbacks. The per-scratch [`KernelStats::scratch_fallbacks`]
 /// counter on the fresh scratch is usually dropped with it, so this
-/// global is what benches and gates assert on.
+/// global is what the kernel gate asserts on and perfbench reports.
 static SCRATCH_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
 /// Times [`with_thread_scratch`] fell back to a freshly allocated
 /// scratch because the thread-local was already borrowed, since
 /// process start. Steady-state query paths must keep this at zero
-/// (asserted in the `search_kernel` bench): every fallback silently
+/// (asserted by the `search_kernel` example): every fallback silently
 /// re-pays allocation and warm-up that the scratch design exists to
 /// amortize.
 pub fn scratch_fallbacks() -> u64 {

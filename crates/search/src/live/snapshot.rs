@@ -408,8 +408,8 @@ impl LiveSearcher {
     }
 }
 
-/// Roll-up over per-segment stats: the live-index line next to the
-/// batch [`crate::IndexStats`] in BENCH_search.json.
+/// Roll-up over per-segment stats: the live index's counterpart of the
+/// batch [`crate::IndexStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LiveIndexStats {
     /// Runs in the snapshot.

@@ -210,9 +210,9 @@ impl SearchEngine {
         self.search_with_mode(scratch, query, k, EvalMode::Pruned)
     }
 
-    /// Executes a query with an explicit evaluation mode — the hook
-    /// benches and differential tests use to compare the pruned kernel
-    /// against the exhaustive pass on identical inputs.
+    /// Executes a query with an explicit evaluation mode — the hook the
+    /// kernel gate and differential tests use to compare the pruned
+    /// kernel against the exhaustive pass on identical inputs.
     pub fn search_with_mode(
         &self,
         scratch: &mut QueryScratch,

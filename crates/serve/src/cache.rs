@@ -7,8 +7,10 @@
 //! key is hashed once, when it is built: the shard routing and the
 //! shard's map both read that one FNV-1a hash
 //! ([`shift_engines::route_hash`]). Each shard is an independent
-//! `parking_lot::Mutex` around a slab-backed intrusive LRU list, so
-//! concurrent lookups on different shards never contend.
+//! `std::sync::Mutex` around a slab-backed intrusive LRU list, so
+//! concurrent lookups on different shards never contend. A shard lock
+//! never counts as poisoned: a worker panic caught while it held one
+//! leaves the cache usable.
 //!
 //! A lookup takes the caller's clock reading instead of reading its own:
 //! the service reads the clock once at admission, and that one reading
@@ -23,9 +25,9 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use shift_engines::{EngineAnswer, EngineKind, Fnv1a, RouteHashed};
 use shift_textkit::normalize_query;
 
@@ -250,6 +252,14 @@ impl Shard {
     }
 }
 
+/// Locks a shard. The lock never counts as poisoned, so a caught worker
+/// panic cannot disable the shard. Taking the data as a panicked holder
+/// left it is sound because nothing under a guard panics between two
+/// list updates: they are index writes to slots the shard owns.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A sharded TTL LRU mapping [`CacheKey`]s to [`EngineAnswer`]s.
 pub struct AnswerCache {
     shards: Vec<Mutex<Shard>>,
@@ -302,7 +312,7 @@ impl AnswerCache {
     /// Live entries across all shards (expired-but-unreclaimed entries
     /// still count; they are reclaimed lazily on touch).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     /// True when no shard holds an entry.
@@ -322,7 +332,7 @@ impl AnswerCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let mut shard = self.shards[self.shard_for(key)].lock();
+        let mut shard = lock(&self.shards[self.shard_for(key)]);
         let Some(&slot) = shard.map.get(key) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -356,7 +366,7 @@ impl AnswerCache {
         if self.is_disabled() {
             return None;
         }
-        let mut shard = self.shards[self.shard_for(key)].lock();
+        let mut shard = lock(&self.shards[self.shard_for(key)]);
         let &slot = shard.map.get(key)?;
         shard.unlink(slot);
         shard.push_front(slot);
@@ -371,7 +381,7 @@ impl AnswerCache {
             return;
         }
         let shard_idx = self.shard_for(&key);
-        let mut shard = self.shards[shard_idx].lock();
+        let mut shard = lock(&self.shards[shard_idx]);
         if let Some(&slot) = shard.map.get(&key) {
             shard.slab[slot].answer = answer;
             shard.slab[slot].inserted = Instant::now();
@@ -422,7 +432,7 @@ impl AnswerCache {
 
     /// Keys currently resident in one shard, MRU first (test support).
     pub fn shard_keys(&self, shard: usize) -> Vec<CacheKey> {
-        let shard = self.shards[shard].lock();
+        let shard = lock(&self.shards[shard]);
         let mut keys = Vec::with_capacity(shard.map.len());
         let mut slot = shard.head;
         while slot != NIL {
@@ -484,6 +494,25 @@ mod tests {
         );
         assert!(cache.get(&k3, Instant::now()).is_some());
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn a_panic_under_a_shard_lock_leaves_the_cache_usable() {
+        let cache = single_shard(4);
+        let k1 = CacheKey::new(EngineKind::Google, "alpha", 10, 0);
+        let k2 = CacheKey::new(EngineKind::Google, "beta", 10, 0);
+        cache.insert(k1.clone(), answer("a"));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _shard = lock(&cache.shards[cache.shard_for(&k1)]);
+            panic!("worker panic under the shard lock");
+        }));
+        assert!(caught.is_err());
+        assert!(cache.shards[0].is_poisoned());
+        assert_eq!(&*cache.get(&k1, Instant::now()).unwrap().text, "a");
+        cache.insert(k2.clone(), answer("b"));
+        assert!(cache.get_stale(&k2).is_some());
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.shard_keys(0), vec![k2, k1]);
     }
 
     #[test]

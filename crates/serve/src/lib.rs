@@ -12,8 +12,9 @@
 //!   graceful drain-then-join shutdown.
 //! * [`cache`] — [`AnswerCache`]: a sharded, TTL-aware LRU keyed by
 //!   the normalized query text ([`shift_textkit::normalize_query`]) plus
-//!   engine, depth, and seed, with per-shard `parking_lot` locks and
-//!   hit / miss / eviction counters.
+//!   engine, depth, and seed, with per-shard `std::sync::Mutex` locks
+//!   that a caught worker panic does not poison, and hit / miss /
+//!   eviction counters.
 //! * [`metrics`] — [`ServiceMetrics`]: per-engine latency recording with
 //!   p50/p95/p99 via [`shift_metrics::percentile`], throughput, and a
 //!   renderable [`report::MetricsSnapshot`].

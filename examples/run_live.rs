@@ -18,7 +18,8 @@
 //!
 //! `--gate` remeasures concurrent query throughput and fails if it
 //! drops below 80% of the committed number (same regression rule as the
-//! kernel bench gates; timing-sensitive, hence the generous floor).
+//! kernel gate's throughput rows; timing-sensitive, hence the generous
+//! floor), or if no number is committed.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -213,23 +214,18 @@ fn run_concurrent(
 }
 
 /// `--gate`: remeasure concurrent query throughput and compare against
-/// the committed `live.measured.query_qps`.
+/// the committed `live.measured.query_qps`. A missing file, section or
+/// key fails the gate.
 fn gate_against_committed(world: &World, timeline: &Timeline) {
-    let committed = match std::fs::read_to_string("BENCH_serve.json") {
-        Ok(text) => text,
-        Err(_) => {
-            println!("no committed BENCH_serve.json; skipping the churn-throughput gate");
-            return;
-        }
-    };
+    let committed = std::fs::read_to_string("BENCH_serve.json").expect("read BENCH_serve.json");
     let parsed = json_parse(&committed).expect("BENCH_serve.json parses");
     let Some(&Value::Number(recorded)) = parsed
         .get("live")
         .and_then(|l| l.get("measured"))
         .and_then(|m| m.get("query_qps"))
     else {
-        println!("committed BENCH_serve.json has no live section; skipping the gate");
-        return;
+        eprintln!("gate: committed BENCH_serve.json has no live.measured.query_qps");
+        std::process::exit(1);
     };
     let metrics = ServiceMetrics::new();
     let (queries, elapsed, _, counters) = run_concurrent(world, timeline, &metrics);

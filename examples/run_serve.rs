@@ -28,7 +28,8 @@
 //!
 //! `--chaos` runs only the chaos experiment and gates it against the
 //! committed `BENCH_serve.json`: if availability-with-resilience drops
-//! below the recorded number, the process exits non-zero.
+//! below the recorded number, or no number is recorded, the process
+//! exits non-zero.
 //!
 //! `--alloc` recomputes only the `alloc` section and gates it against
 //! the committed one: the counts are deterministic, so the process exits
@@ -316,22 +317,19 @@ fn gate_alloc(workload: &Workload) {
 /// Gate mode: recompute chaos availability and fail if it dropped below
 /// the committed number (the run is deterministic, so any drop is a real
 /// regression, not noise — a tiny tolerance absorbs only float printing).
-fn gate_against_committed(report: &ChaosReport) {
-    let committed = match std::fs::read_to_string("BENCH_serve.json") {
-        Ok(text) => text,
-        Err(_) => {
-            println!("no committed BENCH_serve.json; skipping the availability gate");
-            return;
-        }
-    };
+/// A missing file, section or key fails the gate before anything runs.
+fn gate_chaos(engines: &Arc<AnswerEngines>) {
+    let committed = std::fs::read_to_string("BENCH_serve.json").expect("read BENCH_serve.json");
     let parsed = json_parse(&committed).expect("BENCH_serve.json parses");
     let Some(&Value::Number(recorded)) = parsed
         .get("chaos")
         .and_then(|c| c.get("availability_resilient"))
     else {
-        println!("committed BENCH_serve.json has no chaos section; skipping the gate");
-        return;
+        eprintln!("gate: committed BENCH_serve.json has no chaos.availability_resilient");
+        std::process::exit(1);
     };
+    println!("chaos smoke: standard fault plan (epoch {CHAOS_EPOCH}), resilience on vs off\n");
+    let (_config, report) = run_chaos_experiment(engines);
     let measured = report.availability_resilient();
     println!("gate: measured availability_resilient {measured:.6} vs committed {recorded:.6}");
     assert!(
@@ -349,9 +347,7 @@ fn main() {
     let engines = Arc::new(AnswerEngines::build(world));
 
     if chaos_only {
-        println!("chaos smoke: standard fault plan (epoch {CHAOS_EPOCH}), resilience on vs off\n");
-        let (_config, report) = run_chaos_experiment(&engines);
-        gate_against_committed(&report);
+        gate_chaos(&engines);
         return;
     }
     let workload = Workload::mixed(&engines.world_handle(), WORKLOAD_SEED);

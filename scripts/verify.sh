@@ -92,13 +92,16 @@ cargo test -q -p shift-engines --test precomputed_text
 echo "== engine stack: result text and snippet windows shared from the doc store to the answer (pointer identity + cold answer allocates one fewer per result than with copied snippets) =="
 cargo test -q -p shift-engines --test shared_text
 
-echo "== lint: clippy on every workspace package except the compat/* shims (all targets: lib, tests, benches, examples) =="
-cargo clippy -q --workspace --exclude criterion --exclude crossbeam --exclude parking_lot --exclude proptest --exclude rand --all-targets -- -D warnings
+echo "== ablations: each calibration sweep moves the way DESIGN.md §7 says =="
+cargo test -q --release -p shift-core --test ablations
 
-echo "== retrieval kernel: bench smoke (small world, byte-identity incl. batch and compressed sweeps) =="
-cargo bench -p shift-bench --bench search_kernel -- --quick
+echo "== lint: clippy on every workspace package except the compat/* shims (all targets: lib, tests, examples) =="
+cargo clippy -q --workspace --exclude crossbeam --exclude proptest --exclude rand --all-targets -- -D warnings
 
-echo "== retrieval kernel: gate table (paper pruned, 100x batched/compressed q/s >= 80%, 100x compressed byte ratio <= 110% of committed BENCH_search.json) =="
-cargo bench -p shift-bench --bench search_kernel -- --gate
+echo "== retrieval kernel: gate harness smoke (small world, every row measured twice, untimed rows identical, written file read back; nothing gated) =="
+cargo run --release --example search_kernel -- --quick
+
+echo "== retrieval kernel: gate table (paper pruned, 100x batched/compressed q/s >= 80%, 100x compressed byte ratio <= 110%, docs scored/pruned per pass at paper and 100x and paper index heap bytes exact, vs committed BENCH_search.json) =="
+cargo run --release --example search_kernel -- --gate
 
 echo "verify.sh: all checks passed"
