@@ -1,7 +1,7 @@
 //! Query-intent classification (informational / consideration /
 //! transactional).
 
-use shift_textkit::tokenize;
+use shift_textkit::token_spans;
 
 /// The three-way intent taxonomy of §2.2.
 pub use shift_queries_intent::QueryIntentLabel;
@@ -73,28 +73,40 @@ const CONSIDERATION_MARKERS: &[&str] = &[
 /// assert_eq!(classify_intent("Best laptops for students"), QueryIntentLabel::Consideration);
 /// ```
 pub fn classify_intent(query: &str) -> QueryIntentLabel {
-    let tokens: Vec<String> = tokenize(query).into_iter().map(|t| t.text).collect();
-    if tokens.is_empty() {
-        return QueryIntentLabel::Consideration;
+    // Whether the first token is an interrogative starter; `None` until
+    // a token is seen.
+    let mut starts_as_question: Option<bool> = None;
+    let mut consideration = false;
+    for (start, end) in token_spans(query) {
+        let token = &query[start..end];
+        // An ASCII token matches a lowercase marker iff it does ignoring
+        // ASCII case, so it is compared in place. Any other token is
+        // lowercased as `tokenize` lowercases it: the Kelvin sign folds
+        // to ASCII `k`, so "stoc\u{212A}" is the marker "stock".
+        let lower;
+        let token = if token.is_ascii() {
+            token
+        } else {
+            lower = token.to_lowercase();
+            lower.as_str()
+        };
+        let is_one_of = |markers: &[&str]| markers.iter().any(|m| m.eq_ignore_ascii_case(token));
+        // Transactional markers beat everything, wherever they stand.
+        if is_one_of(TRANSACTIONAL_MARKERS) {
+            return QueryIntentLabel::Transactional;
+        }
+        // Shopping-research vocabulary beats interrogative form: "which
+        // laptop has the best thermals?" is consideration, not
+        // informational.
+        consideration = consideration || is_one_of(CONSIDERATION_MARKERS);
+        starts_as_question.get_or_insert_with(|| is_one_of(INFORMATIONAL_STARTERS));
     }
-    if tokens
-        .iter()
-        .any(|t| TRANSACTIONAL_MARKERS.contains(&t.as_str()))
-    {
-        return QueryIntentLabel::Transactional;
+    match starts_as_question {
+        Some(starter) if !consideration && (starter || query.trim_end().ends_with('?')) => {
+            QueryIntentLabel::Informational
+        }
+        _ => QueryIntentLabel::Consideration,
     }
-    // Shopping-research vocabulary beats interrogative form: "which laptop
-    // has the best thermals?" is consideration, not informational.
-    if tokens
-        .iter()
-        .any(|t| CONSIDERATION_MARKERS.contains(&t.as_str()))
-    {
-        return QueryIntentLabel::Consideration;
-    }
-    if INFORMATIONAL_STARTERS.contains(&tokens[0].as_str()) || query.trim_end().ends_with('?') {
-        return QueryIntentLabel::Informational;
-    }
-    QueryIntentLabel::Consideration
 }
 
 #[cfg(test)]

@@ -99,7 +99,7 @@ mod tests {
             .map(|i| Snippet {
                 url: format!("https://e.com/{i}").into(),
                 text: format!("snippet {i}").into(),
-                entities: vec![(EntityId(i as u32), 0.1 * i as f64)],
+                entities: vec![(EntityId(i as u32), 0.1 * i as f64)].into(),
                 age_days: i as f64,
             })
             .collect()

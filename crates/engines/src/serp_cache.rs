@@ -121,6 +121,15 @@ impl SerpCacheKey {
         &self.normalized
     }
 
+    /// The analyzed terms of the query, in order: the list
+    /// [`shift_textkit::analyze`] gives, read back from the normalized
+    /// text. No term is empty or holds whitespace (an analyzed term is
+    /// a non-empty run of lowercased word characters), so splitting at
+    /// the joining spaces recovers each one.
+    pub fn terms(&self) -> impl Iterator<Item = &str> + '_ {
+        self.normalized.split_ascii_whitespace()
+    }
+
     /// [`shift_search::RankingParams::fingerprint`] of the engine the
     /// SERP came from.
     pub fn params_fingerprint(&self) -> u64 {
@@ -350,6 +359,57 @@ impl SerpCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use shift_textkit::analyze;
+
+    /// Words, stopwords, joiners and separators, and characters whose
+    /// lowercase changes length or case class or splits a word.
+    const PIECES: &[&str] = &[
+        "İ",
+        "Σ",
+        "ẞ",
+        "ǅ",
+        "\u{212A}",
+        "ı",
+        "\u{301}",
+        "Ａ",
+        "\u{a0}",
+        "The",
+        "of",
+        "Best",
+        "LAPTOPS",
+        "batteries",
+        "s",
+        "Wi-Fi",
+        "don't",
+        "2025",
+        " ",
+        "-",
+        "'",
+        ",",
+        "?",
+        "\t",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The terms a key hands the kernel are the analysis of its query.
+        #[test]
+        fn key_terms_are_the_analyzed_query(
+            picks in prop::collection::vec(0usize..PIECES.len(), 0..24),
+        ) {
+            let text: String = picks.into_iter().map(|i| PIECES[i]).collect();
+            let key = SerpCacheKey::new(&text, 1, 10);
+            prop_assert_eq!(key.terms().collect::<Vec<_>>(), analyze(&text), "text {:?}", text);
+        }
+
+        #[test]
+        fn key_terms_match_on_printable_text(text in "\\PC{0,48}") {
+            let key = SerpCacheKey::new(&text, 1, 10);
+            prop_assert_eq!(key.terms().collect::<Vec<_>>(), analyze(&text), "text {:?}", text);
+        }
+    }
 
     fn serp(query: &str) -> Arc<Serp> {
         Arc::new(Serp {

@@ -1,12 +1,14 @@
 //! The engine stack: five answer systems over shared substrates.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use shift_classify::classify_intent;
 use shift_classify::intent::QueryIntentLabel;
-use shift_corpus::{PageId, World};
-use shift_llm::{GroundingMode, Llm, LlmConfig, Snippet};
+use shift_corpus::{EntityId, PageId, World};
+use shift_llm::{GroundingMode, Llm, LlmConfig, Snippet, SnippetEntities};
 use shift_metrics::bootstrap::SplitMix64;
 use shift_search::serp::{
     excerpt_contains_lowercase, lowercase_occurrences, occurrences_within, Occurrence,
@@ -27,8 +29,9 @@ use crate::single_flight::{SingleFlight, SingleFlightStats};
 pub struct AnswerEngines {
     world: Arc<World>,
     google: SearchEngine,
-    retrievers: HashMap<EngineKind, SearchEngine>,
-    personas: HashMap<EngineKind, Persona>,
+    // The generative engines by `EngineKind::index()`; Google's slot is
+    // empty.
+    lanes: [Option<Lane>; EngineKind::ALL.len()],
     llm: Llm,
     // Per-result text work done once at build. Entity names lowercased,
     // by `EntityId`: the needles the mention table was built from, and
@@ -37,10 +40,9 @@ pub struct AnswerEngines {
     // Where each page's mention names occur in its body, so attributing
     // a snippet is a range check over its window.
     mentions: MentionTable,
-    // Each page's citation domain, by `PageId`: `None` where its URL has
-    // no registrable domain. Result URLs are their pages' URLs, since
-    // every index is built from the world.
-    page_domains: Vec<Option<CitedDomain>>,
+    // Each page's citation domain and rerank factors. Result URLs are
+    // their pages' URLs, since every index is built from the world.
+    citing: CitationTables,
     // SERP-level retrieval cache shared by every persona: entries are
     // keyed on (analyzed query, params fingerprint, k), so Gemini's
     // grounding through Google's ranking and repeated serving traffic
@@ -50,6 +52,15 @@ pub struct AnswerEngines {
     // runs the kernel for a key, others with the same key wait for its
     // result instead of re-running the same retrieval.
     single_flight: SingleFlight,
+}
+
+/// One generative engine: its persona, its retrieval engine and the
+/// stable part of its per-domain citation preference,
+/// `0.7 * unit_noise(seed_salt ^ domain hash)`, by dense domain id.
+struct Lane {
+    persona: Persona,
+    retriever: SearchEngine,
+    fingerprint: Box<[f64]>,
 }
 
 /// Every page's mention-name occurrences, page after page, in one
@@ -98,12 +109,132 @@ impl MentionTable {
     }
 }
 
-/// A page's registrable domain and its FNV-1a hash, which seeds the
-/// personas' per-domain citation preference.
+/// A registrable domain and its FNV-1a hash, which seeds the personas'
+/// per-domain citation preference.
 #[derive(Clone, Debug, PartialEq)]
 struct CitedDomain {
     name: Arc<str>,
     hash: u64,
+}
+
+/// The query-independent factors of citation selection, computed once
+/// at build: each page's citation domain (interned to a dense id) and
+/// its freshness and authority factors, and the rank weight of every
+/// pool position.
+#[derive(Debug, PartialEq)]
+struct CitationTables {
+    // By dense domain id, in order of first appearance over the pages.
+    domains: Box<[CitedDomain]>,
+    pages: Box<[PageCite]>,
+    // `rank_weight(pos)` for every position of the deepest persona
+    // pool: a pool holds at most its persona's `pool_size` results.
+    rank_weights: Box<[f64]>,
+}
+
+/// A page's citation domain id (`None` where its URL has no registrable
+/// domain), `exp(-age / 90)` and its domain's authority.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct PageCite {
+    domain: Option<u32>,
+    fresh: f64,
+    authority: f64,
+}
+
+impl CitationTables {
+    /// Derives each page's citation domain from its URL as
+    /// [`Citation::from_url`] does, looking the registrable domain up
+    /// once per host, and the rank weights of positions `0..depth`.
+    fn build(world: &World, depth: usize) -> CitationTables {
+        let mut by_host: HashMap<String, Option<u32>> = HashMap::new();
+        let mut ids: HashMap<String, u32> = HashMap::new();
+        let mut domains = Vec::new();
+        let pages = world
+            .pages()
+            .iter()
+            .map(|page| {
+                let domain = Url::parse(&page.url).ok().and_then(|url| {
+                    if let Some(&id) = by_host.get(url.host()) {
+                        return id;
+                    }
+                    let id = registrable_domain(url.host()).map(|name| {
+                        let next = u32::try_from(domains.len()).expect("fewer than 2^32 domains");
+                        *ids.entry(name).or_insert_with_key(|name| {
+                            domains.push(CitedDomain {
+                                hash: hash_str(name),
+                                name: name.as_str().into(),
+                            });
+                            next
+                        })
+                    });
+                    by_host.insert(url.host().to_string(), id);
+                    id
+                });
+                let age = page.age_days(world.now_day()) as f64;
+                PageCite {
+                    domain,
+                    fresh: (-age / 90.0).exp(),
+                    authority: world.domain(page.domain).authority,
+                }
+            })
+            .collect();
+        CitationTables {
+            domains: domains.into_boxed_slice(),
+            pages,
+            rank_weights: (0..depth).map(rank_weight).collect(),
+        }
+    }
+
+    /// A persona's stable per-domain preference, by domain id.
+    fn fingerprint(&self, seed_salt: u64) -> Box<[f64]> {
+        self.domains
+            .iter()
+            .map(|d| 0.7 * unit_noise(seed_salt ^ d.hash))
+            .collect()
+    }
+
+    /// The domain a citation of `page` carries, if any.
+    fn domain(&self, page: PageId) -> Option<&CitedDomain> {
+        let id = self.pages[page.index()].domain?;
+        Some(&self.domains[id as usize])
+    }
+}
+
+/// The citation rerank's weight for pool position `pos`.
+fn rank_weight(pos: usize) -> f64 {
+    1.0 / (1.0 + 0.05 * pos as f64)
+}
+
+/// Per-thread working memory of the answer path, reused from answer to
+/// answer so computing one allocates only what the answer keeps.
+#[derive(Default)]
+struct AnswerScratch {
+    // Snippets: which of a page's mentions a window shows, the answer's
+    // entity lists back to back, and each snippet's range of them.
+    shown: Vec<bool>,
+    entities: Vec<(EntityId, f64)>,
+    ranges: Vec<Range<usize>>,
+    // Citation selection: (score, pool position, domain id) per
+    // citable result, the positions chosen, and citations so far per
+    // domain id, valid where stamped with `stamp`.
+    scored: Vec<(f64, u32, u32)>,
+    chosen: Vec<u32>,
+    per_domain: Vec<(u32, u32)>,
+    stamp: u32,
+    // Synthesis: candidate entities per topic id.
+    topic_counts: Vec<u32>,
+}
+
+thread_local! {
+    static ANSWER_SCRATCH: RefCell<AnswerScratch> = RefCell::new(AnswerScratch::default());
+}
+
+/// Runs `f` on this thread's answer scratch, or on a fresh one when the
+/// thread's is already in use further up the stack.
+fn with_answer_scratch<R>(f: impl FnOnce(&mut AnswerScratch) -> R) -> R {
+    ANSWER_SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut AnswerScratch::default()),
+    })
 }
 
 // The serving layer (`shift-serve`) and the parallel study runner share
@@ -128,44 +259,51 @@ impl AnswerEngines {
     /// pre-training ablations).
     ///
     /// The answer path's per-page tables (lowercased entity names, the
-    /// mention-name occurrences, citation domains) read only the world,
-    /// so a helper thread builds them while this thread builds the index.
+    /// mention-name occurrences, citation domains and rerank factors,
+    /// the personas' per-domain preferences) read only the world, so a
+    /// helper thread builds them while this thread builds the index.
     pub fn build_with_llm_config(world: Arc<World>, llm_config: LlmConfig) -> AnswerEngines {
-        let (google, (entity_names, mentions, page_domains)) = std::thread::scope(|scope| {
-            let tables = scope.spawn(|| {
-                let entity_names: Vec<String> = world
-                    .entities()
-                    .iter()
-                    .map(|e| e.name.to_lowercase())
-                    .collect();
-                let mentions = MentionTable::build(&world, &entity_names);
-                (entity_names, mentions, page_domains(&world))
+        let personas = EngineKind::GENERATIVE.map(Persona::for_kind);
+        let (google, (entity_names, mentions, citing, fingerprints)) =
+            std::thread::scope(|scope| {
+                let tables = scope.spawn(|| {
+                    let entity_names: Vec<String> = world
+                        .entities()
+                        .iter()
+                        .map(|e| e.name.to_lowercase())
+                        .collect();
+                    let mentions = MentionTable::build(&world, &entity_names);
+                    let depth = personas.iter().map(|p| p.pool_size).max().unwrap_or(0);
+                    let citing = CitationTables::build(&world, depth);
+                    let fingerprints = personas.each_ref().map(|p| citing.fingerprint(p.seed_salt));
+                    (entity_names, mentions, citing, fingerprints)
+                });
+                let google = SearchEngine::build(&world, RankingParams::google());
+                let tables = tables
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                (google, tables)
             });
-            let google = SearchEngine::build(&world, RankingParams::google());
-            let tables = tables
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (google, tables)
-        });
         let index = google.index_handle();
-        let mut retrievers = HashMap::new();
-        let mut personas = HashMap::new();
-        for kind in EngineKind::GENERATIVE {
-            let persona = Persona::for_kind(kind);
-            let engine = SearchEngine::with_index(index.clone(), persona.retrieval.clone());
-            retrievers.insert(kind, engine);
-            personas.insert(kind, persona);
+        let mut lanes: [Option<Lane>; EngineKind::ALL.len()] = Default::default();
+        for (persona, fingerprint) in personas.into_iter().zip(fingerprints) {
+            let retriever = SearchEngine::with_index(index.clone(), persona.retrieval.clone());
+            let slot = persona.kind.index();
+            lanes[slot] = Some(Lane {
+                persona,
+                retriever,
+                fingerprint,
+            });
         }
         let llm = Llm::pretrain(&world, llm_config);
         AnswerEngines {
             world,
             google,
-            retrievers,
-            personas,
+            lanes,
             llm,
             entity_names,
             mentions,
-            page_domains,
+            citing,
             serp_cache: SerpCache::new(&SerpCacheConfig::default()),
             single_flight: SingleFlight::new(),
         }
@@ -185,8 +323,10 @@ impl AnswerEngines {
     /// cached result list; a miss runs the kernel under single-flight —
     /// concurrent misses on the same key collapse into one kernel run
     /// whose result every waiter shares — and populates the cache. The
-    /// returned SERP's `query` echo may be another raw query with the
-    /// same key, so the answer path reads the caller's query instead.
+    /// kernel scores the key's own terms, so a miss analyzes its query
+    /// once. The returned SERP's `query` echo may be another raw query
+    /// with the same key, so the answer path reads the caller's query
+    /// instead.
     fn cached_serp(
         &self,
         engine: &SearchEngine,
@@ -199,10 +339,32 @@ impl AnswerEngines {
             return hit;
         }
         self.single_flight.run(&key, || {
-            let serp = Arc::new(engine.search_with(scratch, query, k));
+            let terms: Vec<&str> = key.terms().collect();
+            let serp = Arc::new(engine.search_analyzed_with(scratch, query, &terms, k));
             self.serp_cache.insert(key.clone(), Arc::clone(&serp));
             serp
         })
+    }
+
+    /// The generative engine `kind`.
+    ///
+    /// # Panics
+    /// Panics for [`EngineKind::Google`], which has no persona.
+    fn lane(&self, kind: EngineKind) -> &Lane {
+        self.lanes[kind.index()]
+            .as_ref()
+            .expect("Google is not a generative persona")
+    }
+
+    /// A generative engine's retrieval pool: Gemini grounds through
+    /// Google's own ranking; the other personas run their own retrieval
+    /// parameters.
+    fn pool(&self, lane: &Lane, scratch: &mut QueryScratch, query: &str) -> Arc<Serp> {
+        let engine = match lane.persona.kind {
+            EngineKind::Gemini => &self.google,
+            _ => &lane.retriever,
+        };
+        self.cached_serp(engine, scratch, query, lane.persona.pool_size)
     }
 
     /// The retrieval an engine's answer reads, through the SERP cache:
@@ -219,15 +381,7 @@ impl AnswerEngines {
     ) -> Arc<Serp> {
         match kind {
             EngineKind::Google => self.cached_serp(&self.google, scratch, query, k),
-            EngineKind::Gemini => {
-                self.cached_serp(&self.google, scratch, query, self.personas[&kind].pool_size)
-            }
-            _ => self.cached_serp(
-                &self.retrievers[&kind],
-                scratch,
-                query,
-                self.personas[&kind].pool_size,
-            ),
+            _ => self.pool(self.lane(kind), scratch, query),
         }
     }
 
@@ -268,7 +422,7 @@ impl AnswerEngines {
     /// The registrable domain a citation of `page` carries, computed
     /// once at build; `None` where the page's URL has none.
     pub fn citation_domain(&self, page: PageId) -> Option<&str> {
-        self.page_domains[page.index()].as_ref().map(|d| &*d.name)
+        self.citing.domain(page).map(|d| &*d.name)
     }
 
     /// Where `page`'s lowercased mention names occur in its body, built
@@ -278,8 +432,11 @@ impl AnswerEngines {
     }
 
     /// The persona of a generative engine.
+    ///
+    /// # Panics
+    /// Panics for [`EngineKind::Google`], which has no persona.
     pub fn persona(&self, kind: EngineKind) -> &Persona {
-        &self.personas[&kind]
+        &self.lane(kind).persona
     }
 
     /// Converts a SERP into LLM evidence snippets (presentation order =
@@ -299,16 +456,23 @@ impl AnswerEngines {
     /// [`excerpt_contains_lowercase`], which gives the same flags.
     ///
     /// The snippets are collected straight into one shared slice, each
-    /// shares its result's url and text window, and each entity list is
-    /// sized exactly: an answer keeps its evidence for as long as it
-    /// stays in the answer cache.
+    /// shares its result's url and text window, and all their entity
+    /// lists are one shared list, so the answer's evidence is two
+    /// allocations however many results it has. An answer keeps its
+    /// evidence for as long as it stays in the answer cache.
     pub fn snippets_from_serp(&self, serp: &Serp) -> Arc<[Snippet]> {
-        let mut shown: Vec<bool> = Vec::new();
-        // Only a page without a table needs its names as needles.
-        let mut names: Vec<&str> = Vec::new();
-        serp.results
-            .iter()
-            .map(|r| {
+        with_answer_scratch(|scratch| {
+            let AnswerScratch {
+                shown,
+                entities,
+                ranges,
+                ..
+            } = scratch;
+            entities.clear();
+            ranges.clear();
+            // Only a page without a table needs its names as needles.
+            let mut names: Vec<&str> = Vec::new();
+            for r in &serp.results {
                 let page = self.world.page(r.page);
                 shown.resize(page.mentions.len(), false);
                 if let Some(occurrences) = self.mentions.page(r.page) {
@@ -316,7 +480,7 @@ impl AnswerEngines {
                     // text is its own page body, so the window's range in
                     // its source is a range of the body the table lists.
                     debug_assert_eq!(r.snippet.source().len(), page.body.len());
-                    occurrences_within(occurrences, r.snippet.range(), &mut shown);
+                    occurrences_within(occurrences, r.snippet.range(), shown);
                 } else {
                     names.clear();
                     names.extend(
@@ -324,32 +488,33 @@ impl AnswerEngines {
                             .iter()
                             .map(|m| self.entity_names[m.entity.index()].as_str()),
                     );
-                    excerpt_contains_lowercase(&r.snippet, &names, &mut shown);
+                    excerpt_contains_lowercase(&r.snippet, &names, shown);
                 }
-                let visible = shown.iter().filter(|&&s| s).count();
-                let entities: Vec<(shift_corpus::EntityId, f64)> = if visible == 0 {
-                    page.primary_mention()
-                        .map(|primary| vec![(primary.entity, primary.score)])
-                        .unwrap_or_default()
-                } else {
-                    let mut entities = Vec::with_capacity(visible);
-                    entities.extend(
-                        page.mentions
-                            .iter()
-                            .zip(&shown)
-                            .filter(|(_, &shown)| shown)
-                            .map(|(m, _)| (m.entity, m.score)),
-                    );
-                    entities
-                };
-                Snippet {
+                let start = entities.len();
+                entities.extend(
+                    page.mentions
+                        .iter()
+                        .zip(shown.iter())
+                        .filter(|(_, &shown)| shown)
+                        .map(|(m, _)| (m.entity, m.score)),
+                );
+                if entities.len() == start {
+                    entities.extend(page.primary_mention().map(|m| (m.entity, m.score)));
+                }
+                ranges.push(start..entities.len());
+            }
+            let list: Arc<[(EntityId, f64)]> = Arc::from(&entities[..]);
+            serp.results
+                .iter()
+                .zip(ranges.iter())
+                .map(|(r, range)| Snippet {
                     url: Arc::clone(&r.url),
                     text: r.snippet.clone(),
-                    entities,
+                    entities: SnippetEntities::new(Arc::clone(&list), range.clone()),
                     age_days: r.age_days,
-                }
-            })
-            .collect()
+                })
+                .collect()
+        })
     }
 
     /// Issues `query` to one engine and returns its answer with citations.
@@ -376,7 +541,7 @@ impl AnswerEngines {
     ) -> EngineAnswer {
         match kind {
             EngineKind::Google => self.google_answer(scratch, query, k),
-            _ => self.generative_answer(scratch, kind, query, k, seed),
+            _ => self.generative_answer(scratch, self.lane(kind), query, k, seed),
         }
     }
 
@@ -385,10 +550,7 @@ impl AnswerEngines {
         let citations = serp
             .results
             .iter()
-            .filter_map(|r| {
-                let domain = self.page_domains[r.page.index()].as_ref()?;
-                Some(citation(r, domain))
-            })
+            .filter_map(|r| Some(citation(r, self.citing.domain(r.page)?)))
             .collect();
         let snippets = self.snippets_from_serp(&serp);
         EngineAnswer {
@@ -403,15 +565,15 @@ impl AnswerEngines {
     fn generative_answer(
         &self,
         scratch: &mut QueryScratch,
-        kind: EngineKind,
+        lane: &Lane,
         query: &str,
         k: usize,
         seed: u64,
     ) -> EngineAnswer {
-        let persona = &self.personas[&kind];
+        let persona = &lane.persona;
         let intent = classify_intent(query);
 
-        let pool = self.retrieval_with(scratch, kind, query, k);
+        let pool = self.pool(lane, scratch, query);
         let snippets = self.snippets_from_serp(&pool);
 
         // Citation suppression outside consideration intent (Claude).
@@ -424,27 +586,19 @@ impl AnswerEngines {
         };
 
         let citations: Arc<[Citation]> = if cites {
-            self.select_citations(
-                persona,
-                intent,
-                query,
-                &pool,
-                k.min(persona.citations_k),
-                seed,
-            )
-            .into()
+            self.select_citations(lane, intent, query, &pool, k.min(persona.citations_k), seed)
         } else {
             Arc::new([])
         };
 
-        let text = self.synthesize_text(kind, query, &snippets, seed);
+        let text = self.synthesize_text(persona.kind, query, &snippets, seed);
 
         EngineAnswer {
-            engine: kind,
+            engine: persona.kind,
             query: query.into(),
             citations,
             snippets,
-            text: text.into(),
+            text,
         }
     }
 
@@ -452,55 +606,90 @@ impl AnswerEngines {
     /// typology affinity, freshness/authority preferences and its
     /// idiosyncratic per-domain fingerprint, then take the top-k with a
     /// per-domain cap.
+    ///
+    /// Every query-independent factor is a table read; each score is the
+    /// same product, in the same operand order, as computing the factors
+    /// here would give.
     fn select_citations(
         &self,
-        persona: &Persona,
+        lane: &Lane,
         intent: QueryIntentLabel,
         query: &str,
         pool: &Serp,
         k: usize,
         seed: u64,
-    ) -> Vec<Citation> {
+    ) -> Arc<[Citation]> {
+        let persona = &lane.persona;
         let affinity = persona.affinity(intent);
         let query_hash = hash_str(query);
-        let mut scored: Vec<(f64, &SerpResult, &CitedDomain)> = pool
-            .results
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, r)| {
-                let cited = self.page_domains[r.page.index()].as_ref()?;
-                let domain = self.world.domain(self.world.page(r.page).domain);
-                let rank_w = 1.0 / (1.0 + 0.05 * pos as f64);
+        let results = &pool.results;
+        with_answer_scratch(|scratch| {
+            let AnswerScratch {
+                scored,
+                chosen,
+                per_domain,
+                stamp,
+                ..
+            } = scratch;
+            scored.clear();
+            for (pos, r) in results.iter().enumerate() {
+                let page = &self.citing.pages[r.page.index()];
+                let Some(domain) = page.domain else {
+                    continue;
+                };
+                let rank_w = self.citing.rank_weights[pos];
                 let aff = affinity[r.source_type.index()];
-                let fresh = (-r.age_days / 90.0).exp();
                 // Idiosyncratic fingerprint: mostly a stable per-domain
                 // preference, partly query-specific.
-                let u_dom = unit_noise(persona.seed_salt ^ cited.hash);
-                let u_query = unit_noise(persona.seed_salt ^ cited.hash ^ query_hash ^ seed);
-                let jitter = 1.0 + persona.domain_jitter * (0.7 * u_dom + 0.3 * u_query);
+                let hash = self.citing.domains[domain as usize].hash;
+                let u_query = unit_noise(persona.seed_salt ^ hash ^ query_hash ^ seed);
+                let jitter = 1.0
+                    + persona.domain_jitter * (lane.fingerprint[domain as usize] + 0.3 * u_query);
                 let score = rank_w
                     * aff
-                    * (1.0 + persona.freshness_pref * fresh)
-                    * (1.0 + persona.authority_pref * domain.authority)
+                    * (1.0 + persona.freshness_pref * page.fresh)
+                    * (1.0 + persona.authority_pref * page.authority)
                     * jitter.max(0.05);
-                Some((score, r, cited))
-            })
-            .collect();
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.url.cmp(&b.1.url)));
+                let pos = u32::try_from(pos).expect("fewer than 2^32 results");
+                scored.push((score, pos, domain));
+            }
+            // Best first, ties by url, then by pool position: the order
+            // a stable sort on (score, url) leaves.
+            scored.sort_unstable_by(|a, b| {
+                b.0.total_cmp(&a.0)
+                    .then_with(|| results[a.1 as usize].url.cmp(&results[b.1 as usize].url))
+                    .then(a.1.cmp(&b.1))
+            });
 
-        let mut out: Vec<Citation> = Vec::with_capacity(k);
-        let mut per_domain: HashMap<&str, usize> = HashMap::new();
-        for (_, r, cited) in scored {
-            let n = per_domain.entry(&cited.name).or_insert(0);
-            if *n < persona.max_per_domain {
-                *n += 1;
-                out.push(citation(r, cited));
-                if out.len() == k {
-                    break;
+            *stamp = stamp.wrapping_add(1);
+            if *stamp == 0 {
+                per_domain.fill((0, 0));
+                *stamp = 1;
+            }
+            per_domain.resize(self.citing.domains.len(), (0, 0));
+            chosen.clear();
+            for &(_, pos, domain) in scored.iter() {
+                let (seen, n) = &mut per_domain[domain as usize];
+                if *seen != *stamp {
+                    (*seen, *n) = (*stamp, 0);
+                }
+                if (*n as usize) < persona.max_per_domain {
+                    *n += 1;
+                    chosen.push(pos);
+                    if chosen.len() == k {
+                        break;
+                    }
                 }
             }
-        }
-        out
+            chosen
+                .iter()
+                .map(|&pos| {
+                    let r = &results[pos as usize];
+                    let domain = self.citing.domain(r.page).expect("scored results cite");
+                    citation(r, domain)
+                })
+                .collect()
+        })
     }
 
     /// A short synthesized answer: the model ranks the entities present in
@@ -508,74 +697,58 @@ impl AnswerEngines {
     ///
     /// Retrieval pools contain lexical-accident results from other topics;
     /// the model, like a real LLM, answers within the query's subject — so
-    /// candidates are restricted to the modal topic of the evidence.
+    /// candidates are restricted to the modal topic of the evidence. One
+    /// walk over the evidence lists the entities and scores them.
     fn synthesize_text(
         &self,
         kind: EngineKind,
         query: &str,
         snippets: &[Snippet],
         seed: u64,
-    ) -> String {
-        let mut candidates: Vec<shift_corpus::EntityId> = snippets
-            .iter()
-            .flat_map(|s| s.entities.iter().map(|(e, _)| *e))
-            .collect();
-        candidates.sort();
-        candidates.dedup();
-        // Majority topic of the evidence = the query's subject (ties
-        // break toward the lower topic id for determinism).
-        let mut topic_mass: std::collections::BTreeMap<shift_corpus::TopicId, usize> =
-            std::collections::BTreeMap::new();
-        for e in &candidates {
-            *topic_mass.entry(self.world.entity(*e).topic).or_insert(0) += 1;
-        }
-        if let Some((&modal, _)) = topic_mass
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-        {
-            candidates.retain(|e| self.world.entity(*e).topic == modal);
-        }
-        if candidates.is_empty() {
-            return format!("{}: no ranked entities for \"{query}\".", kind.name());
-        }
+    ) -> Arc<str> {
         let answer = self
             .llm
-            .rank_entities(&candidates, snippets, GroundingMode::Normal, seed);
-        let names: Vec<&str> = answer
-            .ranking
-            .iter()
-            .take(5)
-            .map(|e| self.world.entity(*e).name.as_str())
-            .collect();
-        format!(
-            "{} — top picks for \"{query}\": {}.",
-            kind.name(),
-            names.join(", ")
-        )
-    }
-}
-
-/// Each page's citation domain, derived from its URL as
-/// [`Citation::from_url`] derives it, with the registrable domain looked
-/// up once per host.
-fn page_domains(world: &World) -> Vec<Option<CitedDomain>> {
-    let mut by_host: HashMap<String, Option<CitedDomain>> = HashMap::new();
-    world
-        .pages()
-        .iter()
-        .map(|page| {
-            let url = Url::parse(&page.url).ok()?;
-            if let Some(cited) = by_host.get(url.host()) {
-                return cited.clone();
-            }
-            let cited = registrable_domain(url.host()).map(|name| CitedDomain {
-                hash: hash_str(&name),
-                name: name.into(),
+            .rank_evidence(snippets, GroundingMode::Normal, seed, |candidates| {
+                if let Some(modal) = self.modal_topic(candidates) {
+                    candidates.retain(|e| self.world.entity(*e).topic.index() == modal);
+                }
             });
-            by_host.insert(url.host().to_string(), cited.clone());
-            cited
+        if answer.ranking.is_empty() {
+            return format!("{}: no ranked entities for \"{query}\".", kind.name()).into();
+        }
+        let mut text = format!("{} — top picks for \"{query}\": ", kind.name());
+        for (i, e) in answer.ranking.iter().take(5).enumerate() {
+            if i > 0 {
+                text.push_str(", ");
+            }
+            text.push_str(&self.world.entity(*e).name);
+        }
+        text.push('.');
+        text.into()
+    }
+
+    /// Majority topic of `entities` = the query's subject, by topic
+    /// index (ties break toward the lower topic id for determinism).
+    fn modal_topic(&self, entities: &[EntityId]) -> Option<usize> {
+        with_answer_scratch(|scratch| {
+            let counts = &mut scratch.topic_counts;
+            counts.clear();
+            for e in entities {
+                let topic = self.world.entity(*e).topic.index();
+                if topic >= counts.len() {
+                    counts.resize(topic + 1, 0);
+                }
+                counts[topic] += 1;
+            }
+            let mut modal = None;
+            for (topic, &n) in counts.iter().enumerate() {
+                if n > modal.map_or(0, |(_, best)| best) {
+                    modal = Some((topic, n));
+                }
+            }
+            modal.map(|(topic, _)| topic)
         })
-        .collect()
+    }
 }
 
 /// The citation of a result whose page cites as `domain`: what
@@ -886,12 +1059,32 @@ mod tests {
             AnswerEngines::build(w.clone()),
         );
         assert_eq!(a.mentions, b.mentions);
-        assert_eq!(a.page_domains, b.page_domains);
+        assert_eq!(a.citing, b.citing);
         // And equal to building them on this thread.
         assert_eq!(a.mentions, MentionTable::build(&w, &a.entity_names));
-        assert_eq!(a.page_domains, page_domains(&w));
+        assert_eq!(a.citing, CitationTables::build(&w, 60));
         assert!(!a.mentions.occurrences.is_empty());
         assert_eq!(a.mentions.pages.len(), w.pages().len());
+        for kind in EngineKind::GENERATIVE {
+            let lane = a.lane(kind);
+            assert_eq!(
+                lane.fingerprint,
+                a.citing.fingerprint(lane.persona.seed_salt)
+            );
+            assert_eq!(lane.fingerprint.len(), a.citing.domains.len());
+        }
+        // Each domain is interned once, and every page whose URL has a
+        // registrable domain carries it.
+        let mut names: Vec<&str> = a.citing.domains.iter().map(|d| &*d.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), a.citing.domains.len());
+        for page in w.pages() {
+            let expected = Url::parse(&page.url)
+                .ok()
+                .and_then(|url| registrable_domain(url.host()));
+            assert_eq!(a.citation_domain(page.id), expected.as_deref());
+        }
     }
 
     #[test]

@@ -110,13 +110,13 @@ mod tests {
             Snippet {
                 url: "https://a.com/1".into(),
                 text: "".into(),
-                entities: vec![(EntityId(1), 0.5), (EntityId(2), 0.6)],
+                entities: vec![(EntityId(1), 0.5), (EntityId(2), 0.6)].into(),
                 age_days: 0.0,
             },
             Snippet {
                 url: "https://a.com/2".into(),
                 text: "".into(),
-                entities: vec![(EntityId(2), 0.7)],
+                entities: vec![(EntityId(2), 0.7)].into(),
                 age_days: 0.0,
             },
         ];

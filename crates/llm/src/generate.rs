@@ -1,11 +1,14 @@
 //! Listwise ranking generation: blending priors with retrieved evidence.
 
+use std::fmt;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 use shift_corpus::EntityId;
 use shift_metrics::bootstrap::SplitMix64;
 use shift_textkit::Excerpt;
 
+use crate::evidence::{EvidenceWalk, Sums};
 use crate::pretrain::Llm;
 
 /// Simulator configuration. Defaults are the calibrated values behind the
@@ -75,9 +78,9 @@ pub enum GroundingMode {
 }
 
 /// One retrieved evidence snippet, as the model sees it. Its url is a
-/// shared string and its text a window of shared text: a snippet built
-/// from a search result shares the result's, so cloning one allocates
-/// only its entity list.
+/// shared string, its text a window of shared text and its entity list a
+/// range of a list shared by every snippet of its answer, so cloning one
+/// allocates nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snippet {
     /// Source URL (becomes the citation).
@@ -86,7 +89,7 @@ pub struct Snippet {
     pub text: Excerpt,
     /// Entities the snippet speaks about, with the quality score the
     /// snippet's page observed for each.
-    pub entities: Vec<(EntityId, f64)>,
+    pub entities: SnippetEntities,
     /// Age of the source page in days.
     pub age_days: f64,
 }
@@ -98,6 +101,80 @@ impl Snippet {
             .iter()
             .find(|(e, _)| *e == entity)
             .map(|(_, s)| *s)
+    }
+}
+
+/// A snippet's `(entity, score)` list: a range of one shared list, so an
+/// answer holds the lists of all its snippets in one allocation. It
+/// derefs to the slice; equality and `Debug` are the slice's.
+#[derive(Clone)]
+pub struct SnippetEntities {
+    list: Arc<[(EntityId, f64)]>,
+    start: u32,
+    end: u32,
+}
+
+impl SnippetEntities {
+    /// The entities at `range` of `list`.
+    ///
+    /// # Panics
+    /// Panics if `range` is out of `list`'s bounds or past `u32::MAX`.
+    pub fn new(list: Arc<[(EntityId, f64)]>, range: Range<usize>) -> SnippetEntities {
+        assert!(range.start <= range.end && range.end <= list.len());
+        let bound = |at: usize| u32::try_from(at).expect("fewer than 2^32 entities per answer");
+        SnippetEntities {
+            start: bound(range.start),
+            end: bound(range.end),
+            list,
+        }
+    }
+}
+
+impl Deref for SnippetEntities {
+    type Target = [(EntityId, f64)];
+
+    fn deref(&self) -> &[(EntityId, f64)] {
+        &self.list[self.start as usize..self.end as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a SnippetEntities {
+    type Item = &'a (EntityId, f64);
+    type IntoIter = std::slice::Iter<'a, (EntityId, f64)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Vec<(EntityId, f64)>> for SnippetEntities {
+    fn from(entities: Vec<(EntityId, f64)>) -> SnippetEntities {
+        let len = entities.len();
+        SnippetEntities::new(entities.into(), 0..len)
+    }
+}
+
+impl FromIterator<(EntityId, f64)> for SnippetEntities {
+    fn from_iter<I: IntoIterator<Item = (EntityId, f64)>>(iter: I) -> SnippetEntities {
+        iter.into_iter().collect::<Vec<_>>().into()
+    }
+}
+
+impl fmt::Debug for SnippetEntities {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl PartialEq for SnippetEntities {
+    fn eq(&self, other: &SnippetEntities) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<Vec<(EntityId, f64)>> for SnippetEntities {
+    fn eq(&self, other: &Vec<(EntityId, f64)>) -> bool {
+        **self == other[..]
     }
 }
 
@@ -119,37 +196,28 @@ pub(crate) struct EntitySignal {
 }
 
 impl Llm {
-    /// Computes the blended ranking signal for one entity.
-    ///
-    /// `evidence` is consumed in presentation order; under
-    /// [`GroundingMode::Normal`] earlier snippets weigh more (attention
-    /// position bias), under [`GroundingMode::Strict`] the weighting is
-    /// nearly uniform and the prior is excluded.
-    pub(crate) fn entity_signal(
-        &self,
-        entity: EntityId,
-        evidence: &[Snippet],
-        mode: GroundingMode,
-        noise: f64,
-    ) -> EntitySignal {
-        let cfg = self.config();
-        let bias = match mode {
-            GroundingMode::Normal => cfg.position_bias,
-            GroundingMode::Strict => cfg.strict_position_bias,
-        };
-        let mut weight_sum = 0.0;
-        let mut score_sum = 0.0;
-        let mut first_weight = 0.0; // salience of the earliest mention
-        for (pos, snippet) in evidence.iter().enumerate() {
-            if let Some(s) = snippet.score_for(entity) {
-                let w = 1.0 / (1.0 + bias * pos as f64);
-                if weight_sum == 0.0 {
-                    first_weight = w;
-                }
-                weight_sum += w;
-                score_sum += w * s;
-            }
+    /// Per-position attention decay of `mode`: the snippet at position
+    /// `i` weighs `1 / (1 + bias * i)`.
+    pub(crate) fn position_bias(&self, mode: GroundingMode) -> f64 {
+        match mode {
+            GroundingMode::Normal => self.config().position_bias,
+            GroundingMode::Strict => self.config().strict_position_bias,
         }
+    }
+
+    /// The blended ranking signal for one entity, before noise, from its
+    /// evidence sums (an [`EvidenceWalk`] at [`Llm::position_bias`]).
+    ///
+    /// Under [`GroundingMode::Normal`] earlier snippets weigh more
+    /// (attention position bias), under [`GroundingMode::Strict`] the
+    /// weighting is nearly uniform and the prior is excluded.
+    pub(crate) fn signal(&self, entity: EntityId, sums: Sums, mode: GroundingMode) -> EntitySignal {
+        let cfg = self.config();
+        let Sums {
+            weight_sum,
+            score_sum,
+            first_weight,
+        } = sums;
         // The evidence signal blends the (position-weighted) mean with a
         // first-mention salience term: models anchor on early context, so
         // an entity that leads the evidence reads as a stronger answer.
@@ -185,9 +253,26 @@ impl Llm {
             GroundingMode::Strict => evidence_mean,
         };
         EntitySignal {
-            score: score + noise,
+            score,
             support: weight_sum,
         }
+    }
+
+    /// The signal of one entity given `evidence`, plus `noise`.
+    #[cfg(test)]
+    pub(crate) fn entity_signal(
+        &self,
+        entity: EntityId,
+        evidence: &[Snippet],
+        mode: GroundingMode,
+        noise: f64,
+    ) -> EntitySignal {
+        EvidenceWalk::with(|walk| {
+            walk.run(evidence, self.position_bias(mode));
+            let mut signal = self.signal(entity, walk.sums(entity), mode);
+            signal.score += noise;
+            signal
+        })
     }
 
     /// Per-run, per-entity deterministic noise.
@@ -218,6 +303,8 @@ impl Llm {
     /// Under strict grounding, entities without any snippet support are
     /// demoted below all supported entities (the model "cannot speak" about
     /// them), preserving their prior order only among themselves.
+    ///
+    /// The evidence is walked once for all candidates.
     pub fn rank_entities(
         &self,
         candidates: &[EntityId],
@@ -225,11 +312,47 @@ impl Llm {
         mode: GroundingMode,
         seed: u64,
     ) -> RankedAnswer {
+        EvidenceWalk::with(|walk| {
+            walk.run(evidence, self.position_bias(mode));
+            self.rank_walked(walk, candidates, mode, seed)
+        })
+    }
+
+    /// [`Llm::rank_entities`] over the entities `evidence` speaks about,
+    /// as narrowed by `select`: it receives them once each, in order of
+    /// first appearance, and keeps the candidates. One walk over the
+    /// evidence both lists them and scores them. The ranking does not
+    /// depend on the order `select` leaves.
+    pub fn rank_evidence(
+        &self,
+        evidence: &[Snippet],
+        mode: GroundingMode,
+        seed: u64,
+        select: impl FnOnce(&mut Vec<EntityId>),
+    ) -> RankedAnswer {
+        EvidenceWalk::with(|walk| {
+            walk.run(evidence, self.position_bias(mode));
+            let mut candidates = std::mem::take(walk.entities_mut());
+            select(&mut candidates);
+            let answer = self.rank_walked(walk, &candidates, mode, seed);
+            *walk.entities_mut() = candidates;
+            answer
+        })
+    }
+
+    fn rank_walked(
+        &self,
+        walk: &EvidenceWalk,
+        candidates: &[EntityId],
+        mode: GroundingMode,
+        seed: u64,
+    ) -> RankedAnswer {
         let mut scored: Vec<(EntityId, EntitySignal)> = candidates
             .iter()
             .map(|&e| {
-                let noise = self.noise(e, mode, seed);
-                (e, self.entity_signal(e, evidence, mode, noise))
+                let mut signal = self.signal(e, walk.sums(e), mode);
+                signal.score += self.noise(e, mode, seed);
+                (e, signal)
             })
             .collect();
         scored.sort_by(|a, b| {
@@ -263,7 +386,7 @@ mod tests {
         Snippet {
             url: url.into(),
             text: "".into(),
-            entities,
+            entities: entities.into(),
             age_days: 10.0,
         }
     }

@@ -30,11 +30,12 @@
 #![forbid(unsafe_code)]
 
 pub mod citation;
+mod evidence;
 pub mod generate;
 pub mod pairwise;
 pub mod pretrain;
 
 pub use citation::{supported_entities, CitationAudit};
-pub use generate::{GroundingMode, LlmConfig, RankedAnswer, Snippet};
+pub use generate::{GroundingMode, LlmConfig, RankedAnswer, Snippet, SnippetEntities};
 pub use pairwise::pairwise_ranking;
 pub use pretrain::{EntityPrior, Llm};

@@ -12,7 +12,8 @@ use shift_corpus::EntityId;
 use shift_metrics::bootstrap::SplitMix64;
 use shift_metrics::rank::ranking_from_wins;
 
-use crate::generate::{GroundingMode, Snippet};
+use crate::evidence::EvidenceWalk;
+use crate::generate::{EntitySignal, GroundingMode, Snippet};
 use crate::pretrain::Llm;
 
 impl Llm {
@@ -29,10 +30,28 @@ impl Llm {
         mode: GroundingMode,
         pair_seed: u64,
     ) -> EntityId {
-        let noise_a = self.pair_noise(a, mode, pair_seed);
-        let noise_b = self.pair_noise(b, mode, pair_seed.wrapping_add(1));
-        let mut sig_a = self.entity_signal(a, evidence, mode, noise_a);
-        let mut sig_b = self.entity_signal(b, evidence, mode, noise_b);
+        let (sig_a, sig_b) = EvidenceWalk::with(|walk| {
+            walk.run(evidence, self.position_bias(mode));
+            (
+                self.signal(a, walk.sums(a), mode),
+                self.signal(b, walk.sums(b), mode),
+            )
+        });
+        self.judge((a, sig_a), (b, sig_b), mode, pair_seed)
+    }
+
+    /// [`Llm::pairwise_judgment`] from the contestants' signals before
+    /// noise: the noise is added last, so each pair reads signals
+    /// computed once per ranking.
+    fn judge(
+        &self,
+        (a, mut sig_a): (EntityId, EntitySignal),
+        (b, mut sig_b): (EntityId, EntitySignal),
+        mode: GroundingMode,
+        pair_seed: u64,
+    ) -> EntityId {
+        sig_a.score += self.pair_noise(a, mode, pair_seed);
+        sig_b.score += self.pair_noise(b, mode, pair_seed.wrapping_add(1));
         if mode == GroundingMode::Strict {
             // Thin-evidence wobble: the fewer snippets back a contestant,
             // the less certain the grounded judgment.
@@ -104,7 +123,8 @@ impl Llm {
 
     /// Builds the full pairwise-derived ranking R′ over `candidates`:
     /// every unordered pair is judged once, entities are ordered by win
-    /// count, ties broken by candidate order.
+    /// count, ties broken by candidate order. The evidence is walked
+    /// once, and each candidate's signal computed once, for all pairs.
     pub fn pairwise_ranking_for(
         &self,
         candidates: &[EntityId],
@@ -112,14 +132,20 @@ impl Llm {
         mode: GroundingMode,
         seed: u64,
     ) -> Vec<EntityId> {
+        let signals: Vec<(EntityId, EntitySignal)> = EvidenceWalk::with(|walk| {
+            walk.run(evidence, self.position_bias(mode));
+            candidates
+                .iter()
+                .map(|&e| (e, self.signal(e, walk.sums(e), mode)))
+                .collect()
+        });
         let mut wins: HashMap<EntityId, usize> = candidates.iter().map(|&e| (e, 0)).collect();
         for i in 0..candidates.len() {
             for j in i + 1..candidates.len() {
                 let pair_seed = seed
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     .wrapping_add((i as u64) << 32 | j as u64);
-                let winner =
-                    self.pairwise_judgment(candidates[i], candidates[j], evidence, mode, pair_seed);
+                let winner = self.judge(signals[i], signals[j], mode, pair_seed);
                 *wins.entry(winner).or_insert(0) += 1;
             }
         }
@@ -156,7 +182,7 @@ mod tests {
         Snippet {
             url: url.into(),
             text: "".into(),
-            entities,
+            entities: entities.into(),
             age_days: 5.0,
         }
     }

@@ -23,7 +23,7 @@ fn evidence_for(world: &World, ids: &[EntityId]) -> Vec<Snippet> {
             out.push(Snippet {
                 url: format!("https://evidence.com/{i}/{j}").into(),
                 text: "".into(),
-                entities: vec![(e, (q + 0.3 * jitter).clamp(0.02, 0.98))],
+                entities: vec![(e, (q + 0.3 * jitter).clamp(0.02, 0.98))].into(),
                 age_days: 30.0,
             });
         }

@@ -824,11 +824,11 @@ fn run_dense(
 /// Fills the scratch's candidate heap with a view's top `overfetch`
 /// documents: cursor setup, coordination table, then the dense pass.
 /// The heap is left unsorted; [`finalize`] orders it.
-fn gather(
+fn gather<T: AsRef<str>>(
     view: &View<'_>,
     params: &RankingParams,
     scratch: &mut QueryScratch,
-    terms: &[String],
+    terms: &[T],
     overfetch: usize,
     mode: EvalMode,
     theta: &mut f64,
@@ -865,7 +865,7 @@ fn gather(
         }
         None => {
             for term in terms {
-                if let Some(id) = store.term_id(term) {
+                if let Some(id) = store.term_id(term.as_ref()) {
                     push_cursor(scratch, id);
                 }
             }
@@ -961,10 +961,10 @@ impl DocSource for SearchIndex {
 /// snapshot's union of segment pools may hold up to `segments ×
 /// overfetch` entries; the truncation is what restores the reference
 /// pool semantics.
-fn finalize(
+fn finalize<T: AsRef<str>>(
     params: &RankingParams,
     scratch: &mut QueryScratch,
-    terms: &[String],
+    terms: &[T],
     k: usize,
     docs: &impl DocSource,
 ) -> Vec<SerpResult> {
@@ -1026,13 +1026,13 @@ fn finalize(
 /// cursor sequence — and therefore every scored float — is the same
 /// either way.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn execute(
+pub(crate) fn execute<T: AsRef<str>>(
     index: &SearchIndex,
     params: &RankingParams,
     statics: &[(f64, f64)],
     impacts: &ScoreTable,
     scratch: &mut QueryScratch,
-    terms: &[String],
+    terms: &[T],
     resolved: Option<&[TermId]>,
     k: usize,
     mode: EvalMode,

@@ -220,7 +220,30 @@ impl SearchEngine {
         k: usize,
         mode: EvalMode,
     ) -> Serp {
-        let terms = analyze(query);
+        self.search_terms(scratch, query, &analyze(query), k, mode)
+    }
+
+    /// [`SearchEngine::search_with`] for a caller that has already
+    /// analyzed `query`: `terms` must be `analyze(query)`, term for
+    /// term, and the SERP is then byte-identical.
+    pub fn search_analyzed_with<T: AsRef<str>>(
+        &self,
+        scratch: &mut QueryScratch,
+        query: &str,
+        terms: &[T],
+        k: usize,
+    ) -> Serp {
+        self.search_terms(scratch, query, terms, k, EvalMode::Pruned)
+    }
+
+    fn search_terms<T: AsRef<str>>(
+        &self,
+        scratch: &mut QueryScratch,
+        query: &str,
+        terms: &[T],
+        k: usize,
+        mode: EvalMode,
+    ) -> Serp {
         let mut serp = Serp {
             query: query.to_string(),
             results: Vec::new(),
@@ -234,7 +257,7 @@ impl SearchEngine {
             self.statics(),
             self.impacts(),
             scratch,
-            &terms,
+            terms,
             None,
             k,
             mode,

@@ -76,10 +76,10 @@ pub fn apply_host_crowding(results: Vec<SerpResult>, max_per_host: usize) -> Vec
 /// body (case-insensitive), falling back to the body prefix, trimmed,
 /// with a `…` on each side where the body goes on. The excerpt shares
 /// `text`, so cutting it allocates nothing.
-pub fn extract_snippet(
+pub fn extract_snippet<T: AsRef<str>>(
     text: &Arc<str>,
     body: Range<usize>,
-    query_terms: &[String],
+    query_terms: &[T],
     width: usize,
 ) -> Excerpt {
     let offset = body.start;

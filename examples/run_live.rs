@@ -16,10 +16,11 @@
 //! thread against query workers hammering the latest published
 //! snapshot, which is where the measured throughput numbers come from.
 //!
-//! `--gate` remeasures concurrent query throughput and fails if it
-//! drops below 80% of the committed number (same regression rule as the
-//! kernel gate's throughput rows; timing-sensitive, hence the generous
-//! floor), or if no number is committed.
+//! `--gate` remeasures concurrent query throughput, after the same two
+//! deterministic replays the full run makes before it measures, and
+//! fails if it drops below 80% of the committed number (same regression
+//! rule as the kernel gate's throughput rows; timing-sensitive, hence
+//! the generous floor), or if no number is committed.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -227,6 +228,11 @@ fn gate_against_committed(world: &World, timeline: &Timeline) {
         eprintln!("gate: committed BENCH_serve.json has no live.measured.query_qps");
         std::process::exit(1);
     };
+    // Measure where the full run measures: after its two replays, which
+    // warm the process the concurrent phase runs in.
+    for _ in 0..2 {
+        run_trajectory(world, timeline);
+    }
     let metrics = ServiceMetrics::new();
     let (queries, elapsed, _, counters) = run_concurrent(world, timeline, &metrics);
     let measured = queries as f64 / elapsed;
